@@ -23,6 +23,7 @@ import json
 import os
 import sys
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -64,6 +65,11 @@ class ValidationError(ValueError):
     """Problem-file rejection with a field-path diagnostic."""
 
 
+_NUMBER_TYPES = {int, float}
+# one trace row; %.17g prints exactly what _fmt prints
+_TRACE_ROW = "%d,%.17g,%.17g,%.17g,%.17g"
+
+
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
@@ -75,13 +81,27 @@ def _require(cond, field: str, message: str):
 
 def _get_vector(data, field: str, dim: Optional[int] = None) -> np.ndarray:
     _require(isinstance(data, (list, tuple)), field, "expected an array of numbers")
-    _require(all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in data),
+    # exact-type test first; bool (an int subclass) falls through and is refused
+    _require(set(map(type, data)) <= _NUMBER_TYPES
+             or all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in data),
              field, "entries must be numbers")
     v = np.asarray(data, dtype=float)
     _require(np.all(np.isfinite(v)), field, "entries must be finite")
     if dim is not None:
         _require(v.size == dim, field, f"expected length {dim}, got {v.size}")
     return v
+
+
+def _get_rows(data: list, field: str, dim: int) -> np.ndarray:
+    """Vectors of length ``dim`` stacked as rows, each checked as
+    _get_vector checks it; a failing input is rechecked row by row so the
+    diagnostic names the first bad row."""
+    if all(type(row) is list and len(row) == dim for row in data) and \
+            set(map(type, chain.from_iterable(data))) <= _NUMBER_TYPES:
+        rows = np.array(data, dtype=float)
+        if np.all(np.isfinite(rows)):
+            return rows
+    return np.vstack([_get_vector(row, f"{field}[{i}]", dim) for i, row in enumerate(data)])
 
 
 @dataclass(eq=False)
@@ -103,10 +123,10 @@ def _parse_operator(data, dim: int) -> OperatorSpec:
         matrix = data.get("matrix")
         _require(isinstance(matrix, list) and len(matrix) == dim, "operator.matrix",
                  f"expected {dim} rows")
-        rows = [_get_vector(row, f"operator.matrix[{i}]", dim) for i, row in enumerate(matrix)]
+        rows = _get_rows(matrix, "operator.matrix", dim)
         offset = data.get("offset")
         off = _get_vector(offset, "operator.offset", dim) if offset is not None else None
-        return affine_operator(np.vstack(rows), offset=off)
+        return affine_operator(rows, offset=off)
     if kind == "builtin":
         allowed = {"kind", "name", "params"}
         unknown = set(data) - allowed
@@ -184,7 +204,7 @@ def parse_problem(data: dict, default_seed: int = 0, need_solver: bool = True) -
     anchors_raw = data["anchors"]
     _require(isinstance(anchors_raw, list) and len(anchors_raw) == order - 1, "anchors",
              f"expected {order - 1} vectors")
-    anchors = np.vstack([_get_vector(a, f"anchors[{i}]", dim) for i, a in enumerate(anchors_raw)])
+    anchors = _get_rows(anchors_raw, "anchors", dim)
     try:
         space = AnchoredSpace(dim=dim, order=order, anchors=anchors)
     except ValueError as e:
@@ -266,11 +286,7 @@ def load_problem(path: str, default_seed: int = 0, need_solver: bool = True) -> 
 
 def write_trace(report: SolverReport, path: str):
     lines = ["k,residual,apriori,aposteriori,certified"]
-    for row in report.trace:
-        lines.append(
-            f"{row.k},{_fmt(row.residual)},{_fmt(row.apriori)},"
-            f"{_fmt(row.aposteriori)},{_fmt(row.certified)}"
-        )
+    lines.extend(_TRACE_ROW % row for row in report.trace)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

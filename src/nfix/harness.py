@@ -16,6 +16,7 @@ import numpy as np
 
 from .nnorm import AnchoredSpace, ProductPoint, gram_nnorm, product_nnorm
 from .operators import (
+    RATIO_SKIP_TOL,
     OperatorSpec,
     affine_operator,
     apply,
@@ -477,7 +478,7 @@ def check_contractive_ratio(
         p = rng.standard_normal(space.dim) * 1.5
         q = rng.standard_normal(space.dim) * 1.5
         den = float(space.seminorm_batch((p - q).reshape(1, -1))[0])
-        if den < 1e-12:
+        if den < RATIO_SKIP_TOL:
             continue
         num = float(space.seminorm_batch((apply(op, p) - apply(op, q)).reshape(1, -1))[0])
         f = num / den

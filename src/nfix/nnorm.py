@@ -17,8 +17,9 @@ safe to evaluate concurrently.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -162,9 +163,24 @@ class AnchoredSpace:
         cancellation floor (or the dependence snap) would otherwise forge
         certificates at small scales.
         """
-        x = as_vector(x, self.dim)
-        perp = x - self.anchor_basis @ (self.anchor_basis.T @ x)
-        return self.anchor_volume * float(np.linalg.norm(perp))
+        return self.projection_kernel()(as_vector(x, self.dim))
+
+    def projection_kernel(self) -> Callable[[np.ndarray], float]:
+        """``seminorm_raw`` without its input checks, for hot loops.
+
+        The returned function expects a 1-D float64 array of length dim and
+        validates nothing.  A non-finite coordinate always yields a non-finite
+        result, so a caller may test the result instead of the input.
+        """
+        basis, basis_t, vol = self.anchor_basis, self.anchor_basis.T, self.anchor_volume
+        sqrt = math.sqrt
+
+        def raw(x: np.ndarray) -> float:
+            perp = x - basis @ (basis_t @ x)
+            # sqrt(perp . perp) is what np.linalg.norm computes for 1-D input
+            return vol * sqrt(perp.dot(perp))
+
+        return raw
 
     def seminorm_batch(self, points: np.ndarray) -> np.ndarray:
         """Semi-norms of many row points at once via the projection identity.

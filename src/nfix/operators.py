@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -82,6 +82,18 @@ class OperatorSpec:
             return len(self.params["value"])
         return None
 
+    def compile(self, dim: int) -> Callable[[np.ndarray], np.ndarray]:
+        """Single-point evaluator ``step(x)`` for ``dim``-dimensional inputs.
+
+        Dimension and parameter checks run here, once; the rotation matrix,
+        the constant vector and the transposed affine matrix are built here
+        too.  ``step`` itself validates nothing: it expects a finite 1-D
+        float64 array of length ``dim`` and returns a new array.  It computes
+        exactly what ``apply_batch`` computes for a one-row batch.
+        """
+        rows = _row_map(self, dim)
+        return lambda x: rows(x.reshape(1, -1))[0]
+
 
 def _validate_builtin_params(name, params):
     required = {
@@ -144,10 +156,47 @@ def _rotation_matrix(op: OperatorSpec, d: int) -> np.ndarray:
     return r
 
 
+def _row_map(op: OperatorSpec, d: int) -> Callable[[np.ndarray], np.ndarray]:
+    """The operator as a map on (m, d) arrays of row points, checked for
+    dimension ``d`` once, with everything that depends on ``d`` prebuilt."""
+    if op.kind == "affine":
+        if op.matrix.shape[0] != d:
+            raise ValueError(f"dimension mismatch: operator is {op.matrix.shape[0]}-D, points are {d}-D")
+        mt, offset = op.matrix.T, op.offset
+        return lambda pts: pts @ mt + offset
+    name = op.name
+    if name == "scale":
+        factor = float(op.params["factor"])
+        return lambda pts: factor * pts
+    if name == "constant":
+        value = as_vector(op.params["value"], d)
+        return lambda pts: np.tile(value, (pts.shape[0], 1))
+    if name == "saturating":
+        def saturate(pts):
+            out = pts.copy()
+            t = out[:, 0]
+            out[:, 0] = t / (1.0 + np.abs(t))
+            return out
+        return saturate
+    if name == "rotation-scale":
+        rt = _rotation_matrix(op, d).T
+        return lambda pts: pts @ rt
+    if name == "step":
+        thr = float(op.params["threshold"])
+        h = float(op.params["height"])
+
+        def jump(pts):
+            out = pts.copy()
+            out[:, 0] = np.where(out[:, 0] >= thr, out[:, 0] + h, out[:, 0])
+            return out
+        return jump
+    raise ValueError(f"unknown builtin operator {name!r}")
+
+
 def apply(op: OperatorSpec, x) -> np.ndarray:
     """Evaluate the operator at one point."""
     x = as_vector(x)
-    return apply_batch(op, x.reshape(1, -1))[0]
+    return op.compile(x.size)(x)
 
 
 def apply_batch(op: OperatorSpec, points: np.ndarray) -> np.ndarray:
@@ -155,31 +204,7 @@ def apply_batch(op: OperatorSpec, points: np.ndarray) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
         raise ValueError("apply_batch expects a 2-D array of row points")
-    d = pts.shape[1]
-    if op.kind == "affine":
-        if op.matrix.shape[0] != d:
-            raise ValueError(f"dimension mismatch: operator is {op.matrix.shape[0]}-D, points are {d}-D")
-        return pts @ op.matrix.T + op.offset
-    name = op.name
-    if name == "scale":
-        return float(op.params["factor"]) * pts
-    if name == "constant":
-        value = as_vector(op.params["value"], d)
-        return np.tile(value, (pts.shape[0], 1))
-    if name == "saturating":
-        out = pts.copy()
-        t = out[:, 0]
-        out[:, 0] = t / (1.0 + np.abs(t))
-        return out
-    if name == "rotation-scale":
-        return pts @ _rotation_matrix(op, d).T
-    if name == "step":
-        thr = float(op.params["threshold"])
-        h = float(op.params["height"])
-        out = pts.copy()
-        out[:, 0] = np.where(out[:, 0] >= thr, out[:, 0] + h, out[:, 0])
-        return out
-    raise ValueError(f"unknown builtin operator {name!r}")
+    return _row_map(op, pts.shape[1])(pts)
 
 
 # ---------------------------------------------------------------------------
@@ -392,10 +417,11 @@ def contraction_constant(
     chunk_idx = 0
     while produced < budget:
         rng = np.random.default_rng([_seed_key(seed), 11, chunk_idx])
-        xs = rng.standard_normal((_CHUNK, d)) * 1.5
-        ys = rng.standard_normal((_CHUNK, d)) * 1.5
         take = min(_CHUNK, budget - produced)
-        xs, ys = xs[:take], ys[:take]
+        # xs is drawn in full so that ys starts at the same stream position
+        # for every budget; rows past ``take`` of ys are never drawn
+        xs = rng.standard_normal((_CHUNK, d))[:take] * 1.5
+        ys = rng.standard_normal((take, d)) * 1.5
         txs = apply_batch(op, xs)
         tys = apply_batch(op, ys)
         num = space.seminorm_batch(txs - tys)

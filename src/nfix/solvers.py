@@ -1,6 +1,7 @@
 """Fixed-point iteration with certified anchored-semi-norm error bounds.
 
-Five regimes share one iteration engine and differ only in the bound model:
+Five regimes share one iteration engine and differ only in the bound model,
+the sampled cross-check run before iterating, and the ball containment test:
 
 - picard:    contraction constant alpha in (0,1); a-priori envelope
              alpha^k / (1 - alpha) * ||x0 - Tx0|| for the k-th iterate.
@@ -16,13 +17,20 @@ Five regimes share one iteration engine and differ only in the bound model:
              best-effort and reports the smallest observed fixed-point
              residual together with the consecutive displacement ratios.
 
-Each step k also records an a-posteriori bound obtained by re-rooting the
-same telescoping chain at the previous iterate (rate / (1 - rate) times the
-latest displacement); stopping uses min(a-priori, a-posteriori) <= tol, and
-that minimum is the certified error of the returned point.  All distances
-are semi-norm distances, so uniqueness claims hold modulo the anchor span;
-the independence of {x*, anchors} is checked after the fact and reported,
-never enforced.
+Picard, ball and kannan are the summable model with a geometric sequence,
+so every envelope is S(k) * res0.  Each step k also records an
+a-posteriori bound obtained by re-rooting the same telescoping chain at the
+previous iterate (S(1) times the latest displacement); stopping uses
+min(a-priori, a-posteriori) <= tol, and that minimum is the certified error
+of the returned point.  All distances are semi-norm distances, so
+uniqueness claims hold modulo the anchor span; the independence of
+{x*, anchors} is checked after the fact and reported, never enforced.
+
+The engine compiles the operator and the semi-norm once per solve and
+validates nothing per step.  Finiteness is checked lazily: a non-finite
+coordinate in an iterate always makes its projected residual NaN or inf, so
+the full checks run only when a residual is not finite, and a bad iterate is
+still refused at the step that produced it.
 
 Declared constants are trusted for the certificate but cross-checked
 against a sampled estimate; a sampled value exceeding the declared one
@@ -32,13 +40,15 @@ aborts loudly, because every bound above would be fiction.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+import sys
+from dataclasses import dataclass, field
+from itertools import accumulate
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from .nnorm import AnchoredSpace, as_vector, is_linearly_dependent
-from .operators import OperatorSpec, apply, apply_batch, contraction_constant
+from .operators import RATIO_SKIP_TOL, OperatorSpec, apply_batch, contraction_constant
 
 REGIMES = ("picard", "ball", "summable", "kannan", "edelstein")
 
@@ -49,6 +59,9 @@ INDEPENDENCE_FAILED = "independence_condition_failed"
 # solver refuses to certify.
 CROSSCHECK_SLACK = 1e-6
 CONTAINMENT_SLACK = 1e-9
+# The orbit guard tolerates a residual this many ulps of vol * |x| above the
+# declared recursion: the computed residual cannot resolve less than that.
+ORBIT_ROUNDOFF = 64 * sys.float_info.epsilon
 
 
 class SolverInputError(ValueError):
@@ -116,6 +129,7 @@ class ASeq:
     ratio: Optional[float] = None
     terms: Optional[list] = None
     tail: float = 0.0
+    _suffix: Optional[list] = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         if self.kind == "geometric":
@@ -129,6 +143,8 @@ class ASeq:
                 raise SolverInputError("explicit a_seq terms must be finite and nonnegative")
             if not (math.isfinite(self.tail) and self.tail >= 0):
                 raise SolverInputError("explicit a_seq needs a finite nonnegative declared tail bound")
+            # _suffix[i] = sum(terms[i:]), summed from the far end; _suffix[-1] = 0
+            self._suffix = list(accumulate(reversed(self.terms), initial=0.0))[::-1]
         else:
             raise SolverInputError(f"a_seq kind must be 'geometric' or 'explicit', got {self.kind!r}")
 
@@ -143,7 +159,7 @@ class ASeq:
         """S(q) = sum_{v >= q} a_v (declared bound for the explicit kind)."""
         if self.kind == "geometric":
             return self.ratio ** q / (1.0 - self.ratio)
-        return float(sum(self.terms[q - 1:]) + self.tail)
+        return self._suffix[min(q - 1, len(self.terms))] + self.tail
 
 
 def geometric_sequence(ratio: float) -> ASeq:
@@ -240,23 +256,6 @@ def _independence(space: AnchoredSpace, point: np.ndarray):
     return ok, (UNIQUE_MOD_KERNEL if ok else INDEPENDENCE_FAILED)
 
 
-def _immediate_report(regime, space, x0, cfg, res0=0.0, **extra) -> SolverReport:
-    ok, note = _independence(space, x0)
-    return SolverReport(
-        regime=regime,
-        fixed_point=x0,
-        iterations=0,
-        trace=[],
-        certified_error=0.0,
-        converged=True,
-        uniqueness_note=note,
-        independence_ok=ok,
-        residual0=res0,
-        iterates=[x0.copy()] if cfg.keep_iterates else None,
-        **extra,
-    )
-
-
 def _crosscheck(op, space, cfg, name, declared, which):
     if cfg.crosscheck_pairs < 1:
         return
@@ -286,79 +285,150 @@ def _crosscheck_alpha_in_ball(op, space, cfg, alpha, x0, radius):
     xs, ys = sample(), sample()
     num = space.seminorm_batch(apply_batch(op, xs) - apply_batch(op, ys))
     den = space.seminorm_batch(xs - ys)
-    keep = den >= 1e-12
+    keep = den >= RATIO_SKIP_TOL
     if np.any(keep):
         worst = float(np.max(num[keep] / den[keep]))
         if worst > alpha + CROSSCHECK_SLACK:
             raise ConstantMismatchError("alpha (on the ball)", alpha, worst)
 
 
-def _certified_iteration(
-    op: OperatorSpec,
-    space: AnchoredSpace,
-    x0: np.ndarray,
-    x1: np.ndarray,
-    res0: float,
-    cfg: SolverConfig,
-    regime: str,
-    apriori_fn: Callable[[int, float], float],
-    apost_factor: float,
-    guard_name: str = "alpha",
-    guard_rate: Optional[float] = None,
-    containment=None,
-) -> SolverReport:
+def _bound_model(cfg: SolverConfig):
+    """(a_seq whose tails bound the error, name of its guarded rate) for the
+    configured regime; (None, None) for edelstein, which has no envelope."""
+    if cfg.regime in ("picard", "ball"):
+        return geometric_sequence(cfg.alpha), "alpha"
+    if cfg.regime == "kannan":
+        return geometric_sequence(cfg.beta / (1.0 - cfg.beta)), "beta-rate"
+    if cfg.regime == "summable":
+        return cfg.a_seq, "a_1"
+    return None, None
+
+
+def _solve(regime: str, op: OperatorSpec, space: AnchoredSpace, x0, cfg: SolverConfig) -> SolverReport:
+    """The iteration engine behind every regime."""
+    cfg.validate()
+    if cfg.regime != regime:
+        raise SolverInputError(f"{regime}_solve got regime {cfg.regime!r}")
+    seq, guard_name = _bound_model(cfg)
+    ball = regime == "ball"
+    x0 = as_vector(x0, space.dim).copy()
+    step = op.compile(space.dim)
+    x1 = step(x0)
+    _check_finite(x1, 1)
+    res0 = space.seminorm_raw(x0 - x1)
+    if ball:
+        threshold = (1.0 - cfg.alpha) * cfg.radius
+        if not (res0 < threshold):
+            raise PreconditionError(res0, threshold)
+
     trace = []
     iterates = [x0.copy()] if cfg.keep_iterates else None
-    ball_trace = [] if containment else None
-    max_disp = 0.0 if containment else None
+    ball_trace = [] if ball else None
+    max_disp = 0.0 if ball else None
+    if res0 == 0.0:
+        # x0 is fixed modulo the kernel
+        return _report(regime, space, cfg, x0, 0, trace, 0.0, res0, iterates, max_disp, ball_trace)
 
+    if ball:
+        _crosscheck_alpha_in_ball(op, space, cfg, cfg.alpha, x0, cfg.radius)
+    elif regime == "kannan":
+        _crosscheck(op, space, cfg, "beta", cfg.beta, "beta")
+    elif seq is not None:
+        # picard and summable: a_1 is the declared contraction constant
+        _crosscheck(op, space, cfg, guard_name, seq.term(1), "alpha")
+
+    dist = space.projection_kernel()
+    isfinite = math.isfinite
+    if seq is not None:
+        tail_sum = seq.tail_sum
+        rate = seq.term(1)
+        apost_factor = tail_sum(1)
+    best = x0
     x_prev = x0
     x_next = x1
-    converged = False
     certified = math.inf
     prev_res = None
     k = 0
-    while k < cfg.max_iter:
-        k += 1
-        if k > 1:
-            x_next = apply(op, x_prev)
-            _check_finite(x_next, k)
-        res_k = space.seminorm_raw(x_next - x_prev)
-        if containment is not None:
-            # the ball theorem's own diagnostic comes first: an escaping
-            # iterate names the violated induction bound directly
-            radius, alpha, center = containment
-            disp = space.seminorm_raw(x_next - center)
-            bound = (1.0 - alpha ** k) * radius
-            ball_trace.append((k, disp, bound))
-            max_disp = max(max_disp, disp)
-            if disp > bound + CONTAINMENT_SLACK:
-                raise ContainmentError(k, disp, bound)
-        if guard_rate is not None and prev_res is not None:
-            # the orbit is the sharpest sample of the constant: a residual
-            # breaking the declared recursion proves the constant false
-            if res_k > guard_rate * prev_res * (1.0 + 1e-9) + 1e-12:
-                raise ConstantMismatchError(
-                    f"{guard_name} (orbit residual recursion, step {k})",
-                    guard_rate,
-                    res_k / prev_res,
-                )
-        prev_res = res_k
-        apriori = apriori_fn(k, res0)
-        apost = apost_factor * res_k
-        certified = min(apriori, apost)
-        trace.append(TraceRow(k, res_k, apriori, apost, certified))
-        if iterates is not None:
-            iterates.append(x_next.copy())
-        if certified <= cfg.tol:
-            converged = True
-            break
-        x_prev = x_next
+    # a non-finite iterate makes the kernel compute 0 * inf; that iterate is
+    # refused below, so numpy's "invalid value" warning would only be noise
+    with np.errstate(invalid="ignore"):
+        while k < cfg.max_iter:
+            k += 1
+            if k > 1:
+                x_next = step(x_prev)
+            diff = x_next - x_prev
+            res_k = dist(diff)
+            if not isfinite(res_k):
+                # x_next has a NaN/inf coordinate, or x_next - x_prev
+                # overflowed: run the full checks, which raise for both
+                _check_finite(x_next, k)
+                res_k = space.seminorm_raw(diff)
+            if ball:
+                # the ball theorem's own diagnostic comes first: an escaping
+                # iterate names the violated induction bound directly
+                diff = x_next - x0
+                disp = dist(diff)
+                if not isfinite(disp):
+                    disp = space.seminorm_raw(diff)
+                bound = (1.0 - cfg.alpha ** k) * cfg.radius
+                ball_trace.append((k, disp, bound))
+                if disp > max_disp:
+                    max_disp = disp
+                if disp > bound + CONTAINMENT_SLACK:
+                    raise ContainmentError(k, disp, bound)
+            if seq is None:
+                # no envelope: the certificate is the smallest residual
+                # ||x - Tx|| seen, attained at x = x_prev
+                trace.append(TraceRow(k, res_k, math.inf, math.inf, math.inf))
+                if res_k < certified:
+                    certified = res_k
+                    best = x_prev
+            else:
+                if prev_res is not None and res_k > rate * prev_res * (1.0 + 1e-9) + 1e-12:
+                    _guard_orbit(space, guard_name, rate, k, res_k, prev_res, x_prev, x_next)
+                prev_res = res_k
+                apriori = tail_sum(k) * res0
+                apost = apost_factor * res_k
+                certified = min(apriori, apost)
+                trace.append(TraceRow(k, res_k, apriori, apost, certified))
+                best = x_next
+            if iterates is not None:
+                iterates.append(x_next.copy())
+            if certified <= cfg.tol:
+                break
+            x_prev = x_next
+    return _report(regime, space, cfg, best, k, trace, certified, res0, iterates, max_disp, ball_trace)
 
-    ok, note = _independence(space, x_next)
+
+def _guard_orbit(space, name, rate, k, res_k, prev_res, x_prev, x_next):
+    """The orbit is the sharpest sample of the constant: a residual breaking
+    the declared recursion by more than its own roundoff floor proves the
+    constant false."""
+    scale = max(float(np.linalg.norm(x_prev)), float(np.linalg.norm(x_next)))
+    floor = ORBIT_ROUNDOFF * space.anchor_volume * scale
+    if res_k > rate * prev_res * (1.0 + 1e-9) + floor:
+        raise ConstantMismatchError(f"{name} (orbit residual recursion, step {k})", rate, res_k / prev_res)
+
+
+def _report(regime, space, cfg, point, k, trace, certified, res0, iterates, max_disp, ball_trace):
+    converged = certified <= cfg.tol
+    ratios = None
+    message = ""
+    if regime == "edelstein":
+        residuals = [row.residual for row in trace]
+        ratios = [
+            (i + 1, residuals[i + 1] / residuals[i])
+            for i in range(len(residuals) - 1)
+            if residuals[i] >= RATIO_SKIP_TOL
+        ]
+        if not converged:
+            message = f"max_iter = {cfg.max_iter} exceeded; best residual {certified:.17g}"
+    elif not converged:
+        message = f"max_iter = {cfg.max_iter} exceeded without certification"
+    ok, note = _independence(space, point)
     return SolverReport(
         regime=regime,
-        fixed_point=x_next,
+        fixed_point=point,
         iterations=k,
         trace=trace,
         certified_error=certified,
@@ -368,17 +438,10 @@ def _certified_iteration(
         residual0=res0,
         max_displacement=max_disp,
         ball_trace=ball_trace,
+        ratios=ratios,
         iterates=iterates,
-        message="" if converged else f"max_iter = {cfg.max_iter} exceeded without certification",
+        message=message,
     )
-
-
-def _start(op, space, x0):
-    x0 = as_vector(x0, space.dim).copy()
-    x1 = apply(op, x0)
-    _check_finite(x1, 1)
-    res0 = space.seminorm_raw(x0 - x1)
-    return x0, x1, res0
 
 
 def picard_solve(op: OperatorSpec, space: AnchoredSpace, x0, cfg: SolverConfig) -> SolverReport:
@@ -388,20 +451,7 @@ def picard_solve(op: OperatorSpec, space: AnchoredSpace, x0, cfg: SolverConfig) 
     falls to tol; that minimum is the certified semi-norm error.  A zero
     starting residual (x0 fixed modulo the kernel) returns immediately.
     """
-    cfg.validate()
-    if cfg.regime != "picard":
-        raise SolverInputError(f"picard_solve got regime {cfg.regime!r}")
-    alpha = cfg.alpha
-    x0, x1, res0 = _start(op, space, x0)
-    if res0 == 0.0:
-        return _immediate_report("picard", space, x0, cfg)
-    _crosscheck(op, space, cfg, "alpha", alpha, "alpha")
-    return _certified_iteration(
-        op, space, x0, x1, res0, cfg, "picard",
-        apriori_fn=lambda k, r0: alpha ** k / (1.0 - alpha) * r0,
-        apost_factor=alpha / (1.0 - alpha),
-        guard_name="alpha", guard_rate=alpha,
-    )
+    return _solve("picard", op, space, x0, cfg)
 
 
 def ball_solve(op: OperatorSpec, space: AnchoredSpace, x0, cfg: SolverConfig) -> SolverReport:
@@ -412,24 +462,7 @@ def ball_solve(op: OperatorSpec, space: AnchoredSpace, x0, cfg: SolverConfig) ->
     ||x0 - x_k|| <= (1 - alpha^k) * radius; the largest observed
     displacement is reported.
     """
-    cfg.validate()
-    if cfg.regime != "ball":
-        raise SolverInputError(f"ball_solve got regime {cfg.regime!r}")
-    alpha, radius = cfg.alpha, cfg.radius
-    x0, x1, res0 = _start(op, space, x0)
-    threshold = (1.0 - alpha) * radius
-    if not (res0 < threshold):
-        raise PreconditionError(res0, threshold)
-    if res0 == 0.0:
-        return _immediate_report("ball", space, x0, cfg, max_displacement=0.0, ball_trace=[])
-    _crosscheck_alpha_in_ball(op, space, cfg, alpha, x0, radius)
-    return _certified_iteration(
-        op, space, x0, x1, res0, cfg, "ball",
-        apriori_fn=lambda k, r0: alpha ** k / (1.0 - alpha) * r0,
-        apost_factor=alpha / (1.0 - alpha),
-        guard_name="alpha", guard_rate=alpha,
-        containment=(radius, alpha, x0),
-    )
+    return _solve("ball", op, space, x0, cfg)
 
 
 def summable_solve(op: OperatorSpec, space: AnchoredSpace, x0, cfg: SolverConfig) -> SolverReport:
@@ -440,20 +473,7 @@ def summable_solve(op: OperatorSpec, space: AnchoredSpace, x0, cfg: SolverConfig
     reproduces picard_solve bit for bit: same iterates, same bounds, same
     stopping step.
     """
-    cfg.validate()
-    if cfg.regime != "summable":
-        raise SolverInputError(f"summable_solve got regime {cfg.regime!r}")
-    seq = cfg.a_seq
-    x0, x1, res0 = _start(op, space, x0)
-    if res0 == 0.0:
-        return _immediate_report("summable", space, x0, cfg)
-    _crosscheck(op, space, cfg, "a_1", seq.term(1), "alpha")
-    return _certified_iteration(
-        op, space, x0, x1, res0, cfg, "summable",
-        apriori_fn=lambda k, r0: seq.tail_sum(k) * r0,
-        apost_factor=seq.tail_sum(1),
-        guard_name="a_1", guard_rate=seq.term(1),
-    )
+    return _solve("summable", op, space, x0, cfg)
 
 
 def kannan_solve(op: OperatorSpec, space: AnchoredSpace, x0, cfg: SolverConfig) -> SolverReport:
@@ -462,21 +482,7 @@ def kannan_solve(op: OperatorSpec, space: AnchoredSpace, x0, cfg: SolverConfig) 
     The induced geometric rate is r = beta / (1 - beta) < 1; bounds and
     stopping mirror the picard regime with alpha replaced by r.
     """
-    cfg.validate()
-    if cfg.regime != "kannan":
-        raise SolverInputError(f"kannan_solve got regime {cfg.regime!r}")
-    beta = cfg.beta
-    rate = beta / (1.0 - beta)
-    x0, x1, res0 = _start(op, space, x0)
-    if res0 == 0.0:
-        return _immediate_report("kannan", space, x0, cfg)
-    _crosscheck(op, space, cfg, "beta", beta, "beta")
-    return _certified_iteration(
-        op, space, x0, x1, res0, cfg, "kannan",
-        apriori_fn=lambda k, r0: rate ** k / (1.0 - rate) * r0,
-        apost_factor=rate / (1.0 - rate),
-        guard_name="beta-rate", guard_rate=rate,
-    )
+    return _solve("kannan", op, space, x0, cfg)
 
 
 def edelstein_solve(op: OperatorSpec, space: AnchoredSpace, x0, cfg: SolverConfig) -> SolverReport:
@@ -490,71 +496,9 @@ def edelstein_solve(op: OperatorSpec, space: AnchoredSpace, x0, cfg: SolverConfi
     f(x_{k-1}, x_k) = res_{k+1} / res_k are reported alongside; ratios
     pinned at 1 flag a map outside the theorem's reach (an isometry).
     """
-    cfg.validate()
-    if cfg.regime != "edelstein":
-        raise SolverInputError(f"edelstein_solve got regime {cfg.regime!r}")
-    x0, x1, res0 = _start(op, space, x0)
-    if res0 == 0.0:
-        return _immediate_report("edelstein", space, x0, cfg, ratios=[])
-
-    trace = []
-    iterates = [x0.copy()] if cfg.keep_iterates else None
-    residuals = []
-    best_res = math.inf
-    best_candidate = x0
-    x_prev = x0
-    x_next = x1
-    k = 0
-    while k < cfg.max_iter:
-        k += 1
-        if k > 1:
-            x_next = apply(op, x_prev)
-            _check_finite(x_next, k)
-        res_k = space.seminorm_raw(x_next - x_prev)
-        residuals.append(res_k)
-        trace.append(TraceRow(k, res_k, math.inf, math.inf, math.inf))
-        if iterates is not None:
-            iterates.append(x_next.copy())
-        if res_k < best_res:
-            best_res = res_k
-            best_candidate = x_prev.copy()
-        if best_res <= cfg.tol:
-            break
-        x_prev = x_next
-
-    ratios = [
-        (i + 1, residuals[i + 1] / residuals[i])
-        for i in range(len(residuals) - 1)
-        if residuals[i] >= 1e-12
-    ]
-    converged = best_res <= cfg.tol
-    ok, note = _independence(space, best_candidate)
-    return SolverReport(
-        regime="edelstein",
-        fixed_point=best_candidate,
-        iterations=k,
-        trace=trace,
-        certified_error=best_res,
-        converged=converged,
-        uniqueness_note=note,
-        independence_ok=ok,
-        residual0=res0,
-        ratios=ratios,
-        iterates=iterates,
-        message="" if converged else f"max_iter = {cfg.max_iter} exceeded; best residual {best_res:.17g}",
-    )
-
-
-SOLVERS = {
-    "picard": picard_solve,
-    "ball": ball_solve,
-    "summable": summable_solve,
-    "kannan": kannan_solve,
-    "edelstein": edelstein_solve,
-}
+    return _solve("edelstein", op, space, x0, cfg)
 
 
 def solve(op: OperatorSpec, space: AnchoredSpace, x0, cfg: SolverConfig) -> SolverReport:
-    """Dispatch to the regime named in the config."""
-    cfg.validate()
-    return SOLVERS[cfg.regime](op, space, x0, cfg)
+    """Run the regime named in the config."""
+    return _solve(cfg.regime, op, space, x0, cfg)

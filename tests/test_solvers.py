@@ -1,12 +1,13 @@
 """Solver tests against closed-form geometric oracles."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from nfix.nnorm import AnchoredSpace
-from nfix.operators import affine_operator, apply, builtin_operator
+from nfix.operators import affine_operator, apply, apply_batch, builtin_operator
 from nfix.solvers import (
     ConstantMismatchError,
     ContainmentError,
@@ -27,6 +28,15 @@ from nfix.solvers import (
 
 def space_e23(d=3):
     return AnchoredSpace(dim=d, order=3, anchors=np.eye(d)[1:3])
+
+
+REGIME_CONSTANTS = {
+    "picard": {"alpha": 0.95},
+    "ball": {"alpha": 0.95, "radius": 1e3},
+    "summable": {"a_seq": explicit_sequence([0.95 ** k for k in range(1, 41)])},
+    "kannan": {"beta": 0.49},
+    "edelstein": {},
+}
 
 
 def half_shift_op(d=3):
@@ -142,8 +152,25 @@ def test_picard_orbit_refutes_false_constant():
     sp = space_e23()
     op = builtin_operator("scale", factor=3.0)
     cfg = SolverConfig(regime="picard", alpha=0.9, crosscheck_pairs=0, max_iter=10 ** 6)
-    with pytest.raises(ConstantMismatchError):
+    with pytest.raises(ConstantMismatchError) as err:
         picard_solve(op, sp, np.array([1.0, 0.0, 0.0]), cfg)
+    assert "step 2" in err.value.name
+
+
+@pytest.mark.parametrize("seed", [0, 3, 4])
+def test_picard_orbit_guard_is_scale_aware(seed):
+    # large anchor volume (~400-570) and |x*| ~ 160: near convergence the
+    # residual sits at its roundoff floor vol * eps * |x|, far above an
+    # absolute 1e-12, and must not be read as a broken recursion
+    rng = np.random.default_rng(seed)
+    sp = AnchoredSpace(dim=64, order=4, anchors=rng.standard_normal((3, 64)))
+    offset = rng.standard_normal(64)
+    op = affine_operator(0.95 * np.eye(64), offset=offset)
+    report = picard_solve(op, sp, np.zeros(64), SolverConfig(regime="picard", alpha=0.95, tol=1e-10))
+    assert report.converged
+    star = offset / 0.05  # exact fixed point of 0.95 x + b
+    slack = 64 * np.finfo(float).eps * sp.anchor_volume * np.linalg.norm(star)
+    assert sp.seminorm_raw(report.fixed_point - star) <= report.certified_error + slack
 
 
 def test_nonfinite_iterate_aborts_with_step():
@@ -161,6 +188,20 @@ def test_nonfinite_iterate_aborts_with_step():
             edelstein_solve(builtin_operator("scale", factor=3.0), sp,
                             np.array([1.0, 0.0, 0.0]), cfg_e)
         assert err2.value.step > 1
+
+
+@pytest.mark.parametrize("regime", ["picard", "ball", "summable", "kannan", "edelstein"])
+def test_nonfinite_kernel_coordinate_aborts_at_its_step(regime):
+    # the overflow lands in the anchor coordinate e2 only, where the semi-norm
+    # cannot see it; the residual still turns non-finite at that very step
+    sp = space_e23()
+    op = affine_operator(np.diag([0.5, 1e10, 0.5]))
+    cfg = SolverConfig(regime=regime, tol=1e-10, crosscheck_pairs=0, **REGIME_CONSTANTS[regime])
+    with np.errstate(over="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteIterateError) as err:
+            solve(op, sp, np.array([1.0, 1.0, 0.0]), cfg)
+    assert err.value.step == 31  # 1e10 ** 31 overflows; certification would need 34 steps
 
 
 def test_picard_max_iter_returns_partial_report():
@@ -462,3 +503,39 @@ def test_solve_dispatches_by_regime():
     assert report.regime == "picard"
     with pytest.raises(SolverInputError):
         solve(half_shift_op(), sp, np.zeros(3), SolverConfig(regime="newton"))
+
+
+# ---------------------------------------------------------------------------
+# engine
+# ---------------------------------------------------------------------------
+
+ENGINE_OPERATORS = {
+    "affine": affine_operator(
+        np.diag([0.5, 0.7, 0.3, 0.4]) + 0.2 * np.eye(4, k=-1), offset=[1.0, 0.5, -0.25, 2.0]
+    ),
+    "scale": builtin_operator("scale", factor=0.5),
+    "constant": builtin_operator("constant", value=[1.0, 2.0, 3.0, 4.0]),
+    "saturating": builtin_operator("saturating"),
+    "rotation-scale": builtin_operator("rotation-scale", axis1=0, axis2=3, angle=0.7, factor=0.6),
+    "step": builtin_operator("step", threshold=0.0, height=-1.0),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ENGINE_OPERATORS))
+@pytest.mark.parametrize("regime", sorted(REGIME_CONSTANTS))
+def test_engine_steps_match_public_apply_and_seminorm(regime, kind):
+    # the compiled step and distance inside the engine must be bit-for-bit
+    # the public, validating apply / apply_batch / seminorm_raw
+    sp = AnchoredSpace(dim=4, order=3, anchors=np.eye(4)[1:3])
+    op = ENGINE_OPERATORS[kind]
+    cfg = SolverConfig(regime=regime, tol=1e-300, max_iter=25, crosscheck_pairs=0,
+                       keep_iterates=True, **REGIME_CONSTANTS[regime])
+    report = solve(op, sp, np.array([0.5, 1.0, -2.0, 0.25]), cfg)
+    its = report.iterates
+    assert report.iterations >= 2
+    assert len(its) == report.iterations + 1 == len(report.trace) + 1
+    for k in range(1, len(its)):
+        want = apply(op, its[k - 1])
+        assert its[k].tobytes() == want.tobytes()
+        assert want.tobytes() == apply_batch(op, its[k - 1].reshape(1, -1))[0].tobytes()
+        assert report.trace[k - 1].residual == sp.seminorm_raw(its[k] - its[k - 1])
