@@ -27,6 +27,9 @@ import numpy as np
 # headroom between genuine rank deficiency and double-precision roundoff.
 DEFAULT_RANK_TOL = 1e-9
 
+# Most doubles one block of pairwise differences in b_cauchy_tail may hold.
+_PAIR_BLOCK_ELEMENTS = 1 << 16
+
 
 def as_vector(x, dim: int | None = None) -> np.ndarray:
     """Coerce to a finite 1-D float64 array, optionally checking its length."""
@@ -289,24 +292,42 @@ def b_cauchy_tail(seq: SequencePrefix, from_index: int) -> float:
     ``from_index`` is 1-based; the tail is x_{from_index}, ..., x_m.  This is
     the finite-prefix residual standing in for the Cauchy condition: it must
     shrink as ``from_index`` grows for the prefix to look Cauchy.  A singleton
-    tail gives 0.
+    tail gives 0, and so does a constant one, exactly.
+
+    Distances use the projection form of the semi-norm without the
+    dependence snap, as ``seminorm_raw`` does: each difference x_j - x_i is
+    formed in the original coordinates first and only then projected onto
+    the complement of the anchor span, so a near-converged tail keeps its
+    relative accuracy.  Rows of i are processed in blocks whose difference
+    array holds at most ``_PAIR_BLOCK_ELEMENTS`` doubles.
     """
     m = len(seq)
     if not (1 <= from_index <= m):
         raise IndexError(f"from_index must lie in [1, {m}], got {from_index}")
     tail = seq.items[from_index - 1:]
-    worst = 0.0
-    for i in range(tail.shape[0]):
-        for j in range(i + 1, tail.shape[0]):
-            worst = max(worst, seq.space.seminorm(tail[j] - tail[i]))
-    return worst
+    n, d = tail.shape
+    basis = seq.space.complement_basis
+    rows = max(1, _PAIR_BLOCK_ELEMENTS // (n * d))
+    worst_sq = 0.0
+    for start in range(0, n - 1, rows):
+        stop = min(start + rows, n - 1)
+        # diffs[r, c] = x_j - x_i for i = start + r, j = start + 1 + c;
+        # the pair is in the tail's upper triangle (j > i) iff c >= r
+        later = tail[start + 1:]
+        diffs = later[None, :, :] - tail[start:stop, None, :]
+        coords = diffs.reshape(-1, d) @ basis
+        sq = np.einsum("ij,ij->i", coords, coords).reshape(stop - start, later.shape[0])
+        worst_sq = max(worst_sq, float(np.max(np.triu(sq))))
+    return seq.space.anchor_volume * math.sqrt(worst_sq)
 
 
 def b_limit_estimate(seq: SequencePrefix, candidate) -> float:
     """Semi-norm gap between the last prefix element and a candidate limit.
 
     Finite-prefix proxy for convergence: reported as a residual, never as a
-    boolean claim about the infinite tail.
+    boolean claim about the infinite tail.  Measured with ``seminorm_raw``,
+    without the dependence snap, so a gap that is small next to a large
+    kernel component is not forged to 0.
     """
     c = as_vector(candidate, seq.space.dim)
-    return seq.space.seminorm(seq.items[-1] - c)
+    return seq.space.seminorm_raw(seq.items[-1] - c)

@@ -307,26 +307,31 @@ def _probe_chunks(space: AnchoredSpace, budget: int, seed: int, stream: int):
         chunk_idx += 1
 
 
-def draw_probe_points(space: AnchoredSpace, budget: int, seed: int, method: str = "II") -> np.ndarray:
-    """The exact sample points operator_norm evaluates for the given method."""
-    rows = []
+def _probe_point_chunks(space: AnchoredSpace, budget: int, seed: int, method: str):
+    """Yield, chunk by chunk, the sample points of operator_norm's ``method``.
+
+    "I" scales unit directions to semi-norm radius in [0, 1), "II" normalizes
+    them to semi-norm 1, "III" scales them to radius in [0.5, 3); each point
+    also gets a random anchor-span (kernel) part.
+    """
+    if method not in ("I", "II", "III"):
+        raise ValueError(f"method must be one of I, II, III, got {method!r}")
     v = space.anchor_volume
     for units, radii, coeffs in _probe_chunks(space, budget, seed, stream=7):
         base = units @ space.complement_basis.T
         kernel_part = coeffs @ space.anchors
         if method == "I":
-            pts = (radii / v)[:, None] * base + kernel_part
+            yield (radii / v)[:, None] * base + kernel_part
         elif method == "II":
             raw = base / v + kernel_part
-            s = space.seminorm_batch(raw)
-            pts = raw / s[:, None]
-        elif method == "III":
-            scale = (0.5 + 2.5 * radii) / v
-            pts = scale[:, None] * base + kernel_part
+            yield raw / space.seminorm_batch(raw)[:, None]
         else:
-            raise ValueError(f"method must be one of I, II, III, got {method!r}")
-        rows.append(pts)
-    return np.vstack(rows)
+            yield ((0.5 + 2.5 * radii) / v)[:, None] * base + kernel_part
+
+
+def draw_probe_points(space: AnchoredSpace, budget: int, seed: int, method: str = "II") -> np.ndarray:
+    """The exact sample points operator_norm evaluates for the given method."""
+    return np.vstack(list(_probe_point_chunks(space, budget, seed, method)))
 
 
 def operator_norm(
@@ -354,26 +359,15 @@ def operator_norm(
     if not kernel_preserved(op, space, samples=32, seed=seed):
         return OperatorNormEstimate(math.inf, method, budget, kernel_preserved=False)
 
-    v = space.anchor_volume
     best = 0.0
-    for units, radii, coeffs in _probe_chunks(space, budget, seed, stream=7):
-        base = units @ space.complement_basis.T
-        kernel_part = coeffs @ space.anchors
-        if method == "I":
-            pts = (radii / v)[:, None] * base + kernel_part
-            obj = space.seminorm_batch(apply_batch(op, pts))
-        elif method == "II":
-            raw = base / v + kernel_part
-            s = space.seminorm_batch(raw)
-            pts = raw / s[:, None]
-            obj = space.seminorm_batch(apply_batch(op, pts))
-        else:
-            scale = (0.5 + 2.5 * radii) / v
-            pts = scale[:, None] * base + kernel_part
-            num = space.seminorm_batch(apply_batch(op, pts))
+    for pts in _probe_point_chunks(space, budget, seed, method):
+        num = space.seminorm_batch(apply_batch(op, pts))
+        if method == "III":
             den = space.seminorm_batch(pts)
             keep = den >= RATIO_SKIP_TOL
             obj = num[keep] / den[keep]
+        else:
+            obj = num
         if obj.size:
             best = max(best, float(np.max(obj)))
     return OperatorNormEstimate(best, method, budget, kernel_preserved=True)
@@ -418,10 +412,10 @@ def contraction_constant(
     while produced < budget:
         rng = np.random.default_rng([_seed_key(seed), 11, chunk_idx])
         take = min(_CHUNK, budget - produced)
-        # xs is drawn in full so that ys starts at the same stream position
-        # for every budget; rows past ``take`` of ys are never drawn
-        xs = rng.standard_normal((_CHUNK, d))[:take] * 1.5
-        ys = rng.standard_normal((take, d)) * 1.5
+        # pairs are drawn interleaved, so a partial chunk is a prefix of the
+        # full one and the first k pairs are the same for every budget >= k
+        pairs = rng.standard_normal((take, 2, d)) * 1.5
+        xs, ys = pairs[:, 0], pairs[:, 1]
         txs = apply_batch(op, xs)
         tys = apply_batch(op, ys)
         num = space.seminorm_batch(txs - tys)
@@ -507,14 +501,9 @@ def continuity_probe(
     u /= max(np.linalg.norm(u), 1e-30)
     direction = space.complement_basis @ u
     steps = min(max(samples, 8), 40)
-    seq_pts = np.vstack(
-        [
-            x0
-            + (candidate_delta / (k * v)) * direction
-            + rng.standard_normal(space.order - 1) @ space.anchors / k
-            for k in range(1, steps + 1)
-        ]
-    )
+    coeffs = rng.standard_normal((steps, space.order - 1))
+    k = np.arange(1, steps + 1, dtype=float)[:, None]
+    seq_pts = x0 + (candidate_delta / (k * v)) * direction + coeffs @ space.anchors / k
     seq_residuals = space.seminorm_batch(apply_batch(op, seq_pts) - tx0).tolist()
 
     return ContinuityProbe(

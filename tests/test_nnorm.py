@@ -1,9 +1,12 @@
 """Core norm tests: frozen oracle values plus randomized axiom properties."""
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from nfix import nnorm
+from nfix.harness import canonical_space
 from nfix.nnorm import (
     AnchoredSpace,
     Ball,
@@ -243,6 +246,78 @@ def test_cauchy_tail_index_bounds():
         b_cauchy_tail(seq, 0)
     with pytest.raises(IndexError):
         b_cauchy_tail(seq, 4)
+
+
+def _exhaustive_tail(seq, from_index):
+    """Oracle: the pairwise maximum by an explicit double loop over seminorm_raw."""
+    tail = seq.items[from_index - 1:]
+    worst = 0.0
+    for i in range(len(tail)):
+        for j in range(i + 1, len(tail)):
+            worst = max(worst, seq.space.seminorm_raw(tail[j] - tail[i]))
+    return worst
+
+
+def _random_space(rng, d, order):
+    return AnchoredSpace(dim=d, order=order, anchors=rng.standard_normal((order - 1, d)))
+
+
+def test_cauchy_tail_random_prefixes_match_exhaustive_loop():
+    rng = np.random.default_rng(123)
+    for d, order, m, start in [(3, 2, 7, 1), (8, 3, 40, 5), (16, 4, 100, 1), (16, 3, 90, 12), (5, 5, 300, 2)]:
+        sp = _random_space(rng, d, order)
+        seq = SequencePrefix(space=sp, items=rng.standard_normal((m, d)) * rng.uniform(0.1, 10.0))
+        n = m - start + 1
+        if m >= 90:
+            # the tail's rows of i span at least two blocks of differences
+            assert nnorm._PAIR_BLOCK_ELEMENTS // (n * d) < n - 1
+        assert b_cauchy_tail(seq, start) == pytest.approx(_exhaustive_tail(seq, start), rel=1e-12)
+        assert b_cauchy_tail(seq, m - 1) == pytest.approx(_exhaustive_tail(seq, m - 1), rel=1e-12)
+
+
+def test_cauchy_tail_near_converged_prefix_mpmath_oracle():
+    # |x| ~ 1e3, gaps ~ 1e-6: projecting the points before subtracting them
+    # would lose ~9 digits here, and |a|^2 + |b|^2 - 2 a.b all of them
+    rng = np.random.default_rng(7)
+    d, order, m = 5, 3, 12
+    sp = _random_space(rng, d, order)
+    limit = rng.standard_normal(d) * 1e3
+    items = limit + rng.standard_normal((m, d)) * 1e-6
+    seq = SequencePrefix(space=sp, items=items)
+    with mpmath.workdps(60):
+        anchors = [[mpmath.mpf(float(v)) for v in b] for b in sp.anchors]
+        worst = mpmath.mpf(0)
+        for i in range(m):
+            for j in range(i + 1, m):
+                diff = [mpmath.mpf(float(a)) - mpmath.mpf(float(b)) for a, b in zip(items[j], items[i])]
+                vs = [diff] + anchors
+                g = mpmath.matrix([[mpmath.fsum(x * y for x, y in zip(a, b)) for b in vs] for a in vs])
+                worst = max(worst, mpmath.sqrt(mpmath.det(g)))
+        oracle = float(worst)
+    assert 1e-7 < oracle / sp.anchor_volume < 1e-5
+    assert b_cauchy_tail(seq, 1) == pytest.approx(oracle, rel=1e-12)
+
+
+def test_cauchy_tail_constant_and_singleton_tails_are_exactly_zero():
+    rng = np.random.default_rng(5)
+    sp = _random_space(rng, 8, 3)
+    point = rng.standard_normal(8) * 1e3
+    seq = SequencePrefix(space=sp, items=np.tile(point, (200, 1)))
+    assert nnorm._PAIR_BLOCK_ELEMENTS // (200 * 8) < 199
+    assert b_cauchy_tail(seq, 1) == 0.0
+    moving = SequencePrefix(space=sp, items=rng.standard_normal((30, 8)))
+    assert b_cauchy_tail(moving, 30) == 0.0
+    assert b_cauchy_tail(SequencePrefix(space=sp, items=[point]), 1) == 0.0
+
+
+def test_estimators_do_not_snap_a_gap_beside_a_large_kernel_component():
+    # [1, 1e12, 0] is 1 away from the origin; the rank snap relative to the
+    # largest entry used to report 0
+    sp = canonical_space(3, 3)
+    seq = SequencePrefix(space=sp, items=[[0.0, 0.0, 0.0], [1.0, 1e12, 0.0]])
+    assert b_cauchy_tail(seq, 1) == pytest.approx(1.0, rel=1e-12)
+    last = SequencePrefix(space=sp, items=[[1.0, 1e12, 0.0]])
+    assert b_limit_estimate(last, np.zeros(3)) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_limit_estimate_values():

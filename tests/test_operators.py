@@ -277,6 +277,28 @@ def test_contraction_estimate_is_reproducible():
     assert ratio == pytest.approx(a.alpha_hat, rel=1e-12)
 
 
+def test_contraction_budget_prefix_is_first_pairs_of_larger_budget():
+    # pairs are drawn interleaved per chunk of 1024, so budget k sees exactly
+    # the first k pairs that any larger budget draws
+    sp = AnchoredSpace(dim=5, order=3, anchors=np.random.default_rng(8).standard_normal((2, 5)))
+    op = affine_operator(np.random.default_rng(9).standard_normal((5, 5)))
+    seed, big = 13, 1500
+    chunks = []
+    for chunk_idx, take in enumerate((1024, big - 1024)):
+        rng = np.random.default_rng([seed, 11, chunk_idx])
+        chunks.append(rng.standard_normal((take, 2, 5)) * 1.5)
+    pairs = np.concatenate(chunks)
+    xs, ys = pairs[:, 0], pairs[:, 1]
+    ratios = sp.seminorm_batch(apply_batch(op, xs) - apply_batch(op, ys)) / sp.seminorm_batch(xs - ys)
+    for k in (1, 7, 64, 1024, 1100, big):
+        est = contraction_constant(op, sp, budget=k, seed=seed)
+        assert est.alpha_hat == pytest.approx(float(np.max(ratios[:k])), rel=1e-12)
+        x, y = est.witness_pair
+        hits = np.flatnonzero(np.all(xs[:k] == x, axis=1) & np.all(ys[:k] == y, axis=1))
+        assert hits.size == 1
+        assert ratios[hits[0]] == pytest.approx(est.alpha_hat, rel=1e-12)
+
+
 def test_composition_submultiplicative_scales():
     sp = space_e23()
     t = builtin_operator("scale", factor=0.6)
@@ -345,6 +367,27 @@ def test_probe_contraction_delta_epsilon_over_alpha():
     probe = continuity_probe(op, sp, np.array([0.4, -0.2, 0.9]), epsilon=0.2,
                              candidate_delta=0.2 / alpha, samples=300, seed=7)
     assert probe.ok
+
+
+def test_probe_sequence_matches_point_by_point_loop():
+    # reference: x_k = x0 + delta/(k vol) u + (c_k @ anchors)/k built one k
+    # at a time from the same stream; equal bits at order 2, where each
+    # kernel part is a single product, last-bit agreement above it
+    rng = np.random.default_rng(21)
+    for d, order, rel in ((4, 2, 0.0), (8, 3, 1e-13), (16, 5, 1e-13)):
+        sp = AnchoredSpace(dim=d, order=order, anchors=rng.standard_normal((order - 1, d)))
+        op = affine_operator(rng.standard_normal((d, d)))
+        x0 = rng.standard_normal(d)
+        probe = continuity_probe(op, sp, x0, epsilon=0.5, candidate_delta=0.1, samples=64, seed=4)
+        stream = np.random.default_rng([4, 17])
+        u = stream.standard_normal(sp.complement_dim)
+        direction = sp.complement_basis @ (u / np.linalg.norm(u))
+        pts = []
+        for k in range(1, 41):
+            kernel = stream.standard_normal(order - 1) @ sp.anchors / k
+            pts.append(x0 + (0.1 / (k * sp.anchor_volume)) * direction + kernel)
+        expected = sp.seminorm_batch(apply_batch(op, np.vstack(pts)) - apply(op, x0)).tolist()
+        assert probe.sequence_residuals == pytest.approx(expected, rel=rel, abs=0.0)
 
 
 def test_probe_step_discontinuity_found_with_witness():
