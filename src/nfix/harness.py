@@ -90,11 +90,10 @@ def _conditioned_tuple(rng, count: int, dim: int, min_ratio: float = 0.05) -> np
 
 def _sample_in_ball(space: AnchoredSpace, center: np.ndarray, radius: float, rng) -> np.ndarray:
     """A point with anchored semi-norm distance strictly below ``radius``."""
-    u = rng.standard_normal(space.complement_dim)
-    u /= max(float(np.linalg.norm(u)), 1e-30)
-    s = rng.random() * radius / space.anchor_volume
-    kernel = rng.standard_normal(space.order - 1) @ space.anchors
-    return center + s * (space.complement_basis @ u) + kernel
+    dirs = rng.standard_normal((1, space.complement_dim))
+    radii = rng.random(1) * radius
+    coeffs = rng.standard_normal((1, space.order - 1))
+    return space.ball_points(dirs, radii, coeffs, center=center)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +244,7 @@ def check_bounded_iff_continuous(
             u = space.complement_basis[:, 0]
             t_limit = apply(op, np.zeros(space.dim))
             residuals = [
-                float(space.seminorm_batch((apply(op, witness + u / k) - t_limit).reshape(1, -1))[0])
+                space.seminorm_raw(apply(op, witness + u / k) - t_limit)
                 for k in range(1, 17)
             ]
             stuck = min(residuals[8:])
@@ -297,12 +296,11 @@ def check_bounded_sets(
     failures = 0
     worst = 0.0
     ce = None
-    v = space.anchor_volume
     for i, op in enumerate(ops):
         if not kernel_preserved(op, space, samples=32, seed=seed + i):
             failures += 1
             witness = kernel_violation_witness(op, space, samples=32, seed=seed + i)
-            img = float(space.seminorm_batch(apply(op, witness).reshape(1, -1))[0])
+            img = space.seminorm_raw(apply(op, witness))
             if img > worst:
                 worst = img
                 ce = {
@@ -315,11 +313,9 @@ def check_bounded_sets(
         m = operator_norm(op, space, "III", budget=4096, seed=seed + i).value
         radius = float(rng.uniform(0.5, 3.0))
         dirs = rng.standard_normal((points_per_op, space.complement_dim))
-        norms = np.linalg.norm(dirs, axis=1)
-        norms[norms == 0.0] = 1.0
-        radii = rng.random(points_per_op) * radius / v
-        kernels = rng.standard_normal((points_per_op, space.order - 1)) @ space.anchors
-        pts = (radii / norms)[:, None] * (dirs @ space.complement_basis.T) + kernels
+        radii = rng.random(points_per_op) * radius
+        coeffs = rng.standard_normal((points_per_op, space.order - 1))
+        pts = space.ball_points(dirs, radii, coeffs)
         imgs = space.seminorm_batch(apply_batch(op, pts))
         excess = float(np.max(imgs)) - (m * radius + 1e-9)
         if excess > 0:
@@ -413,7 +409,7 @@ def _reduction_discrepancy(op, space, x0, alpha: float, tol: float):
     worst = max(worst, cert_gap)
     if cert_gap > 1e-12:
         problems.append(f"certified errors differ by {cert_gap:.3e}")
-    end_gap = float(space.seminorm_batch((rp.fixed_point - rs.fixed_point).reshape(1, -1))[0])
+    end_gap = space.seminorm_raw(rp.fixed_point - rs.fixed_point)
     if end_gap > 2 * tol:
         problems.append(f"returned points are {end_gap:.3e} apart")
         worst = max(worst, end_gap)
@@ -477,10 +473,10 @@ def check_contractive_ratio(
     for i in range(trials):
         p = rng.standard_normal(space.dim) * 1.5
         q = rng.standard_normal(space.dim) * 1.5
-        den = float(space.seminorm_batch((p - q).reshape(1, -1))[0])
+        den = space.seminorm_raw(p - q)
         if den < RATIO_SKIP_TOL:
             continue
-        num = float(space.seminorm_batch((apply(op, p) - apply(op, q)).reshape(1, -1))[0])
+        num = space.seminorm_raw(apply(op, p) - apply(op, q))
         f = num / den
         if f > worst:
             worst = f

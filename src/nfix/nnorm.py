@@ -23,12 +23,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-# Relative pivot threshold for numerical rank decisions.  Chosen to leave
+# Relative threshold for numerical rank decisions.  Chosen to leave
 # headroom between genuine rank deficiency and double-precision roundoff.
 DEFAULT_RANK_TOL = 1e-9
 
-# Most doubles one block of pairwise differences in b_cauchy_tail may hold.
-_PAIR_BLOCK_ELEMENTS = 1 << 16
+# Most pairs one block of squared distances in b_cauchy_tail may hold.
+_PAIR_BLOCK_ELEMENTS = 1 << 14
 
 
 def as_vector(x, dim: int | None = None) -> np.ndarray:
@@ -51,60 +51,61 @@ def _as_matrix(vectors) -> np.ndarray:
         rows = rows.reshape(1, -1)
     if rows.ndim != 2:
         raise ValueError("expected a sequence of equal-length vectors")
-    if not np.all(np.isfinite(rows)):
+    if not np.isfinite(rows).all():
         raise ValueError("vectors have non-finite coordinates")
     return rows
 
 
-def is_linearly_dependent(vectors, tol: float = DEFAULT_RANK_TOL) -> bool:
-    """Decide linear dependence by row elimination with partial pivoting.
+def _qr_split(rows: np.ndarray, tol: float, complete: bool = False):
+    """One Householder QR of ``rows.T``: (Q or None, volume, dependent).
 
-    The pivot threshold is ``tol`` times the largest absolute entry of the
-    input (or 1 if all entries are zero), so the decision is scale-free.
+    The tuple is dependent when, with every row scaled to unit length, its
+    smallest singular value (that of R with its columns so scaled) is at
+    most ``tol``, whatever the order and lengths of the rows; a zero row
+    always is, and the empty tuple, with no singular values, is not.  A
+    dependent tuple has volume exactly 0.0, any other prod |R_ii| (1.0 for
+    the empty tuple).  Q is the complete orthogonal factor when
+    ``complete`` is set, else None.
+    """
+    if complete:
+        q, r = np.linalg.qr(rows.T, mode="complete")
+    else:
+        q, r = None, np.linalg.qr(rows.T, mode="r")
+    r = r[: rows.shape[0]]
+    lengths = np.sqrt(np.einsum("ij,ij->i", rows, rows))
+    dependent = not lengths.all() or bool((np.linalg.svd(r / lengths, compute_uv=False)[-1:] <= tol).any())
+    return q, (0.0 if dependent else float(np.prod(np.abs(r.diagonal())))), dependent
+
+
+def is_linearly_dependent(vectors, tol: float = DEFAULT_RANK_TOL) -> bool:
+    """Decide linear dependence from one QR of the tuple.
+
+    The tuple is dependent when, with every vector scaled to unit length,
+    its smallest singular value is at most ``tol``: some unit combination of
+    the vectors nearly cancels.  The decision is free of the vectors' order
+    and of their lengths, so (1e5, 0) and (0, 1e-5) are independent.
     Degenerate inputs (zero vectors, more vectors than coordinates) are
     valid and simply come out dependent.
     """
     rows = _as_matrix(vectors)
     k, d = rows.shape
-    scale = np.max(np.abs(rows)) if rows.size else 0.0
-    if scale == 0.0:
-        scale = 1.0
-    threshold = tol * scale
-
-    m = rows.copy()
-    rank = 0
-    for col in range(d):
-        if rank == k:
-            break
-        pivot_row = rank + int(np.argmax(np.abs(m[rank:, col])))
-        if abs(m[pivot_row, col]) <= threshold:
-            continue
-        if pivot_row != rank:
-            m[[rank, pivot_row]] = m[[pivot_row, rank]]
-        factors = m[rank + 1:, col] / m[rank, col]
-        m[rank + 1:] -= np.outer(factors, m[rank])
-        rank += 1
-    return rank < k
+    return k > d or _qr_split(rows, tol)[2]
 
 
 def gram_nnorm(vectors, tol: float = DEFAULT_RANK_TOL) -> float:
     """Volume of the parallelepiped spanned by ``vectors``.
 
-    Returns sqrt(max(0, det G)) with G the Gram matrix of the tuple.  A tuple
-    that is linearly dependent up to the rank tolerance returns exactly 0.0,
-    so degeneracy is decidable rather than a roundoff-sized residue.  Tiny
-    negative determinants from floating-point noise are clamped before the
-    square root.
+    This is sqrt(det G) with G the Gram matrix of the tuple, computed as
+    prod |R_ii| from one QR of the tuple, which does not square the
+    condition number as det G does.  A tuple that is linearly dependent
+    under ``is_linearly_dependent``'s rule returns exactly 0.0, so
+    degeneracy is decidable rather than a roundoff-sized residue.
     """
     rows = _as_matrix(vectors)
     k, d = rows.shape
     if k > d:
         raise ValueError(f"norm order {k} exceeds space dimension {d}")
-    if is_linearly_dependent(rows, tol):
-        return 0.0
-    g = rows @ rows.T
-    det = float(np.linalg.det(g))
-    return float(np.sqrt(max(det, 0.0)))
+    return _qr_split(rows, tol)[1]
 
 
 @dataclass(eq=False)
@@ -112,10 +113,10 @@ class AnchoredSpace:
     """R^dim carrying the semi-norm ||x, b_2, ..., b_n|| with fixed anchors.
 
     ``anchors`` holds the n-1 frozen slots as rows; they must be linearly
-    independent under ``rank_tol``.  The orthonormal split of R^dim into the
-    anchor span and its complement is precomputed: the semi-norm of x equals
-    (Euclidean length of the complement part of x) * (anchor volume), which
-    is what the fast batched evaluator uses.
+    independent under ``rank_tol``.  One complete QR of the anchors gives
+    their volume, the independence verdict and the orthonormal split of
+    R^dim into the anchor span and its complement: the semi-norm of x is
+    (Euclidean length of the complement part of x) * (anchor volume).
     """
 
     dim: int
@@ -136,12 +137,11 @@ class AnchoredSpace:
             raise ValueError(
                 f"anchors must be {self.order - 1} vectors of length {self.dim}, got shape {anchors.shape}"
             )
-        if is_linearly_dependent(anchors, self.rank_tol):
+        q, self.anchor_volume, dependent = _qr_split(anchors, self.rank_tol, complete=True)
+        if dependent:
             raise ValueError("anchors must be linearly independent")
         self.anchors = anchors
         self.anchors.setflags(write=False)
-        self.anchor_volume = gram_nnorm(anchors, self.rank_tol)
-        q, _ = np.linalg.qr(anchors.T, mode="complete")
         self.anchor_basis = q[:, : self.order - 1]
         self.complement_basis = q[:, self.order - 1:]
         self.anchor_basis.setflags(write=False)
@@ -152,19 +152,26 @@ class AnchoredSpace:
         return self.dim - (self.order - 1)
 
     def seminorm(self, x) -> float:
-        """||x, b_2, ..., b_n|| via the Gram determinant, with the exact-zero snap."""
+        """||x, b_2, ..., b_n||, snapped to exactly 0 on the anchor span.
+
+        This is the projection form of ``seminorm_raw``, except that x counts
+        as lying in the anchor span, and gets 0, when its distance to the
+        span is at most ``rank_tol`` times its own length, at every scale of
+        x and of the anchors.
+        """
         x = as_vector(x, self.dim)
-        return gram_nnorm(np.vstack([x, self.anchors]), self.rank_tol)
+        perp = x - self.anchor_basis @ (self.anchor_basis.T @ x)
+        off = math.sqrt(perp.dot(perp))
+        return 0.0 if off <= self.rank_tol * math.sqrt(x.dot(x)) else self.anchor_volume * off
 
     def seminorm_raw(self, x) -> float:
         """Semi-norm via the projection identity, without the dependence snap.
 
         ||x, b_2, ..., b_n|| equals (anchor volume) * ||x - P x||_2 with P the
-        orthogonal projector onto the anchor span.  Unlike the Gram
-        determinant this form keeps full relative accuracy for tiny x, so
-        residual and displacement arithmetic must use it: the determinant's
-        cancellation floor (or the dependence snap) would otherwise forge
-        certificates at small scales.
+        orthogonal projector onto the anchor span.  This keeps full relative
+        accuracy for tiny x, so residual and displacement arithmetic must use
+        it: the dependence snap would otherwise forge zero certificates for a
+        small step beside a large kernel component.
         """
         return self.projection_kernel()(as_vector(x, self.dim))
 
@@ -197,14 +204,22 @@ class AnchoredSpace:
         perp = pts - (pts @ self.anchor_basis) @ self.anchor_basis.T
         return self.anchor_volume * np.linalg.norm(perp, axis=1)
 
-    def embed(self, complement_coords, anchor_coords=None) -> np.ndarray:
-        """Build a point from coordinates in the orthonormal complement basis,
-        plus an optional combination of the anchors (a kernel displacement)."""
-        u = np.asarray(complement_coords, dtype=float)
-        x = self.complement_basis @ u
-        if anchor_coords is not None:
-            x = x + np.asarray(anchor_coords, dtype=float) @ self.anchors
-        return x
+    def ball_points(self, dirs, radii, coeffs, center=None) -> np.ndarray:
+        """Rows ``center + (radii / vol) * unit(dirs) @ Cᵀ + coeffs @ anchors``.
+
+        ``dirs`` are (m, complement_dim) directions in the coordinates of
+        the complement basis C, normalised here (a zero row stays zero), and
+        ``radii`` the semi-norm distances of the points from ``center`` (the
+        origin when None).  ``coeffs`` (m, order - 1) combine the anchors
+        into a kernel part, which moves no semi-norm.
+        """
+        norms = np.linalg.norm(dirs, axis=1)
+        norms[norms == 0.0] = 1.0
+        units = dirs / norms[:, None]
+        pts = (radii / self.anchor_volume)[:, None] * (units @ self.complement_basis.T)
+        if center is not None:
+            pts = center + pts
+        return pts + coeffs @ self.anchors
 
 
 def anchored_seminorm(space: AnchoredSpace, x) -> float:
@@ -295,29 +310,27 @@ def b_cauchy_tail(seq: SequencePrefix, from_index: int) -> float:
     tail gives 0, and so does a constant one, exactly.
 
     Distances use the projection form of the semi-norm without the
-    dependence snap, as ``seminorm_raw`` does: each difference x_j - x_i is
-    formed in the original coordinates first and only then projected onto
-    the complement of the anchor span, so a near-converged tail keeps its
-    relative accuracy.  Rows of i are processed in blocks whose difference
-    array holds at most ``_PAIR_BLOCK_ELEMENTS`` doubles.
+    dependence snap, as ``seminorm_raw`` does.  The tail is centred on its
+    first point in the original coordinates and then projected onto the
+    complement of the anchor span, y_i = (x_i - x_1) C; the squared distances
+    are |y_i|^2 + |y_j|^2 - 2 y_i.y_j.  Every |y_i| is at most the tail's
+    diameter, so this Gram form keeps full relative accuracy at the maximum,
+    even for a near-converged tail far from the origin.  Rows of i are
+    processed in blocks of at most ``_PAIR_BLOCK_ELEMENTS`` pairs.
     """
     m = len(seq)
     if not (1 <= from_index <= m):
         raise IndexError(f"from_index must lie in [1, {m}], got {from_index}")
     tail = seq.items[from_index - 1:]
-    n, d = tail.shape
-    basis = seq.space.complement_basis
-    rows = max(1, _PAIR_BLOCK_ELEMENTS // (n * d))
+    n = tail.shape[0]
+    y = (tail - tail[0]) @ seq.space.complement_basis
+    sq = np.einsum("ij,ij->i", y, y)
+    rows = max(1, _PAIR_BLOCK_ELEMENTS // n)
     worst_sq = 0.0
-    for start in range(0, n - 1, rows):
-        stop = min(start + rows, n - 1)
-        # diffs[r, c] = x_j - x_i for i = start + r, j = start + 1 + c;
-        # the pair is in the tail's upper triangle (j > i) iff c >= r
-        later = tail[start + 1:]
-        diffs = later[None, :, :] - tail[start:stop, None, :]
-        coords = diffs.reshape(-1, d) @ basis
-        sq = np.einsum("ij,ij->i", coords, coords).reshape(stop - start, later.shape[0])
-        worst_sq = max(worst_sq, float(np.max(np.triu(sq))))
+    for start in range(0, n, rows):
+        block = slice(start, start + rows)
+        dist_sq = sq[block, None] + sq[None, :] - 2.0 * (y[block] @ y.T)
+        worst_sq = max(worst_sq, float(dist_sq.max()))
     return seq.space.anchor_volume * math.sqrt(worst_sq)
 
 

@@ -21,10 +21,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .nnorm import AnchoredSpace, as_vector, is_linearly_dependent
+from .nnorm import AnchoredSpace, as_vector
 
-# Image of a kernel point must stay within this semi-norm of the kernel.
-KERNEL_IMAGE_TOL = 1e-9
 # Ratio suprema skip pairs whose denominator falls below this floor, so
 # kernel-direction pairs cannot amplify 0/0 noise.
 RATIO_SKIP_TOL = 1e-12
@@ -214,47 +212,46 @@ def apply_batch(op: OperatorSpec, points: np.ndarray) -> np.ndarray:
 def kernel_preserved(op: OperatorSpec, space: AnchoredSpace, samples: int = 32, seed: int = 0) -> bool:
     """Does the operator map the semi-norm kernel span(b_2..b_n) into itself?
 
-    Affine operators are decided exactly: each anchor image (and the offset)
-    must stay inside the anchor span, checked by the rank routine.  Builtins
-    are probed on ``samples`` random kernel points; any image with semi-norm
-    above KERNEL_IMAGE_TOL fails.  Without this property no finite bound
-    constant M with ||Tx|| <= M ||x|| can exist.
+    True exactly when ``kernel_violation_witness`` finds no witness, so the
+    gate and its witness always agree.  Without this property no finite
+    bound constant M with ||Tx|| <= M ||x|| can exist.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    if op.kind == "affine":
-        if op.matrix.shape[0] != space.dim:
-            raise ValueError("dimension mismatch between operator and space")
-        for b in space.anchors:
-            image = op.matrix @ b
-            if not is_linearly_dependent(np.vstack([space.anchors, image]), space.rank_tol):
-                return False
-        # the offset is the image of the kernel point 0; it must stay inside too
-        if not is_linearly_dependent(np.vstack([space.anchors, op.offset]), space.rank_tol):
-            return False
-        return True
-    rng = np.random.default_rng([_seed_key(seed), 101])
-    coeffs = rng.standard_normal((samples, space.order - 1)) * 2.0
-    pts = coeffs @ space.anchors
-    images = apply_batch(op, pts)
-    return bool(np.all(space.seminorm_batch(images) <= KERNEL_IMAGE_TOL))
+    return kernel_violation_witness(op, space, samples, seed) is None
 
 
 def kernel_violation_witness(
     op: OperatorSpec, space: AnchoredSpace, samples: int = 32, seed: int = 0
 ) -> Optional[np.ndarray]:
-    """A kernel point whose image leaves the kernel, or None if preserved."""
-    candidates = [np.zeros(space.dim)]
-    for b in space.anchors:
-        candidates.append(np.array(b))
-        candidates.append(2.0 * np.array(b))
-    rng = np.random.default_rng([_seed_key(seed), 103])
-    coeffs = rng.standard_normal((samples, space.order - 1)) * 2.0
-    candidates.extend(coeffs @ space.anchors)
-    for x in candidates:
-        if space.seminorm(apply(op, x)) > KERNEL_IMAGE_TOL:
-            return x
-    return None
+    """A kernel point whose image leaves the kernel, or None if preserved.
+
+    An image stays in the kernel when its part off the anchor span is at
+    most ``space.rank_tol`` times the scale of the arithmetic behind it:
+    the length of the entrywise |A| |b| (the product's forward-error bound)
+    for an anchor image A b, |c| for the offset c, and |x| + |y| for a
+    builtin's image y of x.  Affine maps are decided exactly: the witness
+    is 0 if the offset leaves the span, else the first anchor whose image
+    does.  Builtins are probed at 0, the anchors, their doubles and
+    ``samples`` random kernel points, in order.
+    """
+    if op.kind == "affine":
+        if op.matrix.shape[0] != space.dim:
+            raise ValueError("dimension mismatch between operator and space")
+        candidates = np.vstack([np.zeros(space.dim), space.anchors])
+        images = np.vstack([op.offset, space.anchors @ op.matrix.T])
+        scales = np.concatenate(
+            [[np.linalg.norm(op.offset)], np.linalg.norm(np.abs(space.anchors) @ np.abs(op.matrix).T, axis=1)]
+        )
+    else:
+        rng = np.random.default_rng([_seed_key(seed), 103])
+        coeffs = rng.standard_normal((samples, space.order - 1)) * 2.0
+        candidates = np.vstack([np.zeros(space.dim), space.anchors, 2.0 * space.anchors, coeffs @ space.anchors])
+        images = apply_batch(op, candidates)
+        scales = np.linalg.norm(candidates, axis=1) + np.linalg.norm(images, axis=1)
+    off = np.linalg.norm(images @ space.complement_basis, axis=1)
+    bad = np.flatnonzero(off > space.rank_tol * scales)
+    return candidates[bad[0]] if bad.size else None
 
 
 def _seed_key(seed: int) -> int:
@@ -283,7 +280,7 @@ class OperatorNormEstimate:
 
 
 def _probe_chunks(space: AnchoredSpace, budget: int, seed: int, stream: int):
-    """Yield (unit complement directions, radii in [0,1), anchor coefficients).
+    """Yield (complement directions, radii in [0,1), anchor coefficients).
 
     Chunk i is drawn from its own generator keyed by (seed, stream, i), and a
     partial last chunk is a prefix of the full draw, so the first k samples
@@ -299,10 +296,7 @@ def _probe_chunks(space: AnchoredSpace, budget: int, seed: int, stream: int):
         radii = rng.random(_CHUNK)
         coeffs = rng.standard_normal((_CHUNK, nk))
         take = min(_CHUNK, budget - produced)
-        norms = np.linalg.norm(dirs[:take], axis=1)
-        norms[norms == 0.0] = 1.0
-        units = dirs[:take] / norms[:, None]
-        yield units, radii[:take], coeffs[:take]
+        yield dirs[:take], radii[:take], coeffs[:take]
         produced += take
         chunk_idx += 1
 
@@ -316,17 +310,14 @@ def _probe_point_chunks(space: AnchoredSpace, budget: int, seed: int, method: st
     """
     if method not in ("I", "II", "III"):
         raise ValueError(f"method must be one of I, II, III, got {method!r}")
-    v = space.anchor_volume
-    for units, radii, coeffs in _probe_chunks(space, budget, seed, stream=7):
-        base = units @ space.complement_basis.T
-        kernel_part = coeffs @ space.anchors
+    for dirs, radii, coeffs in _probe_chunks(space, budget, seed, stream=7):
         if method == "I":
-            yield (radii / v)[:, None] * base + kernel_part
+            yield space.ball_points(dirs, radii, coeffs)
         elif method == "II":
-            raw = base / v + kernel_part
+            raw = space.ball_points(dirs, np.ones_like(radii), coeffs)
             yield raw / space.seminorm_batch(raw)[:, None]
         else:
-            yield ((0.5 + 2.5 * radii) / v)[:, None] * base + kernel_part
+            yield space.ball_points(dirs, 0.5 + 2.5 * radii, coeffs)
 
 
 def draw_probe_points(space: AnchoredSpace, budget: int, seed: int, method: str = "II") -> np.ndarray:
@@ -385,7 +376,8 @@ class ContractionEstimate:
     beta_hat:  sup ||Tx - Ty|| / (||x - Tx|| + ||y - Ty||)   (Kannan form)
 
     Both are exact maxima over the sampled pair set; re-evaluating the
-    recorded witness pair reproduces them bit for bit.
+    recorded witness pair reproduces them up to roundoff (the semi-norms
+    are computed in one stacked batch, so the last bits may differ).
     """
 
     alpha_hat: float
@@ -418,8 +410,9 @@ def contraction_constant(
         xs, ys = pairs[:, 0], pairs[:, 1]
         txs = apply_batch(op, xs)
         tys = apply_batch(op, ys)
-        num = space.seminorm_batch(txs - tys)
-        den = space.seminorm_batch(xs - ys)
+        # the four displacement arrays, projected in one call
+        diffs = np.concatenate([txs - tys, xs - ys, xs - txs, ys - tys])
+        num, den, dx, dy = space.seminorm_batch(diffs).reshape(4, take)
         keep = den >= RATIO_SKIP_TOL
         if np.any(keep):
             ratios = num[keep] / den[keep]
@@ -428,7 +421,7 @@ def contraction_constant(
                 best_a = float(ratios[i])
                 idx = np.flatnonzero(keep)[i]
                 wit_a = (xs[idx].copy(), ys[idx].copy())
-        den_k = space.seminorm_batch(xs - txs) + space.seminorm_batch(ys - tys)
+        den_k = dx + dy
         keep_k = den_k >= RATIO_SKIP_TOL
         if np.any(keep_k):
             ratios_k = num[keep_k] / den_k[keep_k]
@@ -480,14 +473,11 @@ def continuity_probe(
         raise ValueError("epsilon and candidate_delta must be positive")
     x0 = as_vector(x0, space.dim)
     tx0 = apply(op, x0)
-    v = space.anchor_volume
 
     worst = 0.0
     witness = None
-    for units, radii, coeffs in _probe_chunks(space, samples, seed, stream=13):
-        base = units @ space.complement_basis.T
-        kernel_part = coeffs @ space.anchors
-        pts = x0 + (radii * candidate_delta / v)[:, None] * base + kernel_part
+    for dirs, radii, coeffs in _probe_chunks(space, samples, seed, stream=13):
+        pts = space.ball_points(dirs, radii * candidate_delta, coeffs, center=x0)
         imgs = space.seminorm_batch(apply_batch(op, pts) - tx0)
         i = int(np.argmax(imgs))
         if imgs[i] > worst:
@@ -498,12 +488,10 @@ def continuity_probe(
     # sequential form: push one b-convergent sequence x_k -> x0 through T
     rng = np.random.default_rng([_seed_key(seed), 17])
     u = rng.standard_normal(space.complement_dim)
-    u /= max(np.linalg.norm(u), 1e-30)
-    direction = space.complement_basis @ u
     steps = min(max(samples, 8), 40)
     coeffs = rng.standard_normal((steps, space.order - 1))
-    k = np.arange(1, steps + 1, dtype=float)[:, None]
-    seq_pts = x0 + (candidate_delta / (k * v)) * direction + coeffs @ space.anchors / k
+    k = np.arange(1, steps + 1, dtype=float)
+    seq_pts = space.ball_points(np.tile(u, (steps, 1)), candidate_delta / k, coeffs / k[:, None], center=x0)
     seq_residuals = space.seminorm_batch(apply_batch(op, seq_pts) - tx0).tolist()
 
     return ContinuityProbe(

@@ -47,7 +47,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .nnorm import AnchoredSpace, as_vector, is_linearly_dependent
+from .nnorm import AnchoredSpace, as_vector
 from .operators import RATIO_SKIP_TOL, OperatorSpec, apply_batch, contraction_constant
 
 REGIMES = ("picard", "ball", "summable", "kannan", "edelstein")
@@ -250,9 +250,10 @@ def _check_finite(x: np.ndarray, step: int):
         raise NonFiniteIterateError(step)
 
 
-def _independence(space: AnchoredSpace, point: np.ndarray):
-    dependent = is_linearly_dependent(np.vstack([point, space.anchors]), space.rank_tol)
-    ok = not dependent
+def _independence(space: AnchoredSpace, point: np.ndarray, certified: float):
+    """The fixed point is independent of the anchors only if every point
+    within ``certified`` of the returned ``point`` is off the kernel."""
+    ok = space.seminorm(point) > certified
     return ok, (UNIQUE_MOD_KERNEL if ok else INDEPENDENCE_FAILED)
 
 
@@ -272,15 +273,12 @@ def _crosscheck_alpha_in_ball(op, space, cfg, alpha, x0, radius):
         return
     rng = np.random.default_rng([cfg.seed, 23])
     n = cfg.crosscheck_pairs
-    v = space.anchor_volume
 
     def sample():
         dirs = rng.standard_normal((n, space.complement_dim))
-        norms = np.linalg.norm(dirs, axis=1)
-        norms[norms == 0.0] = 1.0
-        radii = rng.random(n) * radius / v
-        kernel = rng.standard_normal((n, space.order - 1)) @ space.anchors
-        return x0 + (radii / norms)[:, None] * (dirs @ space.complement_basis.T) + kernel
+        radii = rng.random(n) * radius
+        coeffs = rng.standard_normal((n, space.order - 1))
+        return space.ball_points(dirs, radii, coeffs, center=x0)
 
     xs, ys = sample(), sample()
     num = space.seminorm_batch(apply_batch(op, xs) - apply_batch(op, ys))
@@ -425,7 +423,7 @@ def _report(regime, space, cfg, point, k, trace, certified, res0, iterates, max_
             message = f"max_iter = {cfg.max_iter} exceeded; best residual {certified:.17g}"
     elif not converged:
         message = f"max_iter = {cfg.max_iter} exceeded without certification"
-    ok, note = _independence(space, point)
+    ok, note = _independence(space, point, certified)
     return SolverReport(
         regime=regime,
         fixed_point=point,

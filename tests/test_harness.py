@@ -15,7 +15,7 @@ from nfix.harness import (
     random_kernel_preserving_operator,
     reduction_suite,
 )
-from nfix.nnorm import gram_nnorm
+from nfix.nnorm import AnchoredSpace, gram_nnorm
 from nfix.operators import affine_operator, builtin_operator
 
 
@@ -208,3 +208,17 @@ def test_suite_reports_are_reproducible_across_suites():
                                           max_iter=100),
     ):
         assert build(7) == build(7)
+
+
+def test_bounded_suites_flag_a_kernel_violator_with_a_small_image():
+    # A b = b + 1e-7 e1 for the anchor b = 1e-3 e2: outside the anchor span,
+    # with a semi-norm of only 1e-10; both suites must flag it and name b
+    sp = AnchoredSpace(dim=3, order=2, anchors=[[0.0, 1e-3, 0.0]])
+    a = np.eye(3)
+    a[0, 1] = 1e-4
+    op = affine_operator(a)
+    for suite in (check_bounded_iff_continuous, check_bounded_sets):
+        report = suite(sp, ops=[op])
+        assert report.failures == 1
+        assert report.worst_violation > 0.0
+        assert report.counterexample["witness"] == [0.0, 1e-3, 0.0]

@@ -154,8 +154,8 @@ def test_dependence_scalar_multiple():
 
 
 def test_dependence_tiny_perturbation_below_tolerance():
-    # oracle: exact elimination leaves a second pivot of 1e-15, below
-    # threshold 1e-9 * (largest entry 1), so numerical rank is 1
+    # oracle: with unit rows the smallest singular value is ~7e-16, below
+    # the threshold 1e-9, so numerical rank is 1
     assert is_linearly_dependent([(1.0, 0.0), (1.0, 1e-15)], tol=1e-9)
 
 
@@ -168,6 +168,12 @@ def test_dependence_degenerate_inputs():
     assert not is_linearly_dependent([(0.0, 3.0)])
     # more vectors than coordinates can never be independent
     assert is_linearly_dependent([(1.0, 0.0), (0.0, 1.0), (1.0, 1.0)])
+
+
+def test_empty_tuple_is_independent_with_unit_volume():
+    # det of the 0 x 0 Gram matrix is 1; the QR has no singular value to test
+    assert not is_linearly_dependent(np.empty((0, 3)))
+    assert gram_nnorm(np.empty((0, 3))) == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -268,16 +274,17 @@ def test_cauchy_tail_random_prefixes_match_exhaustive_loop():
         sp = _random_space(rng, d, order)
         seq = SequencePrefix(space=sp, items=rng.standard_normal((m, d)) * rng.uniform(0.1, 10.0))
         n = m - start + 1
-        if m >= 90:
-            # the tail's rows of i span at least two blocks of differences
-            assert nnorm._PAIR_BLOCK_ELEMENTS // (n * d) < n - 1
+        if m == 300:
+            # the tail's rows of i span at least two blocks of pairs
+            assert nnorm._PAIR_BLOCK_ELEMENTS // n < n
         assert b_cauchy_tail(seq, start) == pytest.approx(_exhaustive_tail(seq, start), rel=1e-12)
         assert b_cauchy_tail(seq, m - 1) == pytest.approx(_exhaustive_tail(seq, m - 1), rel=1e-12)
 
 
 def test_cauchy_tail_near_converged_prefix_mpmath_oracle():
     # |x| ~ 1e3, gaps ~ 1e-6: projecting the points before subtracting them
-    # would lose ~9 digits here, and |a|^2 + |b|^2 - 2 a.b all of them
+    # would lose ~9 digits here, and |a|^2 + |b|^2 - 2 a.b on points that
+    # are not centred on the tail all of them
     rng = np.random.default_rng(7)
     d, order, m = 5, 3, 12
     sp = _random_space(rng, d, order)
@@ -303,7 +310,7 @@ def test_cauchy_tail_constant_and_singleton_tails_are_exactly_zero():
     sp = _random_space(rng, 8, 3)
     point = rng.standard_normal(8) * 1e3
     seq = SequencePrefix(space=sp, items=np.tile(point, (200, 1)))
-    assert nnorm._PAIR_BLOCK_ELEMENTS // (200 * 8) < 199
+    assert nnorm._PAIR_BLOCK_ELEMENTS // 200 < 200
     assert b_cauchy_tail(seq, 1) == 0.0
     moving = SequencePrefix(space=sp, items=rng.standard_normal((30, 8)))
     assert b_cauchy_tail(moving, 30) == 0.0
@@ -451,3 +458,111 @@ def test_dependent_tuples_collapse_and_independent_tuples_do_not():
         c = rng.standard_normal(4)
         if not is_linearly_dependent([a, b, c]):
             assert gram_nnorm([a, b, c]) > 0.0
+
+
+# ---------------------------------------------------------------------------
+# scale and order: one QR decides rank on the tuple with unit-length rows
+# ---------------------------------------------------------------------------
+
+def _mp_gram_volume(vectors):
+    """Oracle: sqrt(det G) of the double-valued tuple in 60-digit arithmetic."""
+    with mpmath.workdps(60):
+        vs = [[mpmath.mpf(float(x)) for x in v] for v in vectors]
+        g = mpmath.matrix([[mpmath.fsum(a * b for a, b in zip(u, w)) for w in vs] for u in vs])
+        return float(mpmath.sqrt(mpmath.det(g)))
+
+
+def test_gram_scale_mismatched_pair_keeps_its_area():
+    # the old elimination threshold, 1e-9 * 1e5, swallowed the second vector
+    assert gram_nnorm([[1e5, 0.0], [0.0, 1e-5]]) == pytest.approx(1.0, rel=1e-15)
+    assert not is_linearly_dependent([[1e5, 0.0], [0.0, 1e-5]])
+
+
+def test_seminorm_of_a_large_point_beside_unit_anchors():
+    sp = canonical_space(3, 3)
+    assert sp.seminorm([1e12, 1.0, 0.0]) == pytest.approx(1e12, rel=1e-15)
+    ball = Ball(space=sp, center=np.zeros(3), radius=1.0)
+    assert not ball.contains([1e9, 0.0, 0.0])
+    # the snap still holds on the anchor span at every scale
+    assert sp.seminorm([0.0, 1e12, -3.0]) == 0.0
+    assert sp.seminorm([2e-12, 0.0, 0.0]) == pytest.approx(2e-12, rel=1e-15)
+
+
+def test_orthogonal_anchors_of_different_scales_are_accepted():
+    sp = AnchoredSpace(dim=3, order=3, anchors=[[0.0, 1e10, 0.0], [0.0, 0.0, 1.0]])
+    assert sp.anchor_volume == pytest.approx(1e10, rel=1e-15)
+    assert sp.seminorm([2.0, 5.0, 7.0]) == pytest.approx(2e10, rel=1e-15)
+
+
+def test_dependence_verdict_and_volume_do_not_depend_on_the_order():
+    import itertools
+
+    # a = e1, b = e1 + eps e2, c = e2 + 0.5 e3: the distance of b to the span
+    # of the vectors before it depends on where b stands, so a rule on that
+    # distance alone called the eps = 2e-9 tuple independent in one order
+    # and dependent in another
+    for eps, dependent in ((2e-9, True), (1e-8, False)):
+        tuples = list(itertools.permutations([[1.0, 0.0, 0.0], [1.0, eps, 0.0], [0.0, 1.0, 0.5]]))
+        assert [is_linearly_dependent(t) for t in tuples] == [dependent] * len(tuples)
+        volumes = [gram_nnorm(t) for t in tuples]
+        if dependent:
+            assert volumes == [0.0] * len(tuples)
+        else:
+            # the tuple's condition number is ~3e8, so the last 8 digits are roundoff
+            assert volumes == pytest.approx([0.5 * eps] * len(tuples), rel=1e-6)
+
+
+def test_random_full_order_anchors_are_accepted():
+    # 63 Gaussian anchors in R^64 are far from dependent (every unit
+    # combination has length above 1e-2), though the product of their
+    # distances over the product of their lengths is ~1e-13
+    rng = np.random.default_rng(0)
+    anchors = rng.standard_normal((63, 64))
+    sp = AnchoredSpace(dim=64, order=64, anchors=anchors)
+    assert sp.anchor_volume == pytest.approx(_mp_gram_volume(anchors), rel=1e-12)
+
+
+def test_badly_scaled_tuples_match_mpmath_gram_oracle():
+    # rows well-conditioned up to scale, with lengths from 1e-8 to 1e8
+    rng = np.random.default_rng(2024)
+    worst = 0.0
+    for _ in range(300):
+        rows = _conditioned_rows(rng, 3, 5) * (10.0 ** rng.uniform(-8.0, 8.0, size=3))[:, None]
+        oracle = _mp_gram_volume(rows)
+        got = gram_nnorm(rows)
+        assert got > 0.0
+        worst = max(worst, abs(got - oracle) / oracle)
+    assert worst <= 1e-12
+
+
+def _conditioned_rows(rng, k, d):
+    while True:
+        rows = rng.standard_normal((k, d))
+        rows /= np.linalg.norm(rows, axis=1)[:, None]
+        if gram_nnorm(rows) > 0.1:
+            return rows
+
+
+def test_ball_points_match_the_inline_formula():
+    rng = np.random.default_rng(11)
+    for d, order in [(3, 2), (5, 3), (16, 4)]:
+        sp = AnchoredSpace(dim=d, order=order, anchors=rng.standard_normal((order - 1, d)) * 3.0)
+        n = 50
+        center = rng.standard_normal(d)
+        dirs = rng.standard_normal((n, sp.complement_dim))
+        radii = rng.random(n) * 2.5
+        coeffs = rng.standard_normal((n, order - 1))
+        got = sp.ball_points(dirs, radii, coeffs, center=center)
+        norms = np.linalg.norm(dirs, axis=1)
+        want = (
+            center
+            + (radii / sp.anchor_volume / norms)[:, None] * (dirs @ sp.complement_basis.T)
+            + coeffs @ sp.anchors
+        )
+        scale = np.linalg.norm(want, axis=1)
+        assert np.max(np.linalg.norm(got - want, axis=1) / scale) <= 1e-15
+        # without a kernel part each point lies at its radius from the origin
+        bare = sp.ball_points(dirs, radii, np.zeros_like(coeffs))
+        assert sp.seminorm_batch(bare) == pytest.approx(radii, rel=1e-13)
+    zero = sp.ball_points(np.zeros((1, sp.complement_dim)), np.ones(1), np.zeros((1, order - 1)))
+    assert np.all(zero == 0.0)

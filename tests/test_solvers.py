@@ -6,6 +6,7 @@ import warnings
 import numpy as np
 import pytest
 
+from nfix.harness import canonical_space
 from nfix.nnorm import AnchoredSpace
 from nfix.operators import affine_operator, apply, apply_batch, builtin_operator
 from nfix.solvers import (
@@ -539,3 +540,33 @@ def test_engine_steps_match_public_apply_and_seminorm(regime, kind):
         assert its[k].tobytes() == want.tobytes()
         assert want.tobytes() == apply_batch(op, its[k - 1].reshape(1, -1))[0].tobytes()
         assert report.trace[k - 1].residual == sp.seminorm_raw(its[k] - its[k - 1])
+
+
+def test_independence_of_a_tiny_fixed_point_off_the_kernel():
+    # x -> x/2 + 1e-12 e1 fixes 2e-12 e1, which is off the anchor span
+    # (e2, e3); the rank threshold relative to the anchors' entries used to
+    # call it dependent
+    sp = canonical_space(3, 3)
+    op = affine_operator(0.5 * np.eye(3), offset=[1e-12, 0.0, 0.0])
+    report = picard_solve(op, sp, np.zeros(3), SolverConfig(regime="picard", alpha=0.5, tol=1e-20))
+    assert report.fixed_point == pytest.approx([2e-12, 0.0, 0.0], rel=1e-6, abs=0.0)
+    assert report.independence_ok
+    assert report.uniqueness_note == "kernel_modulo_unique"
+    # a fixed point inside the kernel still fails the condition
+    inside = picard_solve(affine_operator(0.5 * np.eye(3), offset=[0.0, 1e-12, 0.0]), sp, np.zeros(3),
+                          SolverConfig(regime="picard", alpha=0.5, tol=1e-20))
+    assert not inside.independence_ok
+
+
+def test_independence_needs_the_whole_certificate_ball_off_the_kernel():
+    # the scale map fixes 0, which lies in the kernel; kannan returns a point
+    # ~1e-11 off it, but its certificate ball reaches into the kernel
+    for d in (3, 16):
+        sp = canonical_space(d, 2)
+        x0 = np.random.default_rng(d).standard_normal(d) / math.sqrt(d)
+        report = kannan_solve(builtin_operator("scale", factor=0.3), sp, x0,
+                              SolverConfig(regime="kannan", beta=0.45, tol=1e-10))
+        assert report.converged
+        assert 0.0 < sp.seminorm(report.fixed_point) <= report.certified_error
+        assert not report.independence_ok
+        assert report.uniqueness_note == "independence_condition_failed"
