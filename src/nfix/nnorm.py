@@ -62,19 +62,25 @@ def _qr_split(rows: np.ndarray, tol: float, complete: bool = False):
     The tuple is dependent when, with every row scaled to unit length, its
     smallest singular value (that of R with its columns so scaled) is at
     most ``tol``, whatever the order and lengths of the rows; a zero row
-    always is, and the empty tuple, with no singular values, is not.  A
-    dependent tuple has volume exactly 0.0, any other prod |R_ii| (1.0 for
-    the empty tuple).  Q is the complete orthogonal factor when
-    ``complete`` is set, else None.
+    always is, and the empty tuple, with no singular values, is not.  Each
+    column of R is divided by its row's largest entry before its length is
+    taken, so no length underflows or overflows.  A dependent tuple has
+    volume exactly 0.0, any other prod |R_ii| (1.0 for the empty tuple).
+    Q is the complete orthogonal factor when ``complete`` is set, else None.
     """
     if complete:
         q, r = np.linalg.qr(rows.T, mode="complete")
     else:
         q, r = None, np.linalg.qr(rows.T, mode="r")
     r = r[: rows.shape[0]]
-    lengths = np.sqrt(np.einsum("ij,ij->i", rows, rows))
-    dependent = not lengths.all() or bool((np.linalg.svd(r / lengths, compute_uv=False)[-1:] <= tol).any())
-    return q, (0.0 if dependent else float(np.prod(np.abs(r.diagonal())))), dependent
+    peaks = np.abs(rows).max(axis=1, initial=0.0)
+    if not peaks.all():
+        return q, 0.0, True
+    scaled = r / peaks
+    unit = scaled / np.linalg.norm(scaled, axis=0)
+    if np.linalg.svd(unit, compute_uv=False)[-1:].min(initial=np.inf) <= tol:
+        return q, 0.0, True
+    return q, float(np.prod(np.abs(r.diagonal()))), False
 
 
 def is_linearly_dependent(vectors, tol: float = DEFAULT_RANK_TOL) -> bool:
@@ -152,13 +158,9 @@ class AnchoredSpace:
         return self.dim - (self.order - 1)
 
     def seminorm(self, x) -> float:
-        """||x, b_2, ..., b_n||, snapped to exactly 0 on the anchor span.
-
-        This is the projection form of ``seminorm_raw``, except that x counts
-        as lying in the anchor span, and gets 0, when its distance to the
-        span is at most ``rank_tol`` times its own length, at every scale of
-        x and of the anchors.
-        """
+        """||x, b_2, ..., b_n|| in the projection form of ``seminorm_raw``,
+        snapped to exactly 0 when x's distance to the anchor span is at most
+        ``rank_tol`` times its own length."""
         x = as_vector(x, self.dim)
         perp = x - self.anchor_basis @ (self.anchor_basis.T @ x)
         off = math.sqrt(perp.dot(perp))

@@ -240,9 +240,8 @@ def kernel_violation_witness(
             raise ValueError("dimension mismatch between operator and space")
         candidates = np.vstack([np.zeros(space.dim), space.anchors])
         images = np.vstack([op.offset, space.anchors @ op.matrix.T])
-        scales = np.concatenate(
-            [[np.linalg.norm(op.offset)], np.linalg.norm(np.abs(space.anchors) @ np.abs(op.matrix).T, axis=1)]
-        )
+        bounds = np.abs(space.anchors) @ np.abs(op.matrix).T
+        scales = np.concatenate([[np.linalg.norm(op.offset)], np.linalg.norm(bounds, axis=1)])
     else:
         rng = np.random.default_rng([_seed_key(seed), 103])
         coeffs = rng.standard_normal((samples, space.order - 1)) * 2.0
@@ -488,10 +487,12 @@ def continuity_probe(
     # sequential form: push one b-convergent sequence x_k -> x0 through T
     rng = np.random.default_rng([_seed_key(seed), 17])
     u = rng.standard_normal(space.complement_dim)
+    u /= max(np.linalg.norm(u), 1e-30)
+    direction = space.complement_basis @ u
     steps = min(max(samples, 8), 40)
     coeffs = rng.standard_normal((steps, space.order - 1))
-    k = np.arange(1, steps + 1, dtype=float)
-    seq_pts = space.ball_points(np.tile(u, (steps, 1)), candidate_delta / k, coeffs / k[:, None], center=x0)
+    k = np.arange(1, steps + 1, dtype=float)[:, None]
+    seq_pts = x0 + (candidate_delta / (k * space.anchor_volume)) * direction + coeffs @ space.anchors / k
     seq_residuals = space.seminorm_batch(apply_batch(op, seq_pts) - tx0).tolist()
 
     return ContinuityProbe(

@@ -251,9 +251,11 @@ def _check_finite(x: np.ndarray, step: int):
 
 
 def _independence(space: AnchoredSpace, point: np.ndarray, certified: float):
-    """The fixed point is independent of the anchors only if every point
-    within ``certified`` of the returned ``point`` is off the kernel."""
-    ok = space.seminorm(point) > certified
+    """Is every point within ``certified`` of ``point`` off the kernel?  The
+    unsnapped semi-norm must exceed the certificate plus the orbit guard's
+    roundoff floor, so a large kernel component hides no small gap."""
+    floor = ORBIT_ROUNDOFF * space.anchor_volume * float(np.linalg.norm(point))
+    ok = space.seminorm_raw(point) > certified + floor
     return ok, (UNIQUE_MOD_KERNEL if ok else INDEPENDENCE_FAILED)
 
 

@@ -512,6 +512,21 @@ def test_dependence_verdict_and_volume_do_not_depend_on_the_order():
             assert volumes == pytest.approx([0.5 * eps] * len(tuples), rel=1e-6)
 
 
+def test_rank_verdict_holds_at_extreme_row_scales():
+    # a row's squared length underflows at 1e-170 and overflows at 1e155;
+    # neither may turn a nonzero row into a zero or a dependent one
+    for tiny, huge in ((1e-170, 1e155), (1e-300, 1e300)):
+        assert not is_linearly_dependent([[tiny, 0.0]])
+        assert not is_linearly_dependent([[huge, 0.0]])
+        assert not is_linearly_dependent([[huge, 0.0], [0.0, tiny]])
+        assert is_linearly_dependent([[tiny, tiny], [2.0 * tiny, 2.0 * tiny]])
+        assert is_linearly_dependent([[huge, huge], [huge, huge]])
+    assert gram_nnorm([[1e-170, 0.0]]) == 1e-170
+    assert gram_nnorm([[1e155, 0.0]]) == 1e155
+    sp = AnchoredSpace(dim=3, order=3, anchors=[[1e155, 0.0, 0.0], [0.0, 1e-170, 0.0]])
+    assert sp.anchor_volume == pytest.approx(1e-15, rel=1e-12)
+
+
 def test_random_full_order_anchors_are_accepted():
     # 63 Gaussian anchors in R^64 are far from dependent (every unit
     # combination has length above 1e-2), though the product of their

@@ -552,6 +552,13 @@ def test_independence_of_a_tiny_fixed_point_off_the_kernel():
     assert report.fixed_point == pytest.approx([2e-12, 0.0, 0.0], rel=1e-6, abs=0.0)
     assert report.independence_ok
     assert report.uniqueness_note == "kernel_modulo_unique"
+    # a large kernel component beside it must not hide the gap: (2e-3, 2e7, 0)
+    # is 2e-3 off the span, within 1e-9 of its own length
+    beside = picard_solve(affine_operator(0.5 * np.eye(3), offset=[1e-3, 1e7, 0.0]), sp, np.zeros(3),
+                          SolverConfig(regime="picard", alpha=0.5, tol=1e-12))
+    assert beside.fixed_point == pytest.approx([2e-3, 2e7, 0.0], rel=1e-8, abs=0.0)
+    assert beside.certified_error < 1e-3
+    assert beside.independence_ok
     # a fixed point inside the kernel still fails the condition
     inside = picard_solve(affine_operator(0.5 * np.eye(3), offset=[0.0, 1e-12, 0.0]), sp, np.zeros(3),
                           SolverConfig(regime="picard", alpha=0.5, tol=1e-20))
