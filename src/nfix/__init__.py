@@ -31,6 +31,7 @@ from .operators import (
     is_linear,
     kernel_preserved,
     kernel_violation_witness,
+    lipschitz_constant,
     operator_norm,
 )
 from .solvers import (

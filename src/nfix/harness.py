@@ -24,7 +24,7 @@ from .operators import (
     continuity_probe,
     kernel_preserved,
     kernel_violation_witness,
-    operator_norm,
+    lipschitz_constant,
 )
 from .solvers import SolverConfig, edelstein_solve, geometric_sequence, picard_solve, summable_solve
 
@@ -86,6 +86,15 @@ def _conditioned_tuple(rng, count: int, dim: int, min_ratio: float = 0.05) -> np
         scale = float(np.prod(np.linalg.norm(vs, axis=1)))
         if scale > 0 and gram_nnorm(vs) > min_ratio * scale:
             return vs
+
+
+def _bound_constant(op: OperatorSpec, space: AnchoredSpace) -> float:
+    """The exact bound constant M of a kernel-preserving operator: an upper
+    bound, as the bounded suites' inequalities need, not a sampled one."""
+    m = lipschitz_constant(op, space)
+    if m is None:
+        raise ValueError("the bounded suites need operators with a linear part")
+    return m
 
 
 def _sample_in_ball(space: AnchoredSpace, center: np.ndarray, radius: float, rng) -> np.ndarray:
@@ -224,8 +233,9 @@ def check_bounded_iff_continuous(
     seed: int = 0,
     ops: Optional[Sequence[OperatorSpec]] = None,
 ) -> PropertyReport:
-    """Linear kernel-preserving operators with a finite sampled bound constant
-    must pass the epsilon-delta probe with delta = eps / (M + 1).
+    """Linear kernel-preserving operators with their exact bound constant M
+    (``lipschitz_constant``) must pass the epsilon-delta probe with
+    delta = eps / (M + 1).
 
     An operator that moves the kernel out of itself violates the family
     precondition: the suite flags it as a failure and records the
@@ -257,7 +267,7 @@ def check_bounded_iff_continuous(
                     "image_residuals": residuals,
                 }
             continue
-        m = operator_norm(op, space, "III", budget=2048, seed=seed + i).value
+        m = _bound_constant(op, space)
         eps = float(rng.uniform(0.2, 2.0))
         delta = eps / (m + 1.0)
         for x0 in (np.zeros(space.dim), rng.standard_normal(space.dim)):
@@ -287,9 +297,9 @@ def check_bounded_sets(
     points_per_op: int = 32,
 ) -> PropertyReport:
     """Bounded sets map into bounded sets: sampled points with semi-norm at
-    most R land within M * R (+1e-9) of the origin, M the sampled bound
-    constant.  Kernel violators are flagged with their unbounded-ratio
-    witness."""
+    most R land within M * R (+1e-9) of the origin, M the exact bound
+    constant (``lipschitz_constant``).  Kernel violators are flagged with
+    their unbounded-ratio witness."""
     rng = np.random.default_rng([seed, 20])
     if ops is None:
         ops = [random_kernel_preserving_operator(space, rng) for _ in range(trials)]
@@ -310,7 +320,7 @@ def check_bounded_sets(
                     "image_seminorm": img,
                 }
             continue
-        m = operator_norm(op, space, "III", budget=4096, seed=seed + i).value
+        m = _bound_constant(op, space)
         radius = float(rng.uniform(0.5, 3.0))
         dirs = rng.standard_normal((points_per_op, space.complement_dim))
         radii = rng.random(points_per_op) * radius

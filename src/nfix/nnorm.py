@@ -244,7 +244,9 @@ class Ball:
             raise ValueError("radius must be positive")
 
     def contains(self, x) -> bool:
-        s = self.space.seminorm(as_vector(x, self.space.dim) - self.center)
+        """Membership by the unsnapped semi-norm: a large kernel component
+        of x - center cannot hide its distance from the center."""
+        s = self.space.seminorm_raw(as_vector(x, self.space.dim) - self.center)
         return s <= self.radius if self.closed else s < self.radius
 
 

@@ -1,9 +1,10 @@
 """Self-maps of R^d and their anchored-semi-norm analysis.
 
 Covers the operator abstraction (affine maps plus a small fixed catalog of
-named nonlinear maps), operator-norm estimation by three equivalent
-supremum formulas, contraction-constant and Kannan-constant estimation, and
-a sampled continuity probe.
+named nonlinear maps), the exact Lipschitz constant of an operator with a
+linear part, operator-norm estimation by three equivalent supremum
+formulas, contraction-constant and Kannan-constant estimation, and a
+sampled continuity probe.
 
 Suprema are estimated over deterministic seeded samples, so every estimate
 is a reproducible lower bound of the true supremum.  Sampling is chunked so
@@ -92,6 +93,24 @@ class OperatorSpec:
         rows = _row_map(self, dim)
         return lambda x: rows(x.reshape(1, -1))[0]
 
+    def linear_part(self, dim: int) -> Optional[np.ndarray]:
+        """The (dim, dim) matrix L with T(x) - T(y) = L (x - y), or None.
+
+        Affine maps give their matrix, "scale" factor * I, "rotation-scale"
+        its rotation matrix and "constant" zeros; "saturating" and "step"
+        are not affine and give None.
+        """
+        if self.kind == "affine":
+            _check_dim(self, dim)
+            return self.matrix
+        if self.name == "scale":
+            return float(self.params["factor"]) * np.eye(dim)
+        if self.name == "rotation-scale":
+            return _rotation_matrix(self, dim)
+        if self.name == "constant":
+            return np.zeros((dim, dim))
+        return None
+
 
 def _validate_builtin_params(name, params):
     required = {
@@ -154,12 +173,16 @@ def _rotation_matrix(op: OperatorSpec, d: int) -> np.ndarray:
     return r
 
 
+def _check_dim(op: OperatorSpec, d: int):
+    if op.matrix.shape[0] != d:
+        raise ValueError(f"dimension mismatch: operator is {op.matrix.shape[0]}-D, points are {d}-D")
+
+
 def _row_map(op: OperatorSpec, d: int) -> Callable[[np.ndarray], np.ndarray]:
     """The operator as a map on (m, d) arrays of row points, checked for
     dimension ``d`` once, with everything that depends on ``d`` prebuilt."""
     if op.kind == "affine":
-        if op.matrix.shape[0] != d:
-            raise ValueError(f"dimension mismatch: operator is {op.matrix.shape[0]}-D, points are {d}-D")
+        _check_dim(op, d)
         mt, offset = op.matrix.T, op.offset
         return lambda pts: pts @ mt + offset
     name = op.name
@@ -238,19 +261,55 @@ def kernel_violation_witness(
     if op.kind == "affine":
         if op.matrix.shape[0] != space.dim:
             raise ValueError("dimension mismatch between operator and space")
-        candidates = np.vstack([np.zeros(space.dim), space.anchors])
-        images = np.vstack([op.offset, space.anchors @ op.matrix.T])
-        bounds = np.abs(space.anchors) @ np.abs(op.matrix).T
-        scales = np.concatenate([[np.linalg.norm(op.offset)], np.linalg.norm(bounds, axis=1)])
-    else:
-        rng = np.random.default_rng([_seed_key(seed), 103])
-        coeffs = rng.standard_normal((samples, space.order - 1)) * 2.0
-        candidates = np.vstack([np.zeros(space.dim), space.anchors, 2.0 * space.anchors, coeffs @ space.anchors])
-        images = apply_batch(op, candidates)
-        scales = np.linalg.norm(candidates, axis=1) + np.linalg.norm(images, axis=1)
+        if _first_off_span(space, op.offset[None, :], np.linalg.norm(op.offset)) is not None:
+            return np.zeros(space.dim)
+        return _moved_anchor(space, op.matrix)
+    rng = np.random.default_rng([_seed_key(seed), 103])
+    coeffs = rng.standard_normal((samples, space.order - 1)) * 2.0
+    candidates = np.vstack([np.zeros(space.dim), space.anchors, 2.0 * space.anchors, coeffs @ space.anchors])
+    images = apply_batch(op, candidates)
+    scales = np.linalg.norm(candidates, axis=1) + np.linalg.norm(images, axis=1)
+    bad = _first_off_span(space, images, scales)
+    return None if bad is None else candidates[bad]
+
+
+def _first_off_span(space: AnchoredSpace, images: np.ndarray, scales) -> Optional[int]:
+    """Index of the first row of ``images`` whose part off the anchor span
+    exceeds ``space.rank_tol`` times its row of ``scales``, or None."""
     off = np.linalg.norm(images @ space.complement_basis, axis=1)
     bad = np.flatnonzero(off > space.rank_tol * scales)
-    return candidates[bad[0]] if bad.size else None
+    return int(bad[0]) if bad.size else None
+
+
+def _moved_anchor(space: AnchoredSpace, matrix: np.ndarray) -> Optional[np.ndarray]:
+    """The first anchor b whose image ``matrix @ b`` leaves the anchor span,
+    measured against the length of |matrix| |b|, or None if there is none."""
+    bounds = np.abs(space.anchors) @ np.abs(matrix).T
+    bad = _first_off_span(space, space.anchors @ matrix.T, np.linalg.norm(bounds, axis=1))
+    return None if bad is None else space.anchors[bad]
+
+
+def lipschitz_constant(op: OperatorSpec, space: AnchoredSpace) -> Optional[float]:
+    """The exact semi-norm Lipschitz constant of an operator with a linear part.
+
+    With L the operator's linear part (``OperatorSpec.linear_part``) and C
+    the complement basis, ||Tx - Ty|| = ||L (x - y)||; when L maps the
+    anchor span into itself this is at most sigma_max(C^T L C) ||x - y||,
+    with equality for some pair, so the constant is the spectral norm of the
+    map L induces on the quotient of R^d by the anchor span.  The offset
+    plays no part.  When L moves an anchor off the span (the affine rule of
+    ``kernel_violation_witness``, applied to L alone) no finite constant
+    exists and the result is +inf.  Operators without a linear part
+    ("saturating", "step") give None: only a sampled estimate is available
+    for them.
+    """
+    lin = op.linear_part(space.dim)
+    if lin is None:
+        return None
+    if _moved_anchor(space, lin) is not None:
+        return math.inf
+    c = space.complement_basis
+    return float(np.linalg.norm(c.T @ lin @ c, 2))
 
 
 def _seed_key(seed: int) -> int:

@@ -33,8 +33,11 @@ the full checks run only when a residual is not finite, and a bad iterate is
 still refused at the step that produced it.
 
 Declared constants are trusted for the certificate but cross-checked
-against a sampled estimate; a sampled value exceeding the declared one
-aborts loudly, because every bound above would be fiction.
+before iterating; a found value exceeding the declared one aborts loudly,
+because every bound above would be fiction.  A contraction constant alpha
+(picard, ball, and a_1 of summable) is checked against the exact constant
+``lipschitz_constant`` when the operator has a linear part, and against
+a sampled estimate otherwise; Kannan's beta is always sampled.
 """
 
 from __future__ import annotations
@@ -48,15 +51,15 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .nnorm import AnchoredSpace, as_vector
-from .operators import RATIO_SKIP_TOL, OperatorSpec, apply_batch, contraction_constant
+from .operators import RATIO_SKIP_TOL, OperatorSpec, apply_batch, contraction_constant, lipschitz_constant
 
 REGIMES = ("picard", "ball", "summable", "kannan", "edelstein")
 
 UNIQUE_MOD_KERNEL = "kernel_modulo_unique"
 INDEPENDENCE_FAILED = "independence_condition_failed"
 
-# Sampled constant may exceed the declared one by at most this before the
-# solver refuses to certify.
+# A found (exact or sampled) constant may exceed the declared one by at most
+# this before the solver refuses to certify.
 CROSSCHECK_SLACK = 1e-6
 CONTAINMENT_SLACK = 1e-9
 # The orbit guard tolerates a residual this many ulps of vol * |x| above the
@@ -81,15 +84,21 @@ class PreconditionError(SolverInputError):
 
 
 class ConstantMismatchError(SolverInputError):
-    """Sampled contraction constant exceeds the declared one."""
+    """A found contraction constant exceeds the declared one.
 
-    def __init__(self, name: str, declared: float, sampled: float):
+    ``sampled`` holds the found constant: a sampled ratio, or with ``exact``
+    the operator's exact Lipschitz constant (+inf when its linear part moves
+    the anchor span)."""
+
+    def __init__(self, name: str, declared: float, sampled: float, exact: bool = False):
         self.name = name
         self.declared = declared
         self.sampled = sampled
+        found = (f"the exact {name} = {sampled:.17g} of the operator's linear part"
+                 if exact else f"sampled {name}_hat = {sampled:.17g}")
         super().__init__(
-            f"declared {name} = {declared:.17g} is contradicted by sampled "
-            f"{name}_hat = {sampled:.17g}; certificates would be fiction"
+            f"declared {name} = {declared:.17g} is contradicted by {found}; "
+            f"certificates would be fiction"
         )
 
 
@@ -259,8 +268,21 @@ def _independence(space: AnchoredSpace, point: np.ndarray, certified: float):
     return ok, (UNIQUE_MOD_KERNEL if ok else INDEPENDENCE_FAILED)
 
 
+def _crosscheck_exact(op, space, name, declared) -> bool:
+    """Check ``declared`` against the exact Lipschitz constant; False when
+    the operator has no linear part and only a sample can check it."""
+    exact = lipschitz_constant(op, space)
+    if exact is None:
+        return False
+    if exact > declared + CROSSCHECK_SLACK:
+        raise ConstantMismatchError(name, declared, exact, exact=True)
+    return True
+
+
 def _crosscheck(op, space, cfg, name, declared, which):
     if cfg.crosscheck_pairs < 1:
+        return
+    if which == "alpha" and _crosscheck_exact(op, space, name, declared):
         return
     est = contraction_constant(op, space, budget=cfg.crosscheck_pairs, seed=cfg.seed)
     sampled = est.alpha_hat if which == "alpha" else est.beta_hat
@@ -269,9 +291,13 @@ def _crosscheck(op, space, cfg, name, declared, which):
 
 
 def _crosscheck_alpha_in_ball(op, space, cfg, alpha, x0, radius):
-    """Sample pairs inside the admission ball; a locally valid alpha must
-    dominate every sampled displacement ratio there."""
+    """A locally valid alpha must dominate every displacement ratio inside
+    the admission ball.  For an operator with a linear part the ratios in
+    any ball reach its exact Lipschitz constant, which decides; otherwise
+    pairs are sampled inside the ball."""
     if cfg.crosscheck_pairs < 1:
+        return
+    if _crosscheck_exact(op, space, "alpha (on the ball)", alpha):
         return
     rng = np.random.default_rng([cfg.seed, 23])
     n = cfg.crosscheck_pairs

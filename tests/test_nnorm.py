@@ -213,6 +213,14 @@ def test_ball_membership_interior_boundary_and_kernel():
     assert ball_membership(open_ball, [0.0, 99.0, 99.0])
 
 
+def test_ball_contains_sees_a_unit_gap_beside_a_huge_kernel_part():
+    # the snapped semi-norm reads [1, 1e12, 0] as 0; its distance is 1
+    ball = Ball(space=canonical_space(3, 3), center=np.zeros(3), radius=0.5)
+    assert not ball.contains([1.0, 1e12, 0.0])
+    assert not ball_membership(ball, [1.0, 1e12, 0.0])
+    assert ball.contains([0.25, 1e12, 0.0])
+
+
 # ---------------------------------------------------------------------------
 # sequence estimators
 # ---------------------------------------------------------------------------

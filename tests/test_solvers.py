@@ -158,6 +158,45 @@ def test_picard_orbit_refutes_false_constant():
     assert "step 2" in err.value.name
 
 
+def test_false_alpha_at_d64_is_refused_on_every_seed():
+    # 0.3 I + 1.2 u v^T with unit u, v in the complement: the orbit contracts
+    # at the spectral radius ~0.3, so no orbit guard fires, but the Lipschitz
+    # constant is 1.19 - 1.33.  A 64-pair sample of it accepted alpha = 0.5 on 21
+    # of these 40 seeds.
+    for seed in range(40):
+        rng = np.random.default_rng([seed, 64])
+        sp = AnchoredSpace(dim=64, order=4, anchors=rng.standard_normal((3, 64)))
+        u, v = rng.standard_normal((2, 61)) @ sp.complement_basis.T
+        a = 0.3 * np.eye(64) + 1.2 * np.outer(u / np.linalg.norm(u), v / np.linalg.norm(v))
+        exact = np.linalg.norm(sp.complement_basis.T @ a @ sp.complement_basis, 2)
+        cfg = SolverConfig(regime="picard", alpha=0.5, tol=1e-10, seed=seed)
+        with pytest.raises(ConstantMismatchError) as err:
+            picard_solve(affine_operator(a), sp, rng.standard_normal(64), cfg)
+        assert err.value.sampled == pytest.approx(exact, rel=1e-12)
+        assert "exact alpha" in str(err.value)
+
+
+def test_small_anchors_cannot_forge_a_certificate():
+    # anchor volume 1e-14 puts every sampled semi-norm under the ratio
+    # floor, so a sample found alpha_hat = 0 and scale(0.95) was certified
+    # with alpha = 0.1, its true error 1.1e10 times the certificate
+    sp = AnchoredSpace(dim=3, order=3, anchors=[[0.0, 1e-7, 0.0], [0.0, 0.0, 1e-7]])
+    cfg = SolverConfig(regime="picard", alpha=0.1, tol=1e-24)
+    with pytest.raises(ConstantMismatchError) as err:
+        picard_solve(builtin_operator("scale", factor=0.95), sp, np.array([1.0, 0.0, 0.0]), cfg)
+    assert err.value.sampled == pytest.approx(0.95, rel=1e-15)
+
+
+@pytest.mark.parametrize("regime", ["picard", "ball"])
+def test_maps_without_a_linear_part_are_cross_checked_by_sampling(regime):
+    # near t = 0 the saturating map's displacement ratios approach 1
+    cfg = SolverConfig(regime=regime, alpha=0.5, radius=0.5, tol=1e-8)
+    with pytest.raises(ConstantMismatchError) as err:
+        solve(builtin_operator("saturating"), space_e23(), np.array([0.1, 0.0, 0.0]), cfg)
+    assert 0.5 < err.value.sampled <= 1.0
+    assert "sampled" in str(err.value)
+
+
 @pytest.mark.parametrize("seed", [0, 3, 4])
 def test_picard_orbit_guard_is_scale_aware(seed):
     # large anchor volume (~400-570) and |x*| ~ 160: near convergence the
@@ -289,8 +328,8 @@ def test_ball_containment_violation_detected():
 
 def test_ball_crosscheck_uses_in_ball_pairs():
     sp = space_e23()
-    # scale by 0.9 passes the admission test with a generous radius but the
-    # sampled in-ball displacement ratio 0.9 refutes the declared alpha
+    # scale by 0.9 passes the admission test with a generous radius but its
+    # displacement ratio 0.9, in the ball as everywhere, refutes the declared alpha
     op = builtin_operator("scale", factor=0.9)
     cfg = SolverConfig(regime="ball", alpha=0.5, radius=1.0, tol=1e-8)
     with pytest.raises(ConstantMismatchError) as err:
