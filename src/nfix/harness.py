@@ -16,13 +16,11 @@ import numpy as np
 
 from .nnorm import AnchoredSpace, ProductPoint, gram_nnorm, product_nnorm
 from .operators import (
-    RATIO_SKIP_TOL,
     OperatorSpec,
     affine_operator,
     apply,
     apply_batch,
     continuity_probe,
-    kernel_preserved,
     kernel_violation_witness,
     lipschitz_constant,
 )
@@ -248,9 +246,9 @@ def check_bounded_iff_continuous(
     worst = 0.0
     ce = None
     for i, op in enumerate(ops):
-        if not kernel_preserved(op, space, samples=32, seed=seed + i):
+        witness = kernel_violation_witness(op, space, samples=32, seed=seed + i)
+        if witness is not None:
             failures += 1
-            witness = kernel_violation_witness(op, space, samples=32, seed=seed + i)
             u = space.complement_basis[:, 0]
             t_limit = apply(op, np.zeros(space.dim))
             residuals = [
@@ -307,9 +305,9 @@ def check_bounded_sets(
     worst = 0.0
     ce = None
     for i, op in enumerate(ops):
-        if not kernel_preserved(op, space, samples=32, seed=seed + i):
+        witness = kernel_violation_witness(op, space, samples=32, seed=seed + i)
+        if witness is not None:
             failures += 1
-            witness = kernel_violation_witness(op, space, samples=32, seed=seed + i)
             img = space.seminorm_raw(apply(op, witness))
             if img > worst:
                 worst = img
@@ -484,7 +482,7 @@ def check_contractive_ratio(
         p = rng.standard_normal(space.dim) * 1.5
         q = rng.standard_normal(space.dim) * 1.5
         den = space.seminorm_raw(p - q)
-        if den < RATIO_SKIP_TOL:
+        if den <= space.roundoff_floor(np.linalg.norm(p) + np.linalg.norm(q)):
             continue
         num = space.seminorm_raw(apply(op, p) - apply(op, q))
         f = num / den

@@ -18,6 +18,7 @@ safe to evaluate concurrently.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -26,6 +27,11 @@ import numpy as np
 # Relative threshold for numerical rank decisions.  Chosen to leave
 # headroom between genuine rank deficiency and double-precision roundoff.
 DEFAULT_RANK_TOL = 1e-9
+
+# A computed semi-norm value is roundoff, not distance, when it is at most
+# this many ulps of the anchor volume times the Euclidean length of the
+# arithmetic behind it (``AnchoredSpace.roundoff_floor``).
+ROUNDOFF = 64 * sys.float_info.epsilon
 
 # Most pairs one block of squared distances in b_cauchy_tail may hold.
 _PAIR_BLOCK_ELEMENTS = 1 << 14
@@ -156,6 +162,12 @@ class AnchoredSpace:
     @property
     def complement_dim(self) -> int:
         return self.dim - (self.order - 1)
+
+    def roundoff_floor(self, scale):
+        """The largest semi-norm value roundoff alone can produce from
+        arithmetic on points of Euclidean length ``scale`` (a float or an
+        array); a value at or below it counts as 0."""
+        return ROUNDOFF * self.anchor_volume * scale
 
     def seminorm(self, x) -> float:
         """||x, b_2, ..., b_n|| in the projection form of ``seminorm_raw``,

@@ -24,10 +24,6 @@ import numpy as np
 
 from .nnorm import AnchoredSpace, as_vector
 
-# Ratio suprema skip pairs whose denominator falls below this floor, so
-# kernel-direction pairs cannot amplify 0/0 noise.
-RATIO_SKIP_TOL = 1e-12
-
 _CHUNK = 1024
 
 BUILTIN_NAMES = ("scale", "constant", "saturating", "rotation-scale", "step")
@@ -390,7 +386,7 @@ def operator_norm(
 
     method "I":   sup ||Tx|| over sampled points with ||x|| <= 1
     method "II":  sup ||Tx|| over sampled points normalized to ||x|| = 1
-    method "III": sup ||Tx|| / ||x|| over sampled points with ||x|| != 0
+    method "III": sup ||Tx|| / ||x|| over sampled points with ||x|| above roundoff
 
     (all semi-norms anchored).  Points are drawn as unit directions in the
     orthogonal complement of the anchor span plus random anchor-span
@@ -413,7 +409,7 @@ def operator_norm(
         num = space.seminorm_batch(apply_batch(op, pts))
         if method == "III":
             den = space.seminorm_batch(pts)
-            keep = den >= RATIO_SKIP_TOL
+            keep = den > space.roundoff_floor(np.sqrt(np.einsum("ij,ij->i", pts, pts)))
             obj = num[keep] / den[keep]
         else:
             obj = num
@@ -449,48 +445,36 @@ class ContractionEstimate:
 def contraction_constant(
     op: OperatorSpec, space: AnchoredSpace, budget: int, seed: int = 0
 ) -> ContractionEstimate:
-    """Sample ``budget`` point pairs and take the two ratio suprema."""
+    """Sample ``budget`` point pairs and take the two ratio suprema.  A pair
+    counts for a ratio only where its denominator exceeds the space's
+    roundoff floor at |x| + |y| + |Tx| + |Ty|."""
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    d = space.dim
-    best_a = 0.0
-    best_b = 0.0
-    wit_a = None
-    wit_b = None
-    produced = 0
-    chunk_idx = 0
-    while produced < budget:
+    best = [0.0, 0.0]
+    wit = [None, None]
+    for chunk_idx, produced in enumerate(range(0, budget, _CHUNK)):
         rng = np.random.default_rng([_seed_key(seed), 11, chunk_idx])
         take = min(_CHUNK, budget - produced)
         # pairs are drawn interleaved, so a partial chunk is a prefix of the
         # full one and the first k pairs are the same for every budget >= k
-        pairs = rng.standard_normal((take, 2, d)) * 1.5
+        pairs = rng.standard_normal((take, 2, space.dim)) * 1.5
         xs, ys = pairs[:, 0], pairs[:, 1]
         txs = apply_batch(op, xs)
         tys = apply_batch(op, ys)
         # the four displacement arrays, projected in one call
         diffs = np.concatenate([txs - tys, xs - ys, xs - txs, ys - tys])
         num, den, dx, dy = space.seminorm_batch(diffs).reshape(4, take)
-        keep = den >= RATIO_SKIP_TOL
-        if np.any(keep):
-            ratios = num[keep] / den[keep]
-            i = int(np.argmax(ratios))
-            if ratios[i] > best_a:
-                best_a = float(ratios[i])
-                idx = np.flatnonzero(keep)[i]
-                wit_a = (xs[idx].copy(), ys[idx].copy())
-        den_k = dx + dy
-        keep_k = den_k >= RATIO_SKIP_TOL
-        if np.any(keep_k):
-            ratios_k = num[keep_k] / den_k[keep_k]
-            i = int(np.argmax(ratios_k))
-            if ratios_k[i] > best_b:
-                best_b = float(ratios_k[i])
-                idx = np.flatnonzero(keep_k)[i]
-                wit_b = (xs[idx].copy(), ys[idx].copy())
-        produced += take
-        chunk_idx += 1
-    return ContractionEstimate(best_a, best_b, wit_a, wit_b, budget, seed)
+        ends = np.concatenate([xs, ys, txs, tys])
+        floor = space.roundoff_floor(np.sqrt(np.einsum("ij,ij->i", ends, ends)).reshape(4, take).sum(axis=0))
+        for j, den_j in enumerate((den, dx + dy)):
+            keep = np.flatnonzero(den_j > floor)
+            if keep.size:
+                ratios = num[keep] / den_j[keep]
+                i = int(np.argmax(ratios))
+                if ratios[i] > best[j]:
+                    best[j] = float(ratios[i])
+                    wit[j] = (xs[keep[i]].copy(), ys[keep[i]].copy())
+    return ContractionEstimate(best[0], best[1], wit[0], wit[1], budget, seed)
 
 
 # ---------------------------------------------------------------------------

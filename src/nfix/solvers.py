@@ -43,7 +43,6 @@ a sampled estimate otherwise; Kannan's beta is always sampled.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, field
 from itertools import accumulate
 from typing import NamedTuple, Optional
@@ -51,7 +50,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .nnorm import AnchoredSpace, as_vector
-from .operators import RATIO_SKIP_TOL, OperatorSpec, apply_batch, contraction_constant, lipschitz_constant
+from .operators import OperatorSpec, apply_batch, contraction_constant, lipschitz_constant
 
 REGIMES = ("picard", "ball", "summable", "kannan", "edelstein")
 
@@ -61,10 +60,6 @@ INDEPENDENCE_FAILED = "independence_condition_failed"
 # A found (exact or sampled) constant may exceed the declared one by at most
 # this before the solver refuses to certify.
 CROSSCHECK_SLACK = 1e-6
-CONTAINMENT_SLACK = 1e-9
-# The orbit guard tolerates a residual this many ulps of vol * |x| above the
-# declared recursion: the computed residual cannot resolve less than that.
-ORBIT_ROUNDOFF = 64 * sys.float_info.epsilon
 
 
 class SolverInputError(ValueError):
@@ -261,10 +256,10 @@ def _check_finite(x: np.ndarray, step: int):
 
 def _independence(space: AnchoredSpace, point: np.ndarray, certified: float):
     """Is every point within ``certified`` of ``point`` off the kernel?  The
-    unsnapped semi-norm must exceed the certificate plus the orbit guard's
-    roundoff floor, so a large kernel component hides no small gap."""
-    floor = ORBIT_ROUNDOFF * space.anchor_volume * float(np.linalg.norm(point))
-    ok = space.seminorm_raw(point) > certified + floor
+    unsnapped semi-norm must exceed the certificate plus the space's
+    roundoff floor at |point|, so a large kernel component hides no small
+    gap."""
+    ok = space.seminorm_raw(point) > certified + space.roundoff_floor(float(np.linalg.norm(point)))
     return ok, (UNIQUE_MOD_KERNEL if ok else INDEPENDENCE_FAILED)
 
 
@@ -311,7 +306,7 @@ def _crosscheck_alpha_in_ball(op, space, cfg, alpha, x0, radius):
     xs, ys = sample(), sample()
     num = space.seminorm_batch(apply_batch(op, xs) - apply_batch(op, ys))
     den = space.seminorm_batch(xs - ys)
-    keep = den >= RATIO_SKIP_TOL
+    keep = den > space.roundoff_floor(np.linalg.norm(xs, axis=1) + np.linalg.norm(ys, axis=1))
     if np.any(keep):
         worst = float(np.max(num[keep] / den[keep]))
         if worst > alpha + CROSSCHECK_SLACK:
@@ -365,6 +360,9 @@ def _solve(regime: str, op: OperatorSpec, space: AnchoredSpace, x0, cfg: SolverC
 
     dist = space.projection_kernel()
     isfinite = math.isfinite
+    sqrt = math.sqrt
+    floor = space.roundoff_floor
+    x0_len = sqrt(x0.dot(x0))
     if seq is not None:
         tail_sum = seq.tail_sum
         rate = seq.term(1)
@@ -400,7 +398,7 @@ def _solve(regime: str, op: OperatorSpec, space: AnchoredSpace, x0, cfg: SolverC
                 ball_trace.append((k, disp, bound))
                 if disp > max_disp:
                     max_disp = disp
-                if disp > bound + CONTAINMENT_SLACK:
+                if disp > bound and disp > bound + floor(x0_len + sqrt(x_next.dot(x_next))):
                     raise ContainmentError(k, disp, bound)
             if seq is None:
                 # no envelope: the certificate is the smallest residual
@@ -410,8 +408,15 @@ def _solve(regime: str, op: OperatorSpec, space: AnchoredSpace, x0, cfg: SolverC
                     certified = res_k
                     best = x_prev
             else:
-                if prev_res is not None and res_k > rate * prev_res * (1.0 + 1e-9) + 1e-12:
-                    _guard_orbit(space, guard_name, rate, k, res_k, prev_res, x_prev, x_next)
+                if prev_res is not None:
+                    # the orbit is the sharpest sample of the constant: a
+                    # residual breaking the declared recursion by more than
+                    # its roundoff floor proves the constant false
+                    limit = rate * prev_res * (1.0 + 1e-9)
+                    if res_k > limit and res_k > limit + floor(sqrt(max(x_prev.dot(x_prev),
+                                                                        x_next.dot(x_next)))):
+                        raise ConstantMismatchError(f"{guard_name} (orbit residual recursion, step {k})",
+                                                    rate, res_k / prev_res)
                 prev_res = res_k
                 apriori = tail_sum(k) * res0
                 apost = apost_factor * res_k
@@ -426,16 +431,6 @@ def _solve(regime: str, op: OperatorSpec, space: AnchoredSpace, x0, cfg: SolverC
     return _report(regime, space, cfg, best, k, trace, certified, res0, iterates, max_disp, ball_trace)
 
 
-def _guard_orbit(space, name, rate, k, res_k, prev_res, x_prev, x_next):
-    """The orbit is the sharpest sample of the constant: a residual breaking
-    the declared recursion by more than its own roundoff floor proves the
-    constant false."""
-    scale = max(float(np.linalg.norm(x_prev)), float(np.linalg.norm(x_next)))
-    floor = ORBIT_ROUNDOFF * space.anchor_volume * scale
-    if res_k > rate * prev_res * (1.0 + 1e-9) + floor:
-        raise ConstantMismatchError(f"{name} (orbit residual recursion, step {k})", rate, res_k / prev_res)
-
-
 def _report(regime, space, cfg, point, k, trace, certified, res0, iterates, max_disp, ball_trace):
     converged = certified <= cfg.tol
     ratios = None
@@ -445,7 +440,7 @@ def _report(regime, space, cfg, point, k, trace, certified, res0, iterates, max_
         ratios = [
             (i + 1, residuals[i + 1] / residuals[i])
             for i in range(len(residuals) - 1)
-            if residuals[i] >= RATIO_SKIP_TOL
+            if residuals[i] > 0.0
         ]
         if not converged:
             message = f"max_iter = {cfg.max_iter} exceeded; best residual {certified:.17g}"

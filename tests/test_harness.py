@@ -17,6 +17,7 @@ from nfix.harness import (
 )
 from nfix.nnorm import AnchoredSpace, gram_nnorm
 from nfix.operators import affine_operator, builtin_operator
+from nfix.solvers import SolverConfig, edelstein_solve
 
 
 def test_axiom_suite_passes_on_gram_norm():
@@ -185,14 +186,19 @@ def test_contractive_ratio_strict_contraction():
     assert report.worst_violation == pytest.approx(0.5, abs=1e-9)
 
 
-def test_contractive_ratio_flags_isometry():
-    sp = canonical_space(4, 3)
+@pytest.mark.parametrize("s", [1.0, 1e-7])
+def test_contractive_ratio_flags_isometry(s):
+    # anchors s e2, s e3: every semi-norm scales by s^2, so tol does too,
+    # and ratios of semi-norms must not notice the scale
+    sp = AnchoredSpace(dim=4, order=3, anchors=s * np.eye(4)[1:3])
     iso = builtin_operator("rotation-scale", axis1=0, axis2=3, angle=1.0, factor=1.0)
-    report = check_contractive_ratio(iso, sp, np.array([1.0, 0.0, 0.0, 0.0]),
-                                     trials=200, seed=9, max_iter=150)
+    x0 = np.array([1.0, 0.0, 0.0, 0.0])
+    report = check_contractive_ratio(iso, sp, x0, trials=200, seed=9, tol=1e-8 * s ** 2, max_iter=150)
     assert report.failures > 0
     assert report.worst_violation >= 1.0 - 1e-9
     assert report.counterexample is not None
+    cfg = SolverConfig(regime="edelstein", tol=1e-8 * s ** 2, max_iter=50)
+    assert len(edelstein_solve(iso, sp, x0, cfg).ratios) == 49
 
 
 def test_suite_reports_are_reproducible_across_suites():

@@ -187,6 +187,45 @@ def test_small_anchors_cannot_forge_a_certificate():
     assert err.value.sampled == pytest.approx(0.95, rel=1e-15)
 
 
+# (operator, regime constants, outcome at every anchor scale): the outcome
+# is the exception raised, or (iterations, converged, independence_ok)
+SCALE_FAMILY = {
+    "kannan-scale": (builtin_operator("scale", factor=0.45), {"regime": "kannan", "beta": 0.05},
+                     "ConstantMismatchError"),
+    "picard-saturating": (builtin_operator("saturating"), {"regime": "picard", "alpha": 0.1},
+                          "ConstantMismatchError"),
+    "picard-saturating-unchecked": (builtin_operator("saturating"),
+                                    {"regime": "picard", "alpha": 0.1, "crosscheck_pairs": 0},
+                                    "ConstantMismatchError"),
+    "ball-saturating": (builtin_operator("saturating"), {"regime": "ball", "alpha": 0.5, "radius": 0.5},
+                        "ConstantMismatchError"),
+    "picard-affine": (affine_operator([[0.6, 0.0, 0.0], [0.2, 0.5, 0.1], [0.3, 0.0, 0.4]],
+                                      offset=[1.0, 2.0, 3.0]),
+                      {"regime": "picard", "alpha": 0.6}, (47, True, True)),
+}
+
+
+@pytest.mark.parametrize("s", [1e-8, 1e-4, 1.0, 1e4, 1e8])
+@pytest.mark.parametrize("name", sorted(SCALE_FAMILY))
+def test_outcomes_are_invariant_under_anchor_scale(name, s):
+    # anchors s e2, s e3: the n-norm is homogeneous, so every semi-norm
+    # scales by s^2, and tol and radius do too.  A zero test on an absolute
+    # threshold switches itself off once the semi-norms fall under it, and
+    # would then certify at small s what unit scale refuses.
+    op, constants, outcome = SCALE_FAMILY[name]
+    constants = dict(constants)
+    if "radius" in constants:
+        constants["radius"] *= s ** 2
+    sp = AnchoredSpace(dim=3, order=3, anchors=[[0.0, s, 0.0], [0.0, 0.0, s]])
+    cfg = SolverConfig(tol=1e-10 * s ** 2, **constants)
+    try:
+        report = solve(op, sp, np.array([0.4, 0.5, -0.3]), cfg)
+    except SolverInputError as err:
+        assert type(err).__name__ == outcome
+    else:
+        assert (report.iterations, report.converged, report.independence_ok) == outcome
+
+
 @pytest.mark.parametrize("regime", ["picard", "ball"])
 def test_maps_without_a_linear_part_are_cross_checked_by_sampling(regime):
     # near t = 0 the saturating map's displacement ratios approach 1
