@@ -368,6 +368,11 @@ def _run_suite(name: str, trials: int, seed: int, dim: int, order: int) -> list:
 
 def cmd_check(args) -> int:
     seed = _default_seed(args.seed)
+    # a suite of no trials passes having checked nothing
+    if args.trials < 1:
+        raise ValidationError(f"--trials: must be >= 1, got {args.trials}")
+    if not (2 <= args.n <= args.dim):
+        raise ValidationError(f"--n: need 2 <= n <= dim, got n={args.n}, dim={args.dim}")
     names = list(SUITES[:-1]) if args.suite == "all" else [args.suite]
     reports = []
     for name in names:

@@ -245,6 +245,20 @@ def test_check_unknown_suite_exits_one(capsys):
     assert "usage" in captured.err.lower()
 
 
+@pytest.mark.parametrize("suite", ["axioms", "bounded", "bounded-sets", "product-ball", "reduction", "ratio",
+                                   "all"])
+@pytest.mark.parametrize("argv", [["--trials", "0"], ["--trials", "-3"], ["--dim", "3", "--n", "5"],
+                                  ["--dim", "3", "--n", "1"]])
+def test_check_rejects_vacuous_or_impossible_arguments(tmp_path, capsys, suite, argv):
+    # --trials 0 used to pass having checked nothing, and n > dim crashed
+    out = tmp_path / "check.json"
+    code = main(["check", suite, "--seed", "3", "--out", str(out)] + argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("error: --")
+    assert not out.exists()
+
+
 def test_check_stdout_when_no_out(capsys):
     code = main(["check", "product-ball", "--trials", "50", "--seed", "3"])
     captured = capsys.readouterr()

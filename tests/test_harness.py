@@ -4,6 +4,7 @@ and reproduce exactly under a fixed seed."""
 import numpy as np
 import pytest
 
+from nfix import solvers
 from nfix.harness import (
     canonical_space,
     check_axiom_suite,
@@ -163,11 +164,55 @@ def test_banach_reduction_slow_contraction():
     assert report.failures == 0
 
 
+def test_banach_reduction_fixed_point_modulo_the_anchor_span():
+    # the rotation fixes the anchor e2, so I - L is singular; the fixed
+    # point is unique only modulo the span, and the oracle must use that
+    sp = canonical_space(3, 2)
+    op = builtin_operator("rotation-scale", axis1=0, axis2=2, angle=0.7, factor=0.8)
+    report = check_banach_reduction(op, sp, np.array([1.0, 2.0, 0.5]), alpha=0.8, seed=0)
+    assert report.failures == 0
+    assert report.worst_violation == 0.0
+
+
 def test_reduction_suite_family():
     report = reduction_suite(3, 3, trials=20, seed=17)
     assert report.trials == 20
     assert report.failures == 0
     assert report.worst_violation == 0.0
+
+
+def test_reduction_suite_rejects_an_empty_family():
+    with pytest.raises(ValueError):
+        reduction_suite(3, 2, trials=0)
+
+
+def test_reduction_suite_catches_a_halved_tail(monkeypatch):
+    # every bound the engine reports is half the truth; picard and summable
+    # share the engine, so comparing the two could not see it, but Banach's
+    # closed-form bounds do
+    tail_sum = solvers.ASeq.tail_sum
+    monkeypatch.setattr(solvers.ASeq, "tail_sum", lambda self, q: 0.5 * tail_sum(self, q))
+    report = reduction_suite(3, 2, trials=50, seed=7)
+    assert report.failures > 0
+    assert any("bounds differ" in p for p in report.counterexample["problems"])
+
+
+def test_reduction_suite_checks_certificates_against_the_exact_fixed_point(monkeypatch):
+    # the trace and the iterates stay honest and only the returned
+    # certificate is halved: for alpha * I + c the a-posteriori bound is
+    # the exact error, so the exact-fixed-point oracle flags every trial
+    make_report = solvers._report
+
+    def halved(*args):
+        report = make_report(*args)
+        report.certified_error *= 0.5
+        return report
+
+    monkeypatch.setattr(solvers, "_report", halved)
+    report = reduction_suite(3, 2, trials=50, seed=7)
+    assert report.failures == 50
+    problems = report.counterexample["problems"]
+    assert len(problems) == 1 and "below the exact error" in problems[0]
 
 
 def test_contractive_ratio_saturating_passes():

@@ -224,6 +224,66 @@ def test_outcomes_are_invariant_under_anchor_scale(name, s):
         assert type(err).__name__ == outcome
     else:
         assert (report.iterations, report.converged, report.independence_ok) == outcome
+        unit = solve(op, AnchoredSpace(dim=3, order=3, anchors=np.eye(3)[1:3]), np.array([0.4, 0.5, -0.3]),
+                     SolverConfig(tol=1e-10, **SCALE_FAMILY[name][1]))
+        residuals = np.array([row.residual for row in report.trace])
+        unit_residuals = np.array([row.residual for row in unit.trace])
+        np.testing.assert_allclose(residuals, s ** 2 * unit_residuals, rtol=1e-12, atol=0.0)
+
+
+FRAME_MATRIX = np.array([[0.5, 0.0, 0.0, 0.1],
+                         [0.2, 0.4, 0.1, 0.0],
+                         [0.1, 0.0, 0.3, 0.2],
+                         [0.1, 0.0, 0.0, 0.4]])
+FRAME_OFFSET = np.array([1.0, 2.0, 3.0, -1.0])
+
+
+def frame_affine(q):
+    # FRAME_MATRIX maps span(e2, e3) into itself; its exact constant is 0.56
+    return affine_operator(q @ FRAME_MATRIX @ q.T, offset=q @ FRAME_OFFSET)
+
+
+def frame_scale(factor):
+    return lambda q: builtin_operator("scale", factor=factor)  # factor * I is the same in every frame
+
+
+# (operator in the frame q, regime constants, outcome in every frame): the
+# outcome is the exception raised, or (iterations, converged, independence_ok)
+FRAME_FAMILY = {
+    "picard-affine": (frame_affine, {"regime": "picard", "alpha": 0.6}, (35, True, True)),
+    "picard-affine-false-alpha": (frame_affine, {"regime": "picard", "alpha": 0.5}, "ConstantMismatchError"),
+    "summable-affine": (frame_affine, {"regime": "summable",
+                                       "a_seq": explicit_sequence([0.6 ** k for k in range(1, 61)])},
+                        (35, True, True)),
+    "ball-affine": (frame_affine, {"regime": "ball", "alpha": 0.6, "radius": 50.0}, (35, True, True)),
+    "ball-affine-small-radius": (frame_affine, {"regime": "ball", "alpha": 0.6, "radius": 0.5},
+                                 "PreconditionError"),
+    "picard-scale": (frame_scale(0.5), {"regime": "picard", "alpha": 0.5}, (33, True, False)),
+    "kannan-scale": (frame_scale(0.2), {"regime": "kannan", "beta": 0.3}, (15, True, False)),
+    "kannan-scale-false-beta": (frame_scale(0.45), {"regime": "kannan", "beta": 0.05},
+                                "ConstantMismatchError"),
+}
+
+
+@pytest.mark.parametrize("seed", [None, 0, 1, 2])
+@pytest.mark.parametrize("name", sorted(FRAME_FAMILY))
+def test_outcomes_are_invariant_under_an_orthogonal_change_of_frame(name, seed):
+    # the Gram volume is invariant under orthogonal maps, so moving the
+    # anchors, x0 and the offset to Q. and A to Q A Q^T (Q random, Haar
+    # distributed) must leave every count, refusal and verdict unchanged
+    q = np.eye(4)
+    if seed is not None:
+        q, r = np.linalg.qr(np.random.default_rng(seed).standard_normal((4, 4)))
+        q = q * np.sign(np.diag(r))
+    make_op, constants, outcome = FRAME_FAMILY[name]
+    sp = AnchoredSpace(dim=4, order=3, anchors=np.eye(4)[1:3] @ q.T)
+    try:
+        report = solve(make_op(q), sp, q @ np.array([0.4, 0.5, -0.3, 0.7]),
+                       SolverConfig(tol=1e-10, **constants))
+    except SolverInputError as err:
+        assert type(err).__name__ == outcome
+    else:
+        assert (report.iterations, report.converged, report.independence_ok) == outcome
 
 
 @pytest.mark.parametrize("regime", ["picard", "ball"])
