@@ -14,7 +14,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .nnorm import AnchoredSpace, ProductPoint, as_vector, gram_nnorm, product_nnorm
+from .nnorm import AnchoredSpace, as_vector, gram_volumes
 from .operators import (
     OperatorSpec,
     affine_operator,
@@ -27,6 +27,12 @@ from .operators import (
 from .solvers import SolverConfig, edelstein_solve, explicit_sequence, summable_solve
 
 RATIO_FLAG_TOL = 1e-9  # a sampled ratio this close to 1 breaks strictness
+
+# The stacked suites draw and decide their trials SUITE_BLOCK at a time, and
+# fewer when one trial's tuples hold many coordinates, so memory does not
+# grow with the trial count.
+SUITE_BLOCK = 4096
+_SUITE_BLOCK_ELEMENTS = 1 << 18
 
 
 @dataclass
@@ -75,15 +81,71 @@ def _tuple_list(vectors) -> list:
     return [_vec(v) for v in vectors]
 
 
-def _conditioned_tuple(rng, count: int, dim: int, min_ratio: float = 0.05) -> np.ndarray:
-    """Standard normal tuple redrawn until its volume is a healthy fraction of
-    the product of lengths; the double-precision tolerance claims hold for
-    such conditioned draws."""
-    while True:
-        vs = rng.standard_normal((count, dim))
-        scale = float(np.prod(np.linalg.norm(vs, axis=1)))
-        if scale > 0 and gram_nnorm(vs) > min_ratio * scale:
-            return vs
+def _blocks(trials: int, width: int):
+    """(start, rows) spans covering ``trials`` trials in order, each at most
+    SUITE_BLOCK rows and, for trials of ``width`` coordinates, at most
+    _SUITE_BLOCK_ELEMENTS coordinates."""
+    step = max(1, min(SUITE_BLOCK, _SUITE_BLOCK_ELEMENTS // width))
+    for start in range(0, trials, step):
+        yield start, min(step, trials - start)
+
+
+def _redrawn(rows: int, draw: Callable, accept: Callable) -> np.ndarray:
+    """``draw(rows)``, with every row that ``accept`` rejects drawn again as
+    one block until none is."""
+    out = draw(rows)
+    redraw = np.flatnonzero(~accept(out))
+    while redraw.size:
+        fresh = draw(redraw.size)
+        out[redraw] = fresh
+        redraw = redraw[~accept(fresh)]
+    return out
+
+
+def _conditioned_tuples(rng, rows: int, count: int, dim: int, min_ratio: float = 0.05) -> np.ndarray:
+    """``rows`` standard normal tuples of ``count`` vectors, each redrawn until
+    its volume is a healthy fraction of the product of its lengths; the
+    double-precision tolerance claims hold for such conditioned draws."""
+    def accept(vs):
+        scale = np.prod(np.linalg.norm(vs, axis=-1), axis=-1)
+        return (scale > 0) & (gram_volumes(vs) > min_ratio * scale)
+
+    return _redrawn(rows, lambda m: rng.standard_normal((m, count, dim)), accept)
+
+
+def _norms(norm_fn: Optional[Callable], tuples: np.ndarray) -> np.ndarray:
+    """The norm under test over a stack of tuples shaped (..., k, d): stacked
+    Gram volumes, or a user ``norm_fn`` called on one tuple at a time."""
+    if norm_fn is None:
+        return gram_volumes(tuples)
+    flat = tuples.reshape(-1, *tuples.shape[-2:])
+    return np.array([norm_fn(t) for t in flat], dtype=float).reshape(tuples.shape[:-2])
+
+
+class _Tally:
+    """Failures, worst value and counterexample of one property, reduced over
+    blocks of trials in trial order: the counterexample is the first failed
+    trial that reaches the worst value, as a loop over the trials finds it."""
+
+    def __init__(self):
+        self.failures = 0
+        self.worst = 0.0
+        self.ce = None
+
+    def add(self, values: np.ndarray, failed: np.ndarray, witness: Callable[[int], dict]):
+        """``values`` measure each trial of a block (NaN never counts as
+        worst), ``failed`` marks its failures, ``witness(i)`` describes
+        trial i of the block."""
+        self.failures += int(np.count_nonzero(failed))
+        above = values > self.worst
+        if above.any():
+            i = int(np.argmax(np.where(above, values, -np.inf)))
+            self.worst = float(values[i])
+            if failed[i]:
+                self.ce = witness(i)
+
+    def report(self, property_id: str, trials: int, seed: int) -> PropertyReport:
+        return PropertyReport(property_id, trials, self.failures, self.worst, self.ce, seed)
 
 
 def _bound_constant(op: OperatorSpec, space: AnchoredSpace) -> float:
@@ -93,14 +155,6 @@ def _bound_constant(op: OperatorSpec, space: AnchoredSpace) -> float:
     if m is None:
         raise ValueError("the bounded suites need operators with a linear part")
     return m
-
-
-def _sample_in_ball(space: AnchoredSpace, center: np.ndarray, radius: float, rng) -> np.ndarray:
-    """A point with anchored semi-norm distance strictly below ``radius``."""
-    dirs = rng.standard_normal((1, space.complement_dim))
-    radii = rng.random(1) * radius
-    coeffs = rng.standard_normal((1, space.order - 1))
-    return space.ball_points(dirs, radii, coeffs, center=center)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -117,107 +171,85 @@ def check_axiom_suite(
     """One report per norm axiom, evaluated on seeded random tuples.
 
     ``norm_fn`` substitutes the norm under test (used to plant bugs and
-    prove the suite can catch them); default is the Gram volume norm.
+    prove the suite can catch them); it is called on one tuple at a time.
+    The default is the Gram volume norm, decided for a block of trials in
+    one stacked call.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if not (2 <= order <= dim):
         raise ValueError("need 2 <= order <= dim")
-    norm = norm_fn or gram_nnorm
     reports = []
+    blocks = list(_blocks(trials, 3 * order * dim))  # N4 stacks three tuples a trial
 
     # N1: degenerate tuples collapse to zero, independent tuples do not
     rng = np.random.default_rng([seed, 1])
-    failures = 0
-    worst = 0.0
-    ce = None
-    for _ in range(trials):
-        vs = _conditioned_tuple(rng, order - 1, dim, min_ratio=1e-6)
-        coeffs = rng.uniform(-2.0, 2.0, size=order - 1)
-        combo = coeffs @ vs
-        slot = rng.integers(0, order)
-        dependent = np.insert(vs, slot, combo, axis=0)
-        scale = max(float(np.prod(np.linalg.norm(dependent, axis=1))), 1.0)
-        got = norm(dependent)
+    tally = _Tally()
+    for _, rows in blocks:
+        vs = _conditioned_tuples(rng, rows, order - 1, dim, min_ratio=1e-6)
+        coeffs = rng.uniform(-2.0, 2.0, size=(rows, order - 1))
+        slot = rng.integers(0, order, size=rows)
+        indep = _conditioned_tuples(rng, rows, order, dim, min_ratio=1e-6)
+        # the combination of vs goes into slot, the rows of vs around it in order
+        at_slot = np.arange(order) == slot[:, None]
+        dependent = np.empty((rows, order, dim))
+        dependent[at_slot] = (coeffs[:, None, :] @ vs)[:, 0]
+        dependent[~at_slot] = vs.reshape(-1, dim)
+        scale = np.maximum(np.prod(np.linalg.norm(dependent, axis=-1), axis=-1), 1.0)
+        got, val = _norms(norm_fn, np.stack([dependent, indep]))
         excess = got - 1e-9 * scale
-        if excess > 0:
-            failures += 1
-            if excess > worst:
-                worst = excess
-                ce = {"case": "dependent tuple not collapsed", "tuple": _tuple_list(dependent), "value": got}
-        indep = _conditioned_tuple(rng, order, dim, min_ratio=1e-6)
-        val = norm(indep)
-        if not val > 0.0:
-            failures += 1
-            if ce is None:
-                ce = {"case": "independent tuple collapsed", "tuple": _tuple_list(indep), "value": val}
-    reports.append(PropertyReport("axioms.N1", trials, failures, worst, ce, seed))
+        tally.add(excess, excess > 0, lambda i: {"case": "dependent tuple not collapsed",
+                                                 "tuple": _tuple_list(dependent[i]), "value": float(got[i])})
+        collapsed = np.flatnonzero(~(val > 0.0))
+        tally.failures += collapsed.size
+        if tally.ce is None and collapsed.size:
+            i = collapsed[0]
+            tally.ce = {"case": "independent tuple collapsed", "tuple": _tuple_list(indep[i]), "value": float(val[i])}
+    reports.append(tally.report("axioms.N1", trials, seed))
 
     # N2: permutation invariance, relative 1e-12
     rng = np.random.default_rng([seed, 2])
-    failures = 0
-    worst = 0.0
-    ce = None
-    for _ in range(trials):
-        vs = _conditioned_tuple(rng, order, dim)
-        base = norm(vs)
-        perm = rng.permutation(order)
-        got = norm(vs[perm])
-        rel = abs(got - base) / max(base, got, 1e-30)
-        if rel > worst:
-            worst = rel
-            if rel > 1e-12:
-                ce = {"tuple": _tuple_list(vs), "permutation": [int(p) for p in perm],
-                      "base": base, "permuted": got}
-        if rel > 1e-12:
-            failures += 1
-    reports.append(PropertyReport("axioms.N2", trials, failures, worst, ce, seed))
+    tally = _Tally()
+    for _, rows in blocks:
+        vs = _conditioned_tuples(rng, rows, order, dim)
+        perm = rng.permuted(np.tile(np.arange(order), (rows, 1)), axis=1)
+        base, got = _norms(norm_fn, np.stack([vs, np.take_along_axis(vs, perm[:, :, None], axis=1)]))
+        rel = np.abs(got - base) / np.maximum(np.maximum(base, got), 1e-30)
+        tally.add(rel, rel > 1e-12, lambda i: {"tuple": _tuple_list(vs[i]), "permutation": [int(p) for p in perm[i]],
+                                               "base": float(base[i]), "permuted": float(got[i])})
+    reports.append(tally.report("axioms.N2", trials, seed))
 
     # N3: absolute homogeneity in the first slot, relative 1e-12
     rng = np.random.default_rng([seed, 3])
-    failures = 0
-    worst = 0.0
-    ce = None
-    for _ in range(trials):
-        vs = _conditioned_tuple(rng, order, dim)
-        alpha = 0.0
-        while abs(alpha) < 1e-3:  # below the rank snap homogeneity degenerates by design
-            alpha = rng.uniform(-10.0, 10.0)
-        base = norm(vs)
-        scaled_tuple = vs.copy()
-        scaled_tuple[0] = alpha * scaled_tuple[0]
-        got = norm(scaled_tuple)
-        want = abs(alpha) * base
-        rel = abs(got - want) / max(got, want, 1e-30)
-        if rel > worst:
-            worst = rel
-            if rel > 1e-12:
-                ce = {"tuple": _tuple_list(vs), "alpha": alpha, "scaled": got, "expected": want}
-        if rel > 1e-12:
-            failures += 1
-    reports.append(PropertyReport("axioms.N3", trials, failures, worst, ce, seed))
+    tally = _Tally()
+    for _, rows in blocks:
+        vs = _conditioned_tuples(rng, rows, order, dim)
+        # below the rank snap homogeneity degenerates by design
+        alpha = _redrawn(rows, lambda m: rng.uniform(-10.0, 10.0, size=m), lambda a: np.abs(a) >= 1e-3)
+        scaled_tuples = vs.copy()
+        scaled_tuples[:, 0] *= alpha[:, None]
+        base, got = _norms(norm_fn, np.stack([vs, scaled_tuples]))
+        want = np.abs(alpha) * base
+        rel = np.abs(got - want) / np.maximum(np.maximum(got, want), 1e-30)
+        tally.add(rel, rel > 1e-12, lambda i: {"tuple": _tuple_list(vs[i]), "alpha": float(alpha[i]),
+                                               "scaled": float(got[i]), "expected": float(want[i])})
+    reports.append(tally.report("axioms.N3", trials, seed))
 
     # N4: triangle inequality in the first slot, absolute slack 1e-9
     rng = np.random.default_rng([seed, 4])
-    failures = 0
-    worst = 0.0
-    ce = None
-    for _ in range(trials):
-        rest = rng.standard_normal((order - 1, dim))
-        x = rng.standard_normal(dim)
-        y = rng.standard_normal(dim)
-        lhs = norm(np.vstack([x + y, rest]))
-        rhs = norm(np.vstack([x, rest])) + norm(np.vstack([y, rest]))
+    tally = _Tally()
+    for _, rows in blocks:
+        rest = rng.standard_normal((rows, order - 1, dim))
+        x = rng.standard_normal((rows, dim))
+        y = rng.standard_normal((rows, dim))
+        firsts = np.stack([x + y, x, y])[:, :, None, :]
+        tuples = np.concatenate([firsts, np.broadcast_to(rest, (3, *rest.shape))], axis=2)
+        lhs, nx, ny = _norms(norm_fn, tuples)
+        rhs = nx + ny
         excess = lhs - rhs - 1e-9
-        if excess > worst:
-            worst = excess
-            ce = {"x": _vec(x), "y": _vec(y), "rest": _tuple_list(rest), "lhs": lhs, "rhs": rhs}
-        if excess > 0:
-            failures += 1
-    worst = max(worst, 0.0)
-    if failures == 0:
-        ce = None
-    reports.append(PropertyReport("axioms.N4", trials, failures, worst, ce, seed))
+        tally.add(excess, excess > 0, lambda i: {"x": _vec(x[i]), "y": _vec(y[i]), "rest": _tuple_list(rest[i]),
+                                                 "lhs": float(lhs[i]), "rhs": float(rhs[i])})
+    reports.append(tally.report("axioms.N4", trials, seed))
     return reports
 
 
@@ -374,23 +406,29 @@ def check_product_ball_lemma(
     x0 = np.asarray(x0, dtype=float)
     y0 = np.asarray(y0, dtype=float)
     rng = np.random.default_rng([seed, 30])
-    anchor_pairs = [ProductPoint(b, b) for b in space.anchors]
-    failures = 0
-    worst = 0.0
-    ce = None
-    for _ in range(trials):
-        x = _sample_in_ball(space, x0, r, rng)
-        y = _sample_in_ball(space, y0, r_prime, rng)
-        dist = product_nnorm([ProductPoint(x - x0, y - y0)] + anchor_pairs, tol=space.rank_tol)
-        violation = dist - (r + r_prime)
-        if violation > worst:
-            worst = violation
-            if dist >= r1:
-                ce = {"x": _vec(x), "y": _vec(y), "product_distance": dist, "r1": r1}
-        if dist >= r1:
-            failures += 1
-    worst = max(worst, 0.0)
-    return PropertyReport("product_ball", trials, failures, worst, ce, seed)
+    order, dim = space.order, space.dim
+
+    def in_ball(center, radius, rows):
+        dirs = rng.standard_normal((rows, space.complement_dim))
+        radii = rng.random(rows) * radius
+        coeffs = rng.standard_normal((rows, order - 1))
+        return space.ball_points(dirs, radii, coeffs, center=center)
+
+    tally = _Tally()
+    for _, rows in _blocks(trials, 2 * order * dim):
+        x = in_ball(x0, r, rows)
+        y = in_ball(y0, r_prime, rows)
+        # product_nnorm of (x - x0, y - y0) beside the anchor pairs (b, b):
+        # the Gram volume of each side, both sides in one stacked call
+        tuples = np.empty((2, rows, order, dim))
+        tuples[0, :, 0] = x - x0
+        tuples[1, :, 0] = y - y0
+        tuples[:, :, 1:] = space.anchors
+        left, right = gram_volumes(tuples, space.rank_tol)
+        dist = left + right
+        tally.add(dist - (r + r_prime), dist >= r1,
+                  lambda i: {"x": _vec(x[i]), "y": _vec(y[i]), "product_distance": float(dist[i]), "r1": r1})
+    return tally.report("product_ball", trials, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -584,23 +622,16 @@ def check_contractive_ratio(
     map)."""
     rng = np.random.default_rng([seed, 50])
     x0 = np.asarray(x0, dtype=float)
-    failures = 0
-    worst = 0.0
-    ce = None
-    for i in range(trials):
-        p = rng.standard_normal(space.dim) * 1.5
-        q = rng.standard_normal(space.dim) * 1.5
-        den = space.seminorm_raw(p - q)
-        if den <= space.roundoff_floor(np.linalg.norm(p) + np.linalg.norm(q)):
-            continue
-        num = space.seminorm_raw(apply(op, p) - apply(op, q))
-        f = num / den
-        if f > worst:
-            worst = f
-            if f >= 1.0 - RATIO_FLAG_TOL:
-                ce = {"trial": i, "p": _vec(p), "q": _vec(q), "ratio": f}
-        if f >= 1.0 - RATIO_FLAG_TOL:
-            failures += 1
+    tally = _Tally()
+    for start, rows in _blocks(trials, 2 * space.dim):
+        p, q = (rng.standard_normal((rows, 2, space.dim)) * 1.5).swapaxes(0, 1)
+        den = space.seminorm_batch(p - q)
+        keep = np.flatnonzero(den > space.roundoff_floor(np.linalg.norm(p, axis=1) + np.linalg.norm(q, axis=1)))
+        p, q, den = p[keep], q[keep], den[keep]
+        f = space.seminorm_batch(apply_batch(op, p) - apply_batch(op, q)) / den
+        tally.add(f, f >= 1.0 - RATIO_FLAG_TOL, lambda i: {"trial": start + int(keep[i]), "p": _vec(p[i]),
+                                                           "q": _vec(q[i]), "ratio": float(f[i])})
+    failures, worst, ce = tally.failures, tally.worst, tally.ce
 
     cfg = SolverConfig(regime="edelstein", tol=tol, max_iter=max_iter)
     report = edelstein_solve(op, space, x0, cfg)

@@ -63,30 +63,37 @@ def _as_matrix(vectors) -> np.ndarray:
 
 
 def _qr_split(rows: np.ndarray, tol: float, complete: bool = False):
-    """One Householder QR of ``rows.T``: (Q or None, volume, dependent).
+    """One Householder QR per tuple of a stack shaped (..., k, d), k <= d:
+    (Q or None, volumes, dependent), the last two shaped (...).  A single
+    (k, d) tuple is a stack of shape ().
 
-    The tuple is dependent when, with every row scaled to unit length, its
+    A tuple is dependent when, with every row scaled to unit length, its
     smallest singular value (that of R with its columns so scaled) is at
     most ``tol``, whatever the order and lengths of the rows; a zero row
     always is, and the empty tuple, with no singular values, is not.  Each
     column of R is divided by its row's largest entry before its length is
     taken, so no length underflows or overflows.  A dependent tuple has
     volume exactly 0.0, any other prod |R_ii| (1.0 for the empty tuple).
-    Q is the complete orthogonal factor when ``complete`` is set, else None.
+    Every tuple is factored on its own, so no member's scale reaches
+    another's verdict.  Q is the complete orthogonal factor when
+    ``complete`` is set, else None.
     """
+    cols = rows.swapaxes(-1, -2)
     if complete:
-        q, r = np.linalg.qr(rows.T, mode="complete")
+        q, r = np.linalg.qr(cols, mode="complete")
     else:
-        q, r = None, np.linalg.qr(rows.T, mode="r")
-    r = r[: rows.shape[0]]
-    peaks = np.abs(rows).max(axis=1, initial=0.0)
-    if not peaks.all():
-        return q, 0.0, True
-    scaled = r / peaks
-    unit = scaled / np.linalg.norm(scaled, axis=0)
-    if np.linalg.svd(unit, compute_uv=False)[-1:].min(initial=np.inf) <= tol:
-        return q, 0.0, True
-    return q, float(np.prod(np.abs(r.diagonal()))), False
+        q, r = None, np.linalg.qr(cols, mode="r")
+    r = r[..., : rows.shape[-2], :]
+    peaks = np.abs(rows).max(axis=-1, initial=0.0)
+    zero = peaks == 0.0
+    # adding ``zero`` turns a zero divisor into 1.0, so a zero row's column stays 0
+    scaled = r / (peaks + zero)[..., None, :]
+    unit = scaled / (np.linalg.norm(scaled, axis=-2) + zero)[..., None, :]
+    smallest = np.linalg.svd(unit, compute_uv=False)[..., -1:].min(axis=-1, initial=np.inf)
+    dependent = zero.any(axis=-1) | (smallest <= tol)
+    # a dependent tuple's |R_ii| become 0 before the product, which cannot overflow then
+    diagonal = np.where(dependent[..., None], 0.0, np.abs(r.diagonal(axis1=-2, axis2=-1)))
+    return q, np.multiply.reduce(diagonal, axis=-1), dependent
 
 
 def is_linearly_dependent(vectors, tol: float = DEFAULT_RANK_TOL) -> bool:
@@ -101,7 +108,7 @@ def is_linearly_dependent(vectors, tol: float = DEFAULT_RANK_TOL) -> bool:
     """
     rows = _as_matrix(vectors)
     k, d = rows.shape
-    return k > d or _qr_split(rows, tol)[2]
+    return k > d or bool(_qr_split(rows, tol)[2])
 
 
 def gram_nnorm(vectors, tol: float = DEFAULT_RANK_TOL) -> float:
@@ -113,10 +120,21 @@ def gram_nnorm(vectors, tol: float = DEFAULT_RANK_TOL) -> float:
     under ``is_linearly_dependent``'s rule returns exactly 0.0, so
     degeneracy is decidable rather than a roundoff-sized residue.
     """
-    rows = _as_matrix(vectors)
-    k, d = rows.shape
+    return float(gram_volumes(_as_matrix(vectors), tol))
+
+
+def gram_volumes(tuples, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+    """``gram_nnorm`` of every tuple of a stack shaped (..., k, d), as an
+    array shaped (...): the same bits and the same zero verdicts as one
+    call per tuple, from stacked factorisations."""
+    rows = np.asarray(tuples, dtype=float)
+    if rows.ndim < 2:
+        raise ValueError(f"expected a stack of tuples shaped (..., k, d), got shape {rows.shape}")
+    k, d = rows.shape[-2:]
     if k > d:
         raise ValueError(f"norm order {k} exceeds space dimension {d}")
+    if not np.isfinite(rows).all():
+        raise ValueError("vectors have non-finite coordinates")
     return _qr_split(rows, tol)[1]
 
 
@@ -149,9 +167,10 @@ class AnchoredSpace:
             raise ValueError(
                 f"anchors must be {self.order - 1} vectors of length {self.dim}, got shape {anchors.shape}"
             )
-        q, self.anchor_volume, dependent = _qr_split(anchors, self.rank_tol, complete=True)
+        q, volume, dependent = _qr_split(anchors, self.rank_tol, complete=True)
         if dependent:
             raise ValueError("anchors must be linearly independent")
+        self.anchor_volume = float(volume)
         self.anchors = anchors
         self.anchors.setflags(write=False)
         self.anchor_basis = q[:, : self.order - 1]
@@ -292,7 +311,8 @@ def product_nnorm(points: Sequence[ProductPoint], tol: float = DEFAULT_RANK_TOL)
     rights = np.vstack([p.right for p in points])
     if lefts.shape[1] != rights.shape[1]:
         raise ValueError("dimension mismatch across product points")
-    return gram_nnorm(lefts, tol) + gram_nnorm(rights, tol)
+    left, right = gram_volumes(np.stack([lefts, rights]), tol)
+    return float(left + right)
 
 
 @dataclass(eq=False)

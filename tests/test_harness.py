@@ -1,10 +1,12 @@
 """Harness tests: suites pass on honest instances, fail on planted mutants,
 and reproduce exactly under a fixed seed."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from nfix import solvers
+from nfix import harness, solvers
 from nfix.harness import (
     canonical_space,
     check_axiom_suite,
@@ -16,8 +18,8 @@ from nfix.harness import (
     random_kernel_preserving_operator,
     reduction_suite,
 )
-from nfix.nnorm import AnchoredSpace, gram_nnorm
-from nfix.operators import affine_operator, builtin_operator
+from nfix.nnorm import AnchoredSpace, ProductPoint, gram_nnorm, product_nnorm
+from nfix.operators import affine_operator, apply, builtin_operator
 from nfix.solvers import SolverConfig, edelstein_solve
 
 
@@ -61,6 +63,100 @@ def test_axiom_suite_is_reproducible():
     assert a == b
     c = check_axiom_suite(4, 3, trials=100, seed=6)
     assert any(x.worst_violation != y.worst_violation for x, y in zip(a, c))
+
+
+def test_axiom_suite_catches_a_norm_that_keeps_dependent_tuples():
+    # the product of the lengths: a dependent tuple does not collapse
+    def lengths(vectors, tol=1e-9):
+        return float(np.prod(np.linalg.norm(vectors, axis=1)))
+
+    n1 = check_axiom_suite(4, 3, trials=200, seed=12, norm_fn=lengths)[0]
+    assert n1.failures == 200
+    ce = n1.counterexample
+    assert ce["case"] == "dependent tuple not collapsed"
+    assert gram_nnorm(ce["tuple"]) == 0.0
+    assert ce["value"] == pytest.approx(lengths(np.array(ce["tuple"])), rel=1e-12)
+    assert n1.worst_violation == pytest.approx(ce["value"] * (1.0 - 1e-9), rel=1e-12)
+
+
+def test_axiom_suite_catches_an_order_dependent_norm():
+    # the volume times 1 + 1e-10 * (the first row's index among the rows
+    # sorted by first coordinate): unchanged unless a permutation moves the
+    # first row, then off by at least 1e-10 relative
+    def order_dependent(vectors, tol=1e-9):
+        rows = np.asarray(vectors, dtype=float)
+        index = int(np.flatnonzero(np.argsort(rows[:, 0]) == 0)[0])
+        return gram_nnorm(rows, tol) * (1.0 + 1e-10 * index)
+
+    n2 = check_axiom_suite(3, 3, trials=300, seed=13, norm_fn=order_dependent)[1]
+    assert n2.failures > 0
+    ce = n2.counterexample
+    assert ce["permutation"][0] != 0
+    rows = np.array(ce["tuple"])
+    assert ce["base"] == order_dependent(rows)
+    assert ce["permuted"] == order_dependent(rows[ce["permutation"]])
+    rel = abs(ce["permuted"] - ce["base"]) / max(ce["base"], ce["permuted"])
+    assert n2.worst_violation == rel >= 0.9e-10
+
+
+def test_axiom_suite_loses_no_trial_at_a_block_edge():
+    trials = harness.SUITE_BLOCK + 1
+    assert [rows for _, rows in harness._blocks(trials, 3 * 2 * 3)] == [harness.SUITE_BLOCK, 1]
+    n1 = check_axiom_suite(3, 2, trials=trials, seed=14, norm_fn=lambda vectors: 1.0)[0]
+    assert n1.trials == n1.failures == trials
+
+
+def test_tally_keeps_the_first_trial_at_the_worst_value():
+    tally = harness._Tally()
+    tally.add(np.array([0.5, 2.0, np.nan, 2.0]), np.array([False, True, True, True]), lambda i: {"at": i})
+    tally.add(np.array([2.0, 1.0]), np.array([True, True]), lambda i: {"at": 10 + i})
+    assert (tally.failures, tally.worst, tally.ce) == (5, 2.0, {"at": 1})
+    tally.add(np.array([3.0]), np.array([False]), lambda i: {"at": 20 + i})
+    assert (tally.failures, tally.worst, tally.ce) == (5, 3.0, {"at": 1})
+
+
+def test_contractive_ratio_counterexample_names_its_draw():
+    # the sampled pairs are one standard_normal((trials, 2, dim)) * 1.5 from
+    # [seed, 50]; the counterexample's trial index points at its pair
+    sp = canonical_space(4, 3)
+    iso = builtin_operator("rotation-scale", axis1=0, axis2=3, angle=1.0, factor=1.0)
+    report = check_contractive_ratio(iso, sp, np.eye(4)[0], trials=300, seed=15, max_iter=50)
+    ce = report.counterexample
+    pairs = np.random.default_rng([15, 50]).standard_normal((300, 2, 4)) * 1.5
+    assert ce["p"] == pairs[ce["trial"], 0].tolist()
+    assert ce["q"] == pairs[ce["trial"], 1].tolist()
+    assert ce["ratio"] == report.worst_violation
+
+
+def _sampled_ratios_by_loop(op, space, trials, seed):
+    """The ratio suite's sampled half one pair at a time: the reference."""
+    rng = np.random.default_rng([seed, 50])
+    ratios = []
+    for _ in range(trials):
+        p = rng.standard_normal(space.dim) * 1.5
+        q = rng.standard_normal(space.dim) * 1.5
+        den = space.seminorm_raw(p - q)
+        if den > space.roundoff_floor(np.linalg.norm(p) + np.linalg.norm(q)):
+            ratios.append(space.seminorm_raw(apply(op, p) - apply(op, q)) / den)
+    return np.array(ratios)
+
+
+def test_contractive_ratio_sampled_half_matches_the_loop(monkeypatch):
+    # without the terminal window, the report is the sampled half alone
+    monkeypatch.setattr(harness, "edelstein_solve", lambda *args: SimpleNamespace(ratios=[]))
+    sat = builtin_operator("saturating")
+    for seed in range(5):
+        sp = canonical_space(3, 3)
+        report = check_contractive_ratio(sat, sp, np.eye(3)[0], trials=1000, seed=seed)
+        assert report.worst_violation == _sampled_ratios_by_loop(sat, sp, 1000, seed).max()
+        assert report.failures == 0
+    # an isometry: every ratio is 1 up to roundoff, and every one is flagged
+    iso = builtin_operator("rotation-scale", axis1=0, axis2=3, angle=1.0, factor=1.0)
+    sp = canonical_space(4, 3)
+    ratios = _sampled_ratios_by_loop(iso, sp, 1000, 3)
+    report = check_contractive_ratio(iso, sp, np.eye(4)[0], trials=1000, seed=3)
+    assert report.failures == np.count_nonzero(ratios >= 1.0 - 1e-9) == ratios.size
+    assert report.worst_violation == pytest.approx(ratios.max(), rel=1e-14)
 
 
 def test_bounded_iff_continuous_passes_on_preservers():
@@ -133,6 +229,25 @@ def test_product_ball_boundary_stress():
                                       trials=500, seed=33)
     assert report.failures == 0
     assert report.worst_violation == 0.0  # strict sum bound holds by construction
+
+
+def test_product_ball_counterexample_is_the_first_worst_pair(monkeypatch):
+    # volumes inflated 3x push pairs out of the product ball; the reported
+    # pair must give the reported distance through product_nnorm
+    real = harness.gram_volumes
+    monkeypatch.setattr(harness, "gram_volumes", lambda tuples, tol=1e-9: 3.0 * real(tuples, tol))
+    sp = canonical_space(4, 3)
+    x0 = np.array([0.5, 1.0, -2.0, 0.25])
+    y0 = np.array([-1.0, 0.0, 3.0, 2.0])
+    report = check_product_ball_lemma(sp, x0, y0, r1=1.0, trials=300, seed=16)
+    assert 0 < report.failures < 300
+    ce = report.counterexample
+    left = gram_nnorm(np.vstack([np.array(ce["x"]) - x0, sp.anchors]))
+    right = gram_nnorm(np.vstack([np.array(ce["y"]) - y0, sp.anchors]))
+    assert ce["product_distance"] == 3.0 * left + 3.0 * right
+    pairs = [ProductPoint(np.array(ce["x"]) - x0, np.array(ce["y"]) - y0)] + [ProductPoint(b, b) for b in sp.anchors]
+    assert product_nnorm(pairs) == left + right
+    assert report.worst_violation == ce["product_distance"] - 0.8
 
 
 def test_product_ball_rejects_weak_radii():

@@ -535,6 +535,56 @@ def test_rank_verdict_holds_at_extreme_row_scales():
     assert sp.anchor_volume == pytest.approx(1e-15, rel=1e-12)
 
 
+@pytest.mark.parametrize("d", [2, 3, 5, 16])
+def test_stacked_qr_split_matches_single_tuples(d):
+    # one stack mixing zero rows, exactly dependent tuples and rows at
+    # 1e-170 / 1e155: every member must get the bits and the verdict of its
+    # own single-tuple call, so no member's scale reaches another's
+    rng = np.random.default_rng(d)
+    for k in range(1, d + 1):
+        stack = rng.standard_normal((9, k, d))
+        stack[1, 0] = 0.0
+        stack[2, -1] = 2.0 * stack[2, 0]
+        stack[3, 0] *= 1e-170
+        stack[4, -1] *= 1e155
+        stack[5] *= 1e-170
+        stack[5, -1] = 2.0 * stack[5, 0]
+        stack[6] *= 1e155
+        stack[6, -1] = stack[6, 0]
+        stack[7, 0] *= 1e155
+        stack[7, -1] *= 1e-170
+        for complete in (False, True):
+            q, volumes, dependent = nnorm._qr_split(stack, 1e-9, complete=complete)
+            assert volumes.shape == dependent.shape == (9,)
+            for i, rows in enumerate(stack):
+                q1, volume, dep = nnorm._qr_split(rows, 1e-9, complete=complete)
+                assert volumes[i].tobytes() == np.float64(volume).tobytes()
+                assert dependent[i] == dep
+                assert volume == gram_nnorm(rows)
+                assert dep == is_linearly_dependent(rows)
+                if complete:
+                    assert q[i].tobytes() == q1.tobytes()
+                else:
+                    assert q is None and q1 is None
+        assert dependent[1] and volumes[1] == 0.0
+        assert not dependent[[0, 3, 4, 7]].any()
+        if k > 1:
+            assert dependent[[2, 5, 6]].all() and not volumes[[2, 5, 6]].any()
+        assert nnorm.gram_volumes(stack).tobytes() == volumes.tobytes()
+        assert nnorm.gram_volumes(stack[None, 2:4]).shape == (1, 2)
+
+
+def test_gram_volumes_checks_its_stack():
+    with pytest.raises(ValueError):
+        nnorm.gram_volumes(np.ones(3))
+    with pytest.raises(ValueError):
+        nnorm.gram_volumes(np.ones((4, 3, 2)))
+    with pytest.raises(ValueError):
+        nnorm.gram_volumes([[[np.inf, 0.0], [0.0, 1.0]]])
+    assert nnorm.gram_volumes(np.zeros((0, 2, 3))).shape == (0,)
+    assert nnorm.gram_volumes(np.empty((2, 0, 3))).tolist() == [1.0, 1.0]
+
+
 def test_random_full_order_anchors_are_accepted():
     # 63 Gaussian anchors in R^64 are far from dependent (every unit
     # combination has length above 1e-2), though the product of their
