@@ -79,6 +79,18 @@ def _require(cond, field: str, message: str):
         raise ValidationError(f"{field}: {message}")
 
 
+def _get_number(data, field: str) -> float:
+    # exact-type test: bool, an int subclass, is refused, and so are inf and nan
+    _require(type(data) in _NUMBER_TYPES and abs(data) <= sys.float_info.max, field,
+             "expected a finite number")
+    return float(data)
+
+
+def _get_int(data, field: str) -> int:
+    _require(type(data) is int, field, "expected an integer")
+    return data
+
+
 def _get_vector(data, field: str, dim: Optional[int] = None) -> np.ndarray:
     _require(isinstance(data, (list, tuple)), field, "expected an array of numbers")
     # exact-type test first; bool (an int subclass) falls through and is refused
@@ -113,6 +125,18 @@ class Problem:
     seed: int
 
 
+def _get_param(key: str, value, dim: int):
+    """A builtin param checked for its type: "value" is a vector of length
+    ``dim``, the rotation axes are integers, and every other param is a
+    number.  Unknown and missing params are the operator's to refuse."""
+    field = f"operator.params.{key}"
+    if key == "value":
+        return _get_vector(value, field, dim)
+    if key in ("axis1", "axis2"):
+        return _get_int(value, field)
+    return _get_number(value, field)
+
+
 def _parse_operator(data, dim: int) -> OperatorSpec:
     _require(isinstance(data, dict), "operator", "expected an object")
     kind = data.get("kind")
@@ -134,10 +158,13 @@ def _parse_operator(data, dim: int) -> OperatorSpec:
         name = data.get("name")
         params = data.get("params", {})
         _require(isinstance(params, dict), "operator.params", "expected an object")
+        params = {key: _get_param(key, value, dim) for key, value in params.items()}
         try:
-            return builtin_operator(name, **params)
+            op = builtin_operator(name, **params)
+            op.compile(dim)  # checks the params against the dimension
         except ValueError as e:
             raise ValidationError(f"operator: {e}") from e
+        return op
     raise ValidationError("operator.kind: must be 'affine' or 'builtin'")
 
 
@@ -147,11 +174,11 @@ def _parse_a_seq(data) -> ASeq:
     try:
         if kind == "geometric":
             _require("ratio" in data, "solver.a_seq.ratio", "required for geometric kind")
-            return geometric_sequence(float(data["ratio"]))
+            return geometric_sequence(_get_number(data["ratio"], "solver.a_seq.ratio"))
         if kind == "explicit":
             _require(isinstance(data.get("terms"), list), "solver.a_seq.terms", "expected an array")
-            return explicit_sequence([float(t) for t in data["terms"]],
-                                     tail=float(data.get("tail", 0.0)))
+            return explicit_sequence(_get_vector(data["terms"], "solver.a_seq.terms").tolist(),
+                                     tail=_get_number(data.get("tail", 0.0), "solver.a_seq.tail"))
     except SolverInputError as e:
         raise ValidationError(f"solver.a_seq: {e}") from e
     raise ValidationError("solver.a_seq.kind: must be 'geometric' or 'explicit'")
@@ -165,20 +192,17 @@ def _parse_solver(data, seed: int) -> SolverConfig:
     _require("regime" in data, "solver.regime", "required")
     kwargs = {
         "regime": data["regime"],
-        "tol": float(data.get("tol", 1e-10)),
-        "max_iter": int(data.get("max_iter", 10 ** 6)),
+        "tol": _get_number(data.get("tol", 1e-10), "solver.tol"),
+        "max_iter": _get_int(data.get("max_iter", 10 ** 6), "solver.max_iter"),
         "seed": seed,
     }
-    if "alpha" in data:
-        kwargs["alpha"] = float(data["alpha"])
-    if "beta" in data:
-        kwargs["beta"] = float(data["beta"])
-    if "radius" in data:
-        kwargs["radius"] = float(data["radius"])
+    for key in ("alpha", "beta", "radius"):
+        if key in data:
+            kwargs[key] = _get_number(data[key], f"solver.{key}")
     if "a_seq" in data:
         kwargs["a_seq"] = _parse_a_seq(data["a_seq"])
     if "crosscheck_pairs" in data:
-        kwargs["crosscheck_pairs"] = int(data["crosscheck_pairs"])
+        kwargs["crosscheck_pairs"] = _get_int(data["crosscheck_pairs"], "solver.crosscheck_pairs")
     try:
         return SolverConfig(**kwargs).validate()
     except SolverInputError as e:
@@ -196,9 +220,9 @@ def parse_problem(data: dict, default_seed: int = 0, need_solver: bool = True) -
         _require(required in data, required, "required field missing")
 
     dim = data["dimension"]
-    _require(isinstance(dim, int) and dim >= 1, "dimension", "expected a positive integer")
+    _require(type(dim) is int and dim >= 1, "dimension", "expected a positive integer")
     order = data["order"]
-    _require(isinstance(order, int) and 2 <= order <= dim, "order",
+    _require(type(order) is int and 2 <= order <= dim, "order",
              f"expected an integer with 2 <= order <= dimension ({dim})")
 
     anchors_raw = data["anchors"]
@@ -213,7 +237,7 @@ def parse_problem(data: dict, default_seed: int = 0, need_solver: bool = True) -
     op = _parse_operator(data["operator"], dim)
 
     seed = data.get("seed", default_seed)
-    _require(isinstance(seed, int) and seed >= 0, "seed", "expected a nonnegative integer")
+    _require(type(seed) is int and seed >= 0, "seed", "expected a nonnegative integer")
 
     solver = None
     x0 = None

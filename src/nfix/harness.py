@@ -27,6 +27,7 @@ from .operators import (
 from .solvers import SolverConfig, edelstein_solve, explicit_sequence, summable_solve
 
 RATIO_FLAG_TOL = 1e-9  # a sampled ratio this close to 1 breaks strictness
+BOUNDED_SET_POINTS = 32  # ball points check_bounded_sets maps per operator
 
 # The stacked suites draw and decide their trials SUITE_BLOCK at a time, and
 # fewer when one trial's tuples hold many coordinates, so memory does not
@@ -278,7 +279,7 @@ def check_bounded_iff_continuous(
     worst = 0.0
     ce = None
     for i, op in enumerate(ops):
-        witness = kernel_violation_witness(op, space, samples=32, seed=seed + i)
+        witness = kernel_violation_witness(op, space, seed=seed + i)
         if witness is not None:
             failures += 1
             u = space.complement_basis[:, 0]
@@ -324,7 +325,6 @@ def check_bounded_sets(
     trials: int = 1000,
     seed: int = 0,
     ops: Optional[Sequence[OperatorSpec]] = None,
-    points_per_op: int = 32,
 ) -> PropertyReport:
     """Bounded sets map into bounded sets: sampled points with semi-norm at
     most R land within M * R (+1e-9) of the origin, M the exact bound
@@ -337,7 +337,7 @@ def check_bounded_sets(
     worst = 0.0
     ce = None
     for i, op in enumerate(ops):
-        witness = kernel_violation_witness(op, space, samples=32, seed=seed + i)
+        witness = kernel_violation_witness(op, space, seed=seed + i)
         if witness is not None:
             failures += 1
             img = space.seminorm_raw(apply(op, witness))
@@ -352,10 +352,7 @@ def check_bounded_sets(
             continue
         m = _bound_constant(op, space)
         radius = float(rng.uniform(0.5, 3.0))
-        dirs = rng.standard_normal((points_per_op, space.complement_dim))
-        radii = rng.random(points_per_op) * radius
-        coeffs = rng.standard_normal((points_per_op, space.order - 1))
-        pts = space.ball_points(dirs, radii, coeffs)
+        pts = space.sample_ball(rng, BOUNDED_SET_POINTS, radius)
         imgs = space.seminorm_batch(apply_batch(op, pts))
         excess = float(np.max(imgs)) - (m * radius + 1e-9)
         if excess > 0:
@@ -407,17 +404,10 @@ def check_product_ball_lemma(
     y0 = np.asarray(y0, dtype=float)
     rng = np.random.default_rng([seed, 30])
     order, dim = space.order, space.dim
-
-    def in_ball(center, radius, rows):
-        dirs = rng.standard_normal((rows, space.complement_dim))
-        radii = rng.random(rows) * radius
-        coeffs = rng.standard_normal((rows, order - 1))
-        return space.ball_points(dirs, radii, coeffs, center=center)
-
     tally = _Tally()
     for _, rows in _blocks(trials, 2 * order * dim):
-        x = in_ball(x0, r, rows)
-        y = in_ball(y0, r_prime, rows)
+        x = space.sample_ball(rng, rows, r, center=x0)
+        y = space.sample_ball(rng, rows, r_prime, center=y0)
         # product_nnorm of (x - x0, y - y0) beside the anchor pairs (b, b):
         # the Gram volume of each side, both sides in one stacked call
         tuples = np.empty((2, rows, order, dim))

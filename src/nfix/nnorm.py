@@ -254,6 +254,17 @@ class AnchoredSpace:
             pts = center + pts
         return pts + coeffs @ self.anchors
 
+    def sample_ball(self, rng: np.random.Generator, rows: int, radius, center=None) -> np.ndarray:
+        """``rows`` random points of the semi-norm ball of ``radius`` around
+        ``center``, each with a random kernel part: ``ball_points`` of
+        standard normal directions, radii uniform in [0, radius) and
+        standard normal anchor coefficients, drawn from ``rng`` in that
+        order."""
+        dirs = rng.standard_normal((rows, self.complement_dim))
+        radii = rng.random(rows) * radius
+        coeffs = rng.standard_normal((rows, self.order - 1))
+        return self.ball_points(dirs, radii, coeffs, center=center)
+
 
 def anchored_seminorm(space: AnchoredSpace, x) -> float:
     """||x, b_2, ..., b_n|| for the space's anchors; zero exactly on their span."""

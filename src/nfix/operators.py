@@ -26,7 +26,17 @@ from .nnorm import AnchoredSpace, as_vector
 
 _CHUNK = 1024
 
-BUILTIN_NAMES = ("scale", "constant", "saturating", "rotation-scale", "step")
+# Random kernel points the sampled kernel probe adds to its fixed candidates.
+KERNEL_SAMPLES = 32
+
+# builtin name -> (required params, optional params with their defaults)
+_BUILTIN_PARAMS = {
+    "scale": (("factor",), {}),
+    "constant": (("value",), {}),
+    "saturating": ((), {}),
+    "rotation-scale": (("axis1", "axis2", "angle"), {"factor": 1.0}),
+    "step": ((), {"threshold": 0.0, "height": 1.0}),
+}
 
 
 @dataclass(eq=False)
@@ -63,27 +73,19 @@ class OperatorSpec:
                 self.offset = np.zeros(a.shape[0])
             self.offset = as_vector(self.offset, a.shape[0])
         elif self.kind == "builtin":
-            if self.name not in BUILTIN_NAMES:
+            if self.name not in _BUILTIN_PARAMS:
                 raise ValueError(f"unknown builtin operator {self.name!r}")
             _validate_builtin_params(self.name, self.params)
         else:
             raise ValueError(f"operator kind must be 'affine' or 'builtin', got {self.kind!r}")
 
-    @property
-    def dim(self) -> Optional[int]:
-        if self.kind == "affine":
-            return self.matrix.shape[0]
-        if self.name == "constant":
-            return len(self.params["value"])
-        return None
-
     def compile(self, dim: int) -> Callable[[np.ndarray], np.ndarray]:
         """Single-point evaluator ``step(x)`` for ``dim``-dimensional inputs.
 
-        Dimension and parameter checks run here, once; the rotation matrix,
-        the constant vector and the transposed affine matrix are built here
-        too.  ``step`` itself validates nothing: it expects a finite 1-D
-        float64 array of length ``dim`` and returns a new array.  It computes
+        Dimension and parameter checks run here, once; the transposed
+        linear part of an operator with an affine form is built here too.
+        ``step`` itself validates nothing: it expects a finite 1-D float64
+        array of length ``dim`` and returns a new array.  It computes
         exactly what ``apply_batch`` computes for a one-row batch.
         """
         rows = _row_map(self, dim)
@@ -92,43 +94,29 @@ class OperatorSpec:
     def linear_part(self, dim: int) -> Optional[np.ndarray]:
         """The (dim, dim) matrix L with T(x) - T(y) = L (x - y), or None.
 
-        Affine maps give their matrix, "scale" factor * I, "rotation-scale"
-        its rotation matrix and "constant" zeros; "saturating" and "step"
-        are not affine and give None.
+        The L of ``_affine_form``; "saturating" and "step" are not affine
+        and give None.
         """
-        if self.kind == "affine":
-            _check_dim(self, dim)
-            return self.matrix
-        if self.name == "scale":
-            return float(self.params["factor"]) * np.eye(dim)
-        if self.name == "rotation-scale":
-            return _rotation_matrix(self, dim)
-        if self.name == "constant":
-            return np.zeros((dim, dim))
-        return None
+        form = _affine_form(self, dim)
+        return None if form is None else form[0]
 
 
 def _validate_builtin_params(name, params):
-    required = {
-        "scale": {"factor"},
-        "constant": {"value"},
-        "saturating": set(),
-        "rotation-scale": {"axis1", "axis2", "angle"},
-        "step": set(),
-    }[name]
-    missing = required - set(params)
+    required, defaults = _BUILTIN_PARAMS[name]
+    missing = set(required) - set(params)
     if missing:
         raise ValueError(f"builtin {name!r} missing params {sorted(missing)}")
+    unknown = set(params) - set(required) - set(defaults)
+    if unknown:
+        raise ValueError(f"builtin {name!r} got unknown params {sorted(unknown)}")
+    for key, value in defaults.items():
+        params.setdefault(key, value)
     if name == "constant":
         params["value"] = as_vector(params["value"])
     if name == "rotation-scale":
         a1, a2 = int(params["axis1"]), int(params["axis2"])
         if a1 == a2 or a1 < 0 or a2 < 0:
             raise ValueError("rotation-scale needs two distinct nonnegative axes")
-        params.setdefault("factor", 1.0)
-    if name == "step":
-        params.setdefault("threshold", 0.0)
-        params.setdefault("height", 1.0)
 
 
 def affine_operator(matrix, offset=None) -> OperatorSpec:
@@ -174,20 +162,31 @@ def _check_dim(op: OperatorSpec, d: int):
         raise ValueError(f"dimension mismatch: operator is {op.matrix.shape[0]}-D, points are {d}-D")
 
 
+def _affine_form(op: OperatorSpec, d: int) -> Optional[tuple]:
+    """(L, c) with T(x) = L x + c on R^d, or None for "saturating" and
+    "step": affine maps give (matrix, offset), "scale" (factor * I, 0),
+    "rotation-scale" (its rotation matrix, 0) and "constant" (0, value)."""
+    if op.kind == "affine":
+        _check_dim(op, d)
+        return op.matrix, op.offset
+    name = op.name
+    if name == "scale":
+        return float(op.params["factor"]) * np.eye(d), np.zeros(d)
+    if name == "rotation-scale":
+        return _rotation_matrix(op, d), np.zeros(d)
+    if name == "constant":
+        return np.zeros((d, d)), as_vector(op.params["value"], d)
+    return None
+
+
 def _row_map(op: OperatorSpec, d: int) -> Callable[[np.ndarray], np.ndarray]:
     """The operator as a map on (m, d) arrays of row points, checked for
     dimension ``d`` once, with everything that depends on ``d`` prebuilt."""
-    if op.kind == "affine":
-        _check_dim(op, d)
-        mt, offset = op.matrix.T, op.offset
+    form = _affine_form(op, d)
+    if form is not None:
+        mt, offset = form[0].T, form[1]
         return lambda pts: pts @ mt + offset
     name = op.name
-    if name == "scale":
-        factor = float(op.params["factor"])
-        return lambda pts: factor * pts
-    if name == "constant":
-        value = as_vector(op.params["value"], d)
-        return lambda pts: np.tile(value, (pts.shape[0], 1))
     if name == "saturating":
         def saturate(pts):
             out = pts.copy()
@@ -195,9 +194,6 @@ def _row_map(op: OperatorSpec, d: int) -> Callable[[np.ndarray], np.ndarray]:
             out[:, 0] = t / (1.0 + np.abs(t))
             return out
         return saturate
-    if name == "rotation-scale":
-        rt = _rotation_matrix(op, d).T
-        return lambda pts: pts @ rt
     if name == "step":
         thr = float(op.params["threshold"])
         h = float(op.params["height"])
@@ -228,40 +224,37 @@ def apply_batch(op: OperatorSpec, points: np.ndarray) -> np.ndarray:
 # kernel preservation
 # ---------------------------------------------------------------------------
 
-def kernel_preserved(op: OperatorSpec, space: AnchoredSpace, samples: int = 32, seed: int = 0) -> bool:
+def kernel_preserved(op: OperatorSpec, space: AnchoredSpace, seed: int = 0) -> bool:
     """Does the operator map the semi-norm kernel span(b_2..b_n) into itself?
 
     True exactly when ``kernel_violation_witness`` finds no witness, so the
     gate and its witness always agree.  Without this property no finite
     bound constant M with ||Tx|| <= M ||x|| can exist.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    return kernel_violation_witness(op, space, samples, seed) is None
+    return kernel_violation_witness(op, space, seed) is None
 
 
-def kernel_violation_witness(
-    op: OperatorSpec, space: AnchoredSpace, samples: int = 32, seed: int = 0
-) -> Optional[np.ndarray]:
+def kernel_violation_witness(op: OperatorSpec, space: AnchoredSpace, seed: int = 0) -> Optional[np.ndarray]:
     """A kernel point whose image leaves the kernel, or None if preserved.
 
     An image stays in the kernel when its part off the anchor span is at
     most ``space.rank_tol`` times the scale of the arithmetic behind it:
-    the length of the entrywise |A| |b| (the product's forward-error bound)
-    for an anchor image A b, |c| for the offset c, and |x| + |y| for a
-    builtin's image y of x.  Affine maps are decided exactly: the witness
-    is 0 if the offset leaves the span, else the first anchor whose image
-    does.  Builtins are probed at 0, the anchors, their doubles and
-    ``samples`` random kernel points, in order.
+    the length of the entrywise |L| |b| (the product's forward-error bound)
+    for an anchor image L b, |c| for the offset c, and |x| + |y| for an
+    image y of x.  An operator with an affine form T(x) = L x + c is
+    decided exactly: the witness is 0 if c leaves the span, else the first
+    anchor whose image under L does.  "saturating" and "step" are probed at
+    0, the anchors, their doubles and ``KERNEL_SAMPLES`` random kernel
+    points, in order.
     """
-    if op.kind == "affine":
-        if op.matrix.shape[0] != space.dim:
-            raise ValueError("dimension mismatch between operator and space")
-        if _first_off_span(space, op.offset[None, :], np.linalg.norm(op.offset)) is not None:
+    form = _affine_form(op, space.dim)
+    if form is not None:
+        lin, offset = form
+        if _first_off_span(space, offset[None, :], np.linalg.norm(offset)) is not None:
             return np.zeros(space.dim)
-        return _moved_anchor(space, op.matrix)
+        return _moved_anchor(space, lin)
     rng = np.random.default_rng([_seed_key(seed), 103])
-    coeffs = rng.standard_normal((samples, space.order - 1)) * 2.0
+    coeffs = rng.standard_normal((KERNEL_SAMPLES, space.order - 1)) * 2.0
     candidates = np.vstack([np.zeros(space.dim), space.anchors, 2.0 * space.anchors, coeffs @ space.anchors])
     images = apply_batch(op, candidates)
     scales = np.linalg.norm(candidates, axis=1) + np.linalg.norm(images, axis=1)
@@ -397,11 +390,9 @@ def operator_norm(
         raise ValueError(f"method must be one of I, II, III, got {method!r}")
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    if op.kind != "affine" or np.any(op.offset):
+    if not is_linear(op):
         raise ValueError("operator_norm requires a linear operator (affine with zero offset)")
-    if op.matrix.shape[0] != space.dim:
-        raise ValueError("dimension mismatch between operator and space")
-    if not kernel_preserved(op, space, samples=32, seed=seed):
+    if not kernel_preserved(op, space, seed=seed):
         return OperatorNormEstimate(math.inf, method, budget, kernel_preserved=False)
 
     best = 0.0

@@ -263,54 +263,39 @@ def _independence(space: AnchoredSpace, point: np.ndarray, certified: float):
     return ok, (UNIQUE_MOD_KERNEL if ok else INDEPENDENCE_FAILED)
 
 
-def _crosscheck_exact(op, space, name, declared) -> bool:
-    """Check ``declared`` against the exact Lipschitz constant; False when
-    the operator has no linear part and only a sample can check it."""
-    exact = lipschitz_constant(op, space)
-    if exact is None:
-        return False
-    if exact > declared + CROSSCHECK_SLACK:
-        raise ConstantMismatchError(name, declared, exact, exact=True)
-    return True
-
-
-def _crosscheck(op, space, cfg, name, declared, which):
-    if cfg.crosscheck_pairs < 1:
-        return
-    if which == "alpha" and _crosscheck_exact(op, space, name, declared):
-        return
-    est = contraction_constant(op, space, budget=cfg.crosscheck_pairs, seed=cfg.seed)
-    sampled = est.alpha_hat if which == "alpha" else est.beta_hat
-    if sampled > declared + CROSSCHECK_SLACK:
-        raise ConstantMismatchError(name, declared, sampled)
-
-
-def _crosscheck_alpha_in_ball(op, space, cfg, alpha, x0, radius):
-    """A locally valid alpha must dominate every displacement ratio inside
-    the admission ball.  For an operator with a linear part the ratios in
-    any ball reach its exact Lipschitz constant, which decides; otherwise
-    pairs are sampled inside the ball."""
-    if cfg.crosscheck_pairs < 1:
-        return
-    if _crosscheck_exact(op, space, "alpha (on the ball)", alpha):
-        return
-    rng = np.random.default_rng([cfg.seed, 23])
+def _crosscheck(op, space, cfg, x0):
+    """Refuse a declared rate that a found constant exceeds by more than
+    ``CROSSCHECK_SLACK``.  Kannan's beta is checked against a sampled
+    beta_hat.  A contraction constant (alpha of picard and ball, a_1 of
+    summable) is checked against the exact Lipschitz constant when the
+    operator has a linear part, which any ball's ratios reach too; otherwise
+    pairs are sampled, for the ball regime inside the admission ball, where
+    a locally valid alpha must dominate every displacement ratio."""
     n = cfg.crosscheck_pairs
-
-    def sample():
-        dirs = rng.standard_normal((n, space.complement_dim))
-        radii = rng.random(n) * radius
-        coeffs = rng.standard_normal((n, space.order - 1))
-        return space.ball_points(dirs, radii, coeffs, center=x0)
-
-    xs, ys = sample(), sample()
-    num = space.seminorm_batch(apply_batch(op, xs) - apply_batch(op, ys))
-    den = space.seminorm_batch(xs - ys)
-    keep = den > space.roundoff_floor(np.linalg.norm(xs, axis=1) + np.linalg.norm(ys, axis=1))
-    if np.any(keep):
-        worst = float(np.max(num[keep] / den[keep]))
-        if worst > alpha + CROSSCHECK_SLACK:
-            raise ConstantMismatchError("alpha (on the ball)", alpha, worst)
+    if n < 1:
+        return
+    exact = False
+    if cfg.regime == "kannan":
+        name, declared = "beta", cfg.beta
+        found = contraction_constant(op, space, budget=n, seed=cfg.seed).beta_hat
+    else:
+        seq, name = _bound_model(cfg)
+        declared = seq.term(1)
+        if cfg.regime == "ball":
+            name = "alpha (on the ball)"
+        found = lipschitz_constant(op, space)
+        exact = found is not None
+        if not exact and cfg.regime == "ball":
+            rng = np.random.default_rng([cfg.seed, 23])
+            xs, ys = (space.sample_ball(rng, n, cfg.radius, center=x0) for _ in range(2))
+            num = space.seminorm_batch(apply_batch(op, xs) - apply_batch(op, ys))
+            den = space.seminorm_batch(xs - ys)
+            keep = den > space.roundoff_floor(np.linalg.norm(xs, axis=1) + np.linalg.norm(ys, axis=1))
+            found = float(np.max(num[keep] / den[keep], initial=0.0))
+        elif not exact:
+            found = contraction_constant(op, space, budget=n, seed=cfg.seed).alpha_hat
+    if found > declared + CROSSCHECK_SLACK:
+        raise ConstantMismatchError(name, declared, found, exact=exact)
 
 
 def _bound_model(cfg: SolverConfig):
@@ -350,13 +335,8 @@ def _solve(regime: str, op: OperatorSpec, space: AnchoredSpace, x0, cfg: SolverC
         # x0 is fixed modulo the kernel
         return _report(regime, space, cfg, x0, 0, trace, 0.0, res0, iterates, max_disp, ball_trace)
 
-    if ball:
-        _crosscheck_alpha_in_ball(op, space, cfg, cfg.alpha, x0, cfg.radius)
-    elif regime == "kannan":
-        _crosscheck(op, space, cfg, "beta", cfg.beta, "beta")
-    elif seq is not None:
-        # picard and summable: a_1 is the declared contraction constant
-        _crosscheck(op, space, cfg, guard_name, seq.term(1), "alpha")
+    if seq is not None:
+        _crosscheck(op, space, cfg, x0)
 
     dist = space.projection_kernel()
     isfinite = math.isfinite

@@ -171,6 +171,37 @@ def test_validation_dependent_anchors(tmp_path, capsys):
     assert "anchors" in capsys.readouterr().err
 
 
+SCALE_HALF = {"kind": "builtin", "name": "scale", "params": {"factor": 0.5}}
+
+
+@pytest.mark.parametrize("field,overrides", [
+    ("solver.tol", {"solver": {"regime": "picard", "alpha": 0.5, "tol": "abc"}}),
+    ("solver.alpha", {"solver": {"regime": "picard", "alpha": None}}),
+    ("solver.a_seq.terms", {"solver": {"regime": "summable",
+                                       "a_seq": {"kind": "explicit", "terms": [0.5, "x"]}}}),
+    ("operator.params.factor", {"operator": {"kind": "builtin", "name": "scale",
+                                             "params": {"factor": "big"}}}),
+    ("solver.max_iter", {"solver": {"regime": "picard", "alpha": 0.5, "max_iter": 2.7}}),
+    ("solver.crosscheck_pairs", {"solver": {"regime": "picard", "alpha": 0.5, "crosscheck_pairs": True}}),
+    ("operator.params.axis1", {"operator": {"kind": "builtin", "name": "rotation-scale",
+                                            "params": {"axis1": 0.0, "axis2": 1, "angle": 1.0}}}),
+    ("operator", {"operator": {"kind": "builtin", "name": "rotation-scale",
+                               "params": {"axis1": 0, "axis2": 3, "angle": 1.0}}}),
+    ("operator.params.value", {"operator": {"kind": "builtin", "name": "constant",
+                                            "params": {"value": [1.0, 2.0]}}}),
+    ("operator", {"operator": {"kind": "builtin", "name": "scale",
+                               "params": {"factor": 0.5, "bogus": 1}}}),
+])
+def test_validation_names_the_mistyped_field(tmp_path, capsys, field, overrides):
+    # wrongly typed numbers, builtins that do not fit the dimension and
+    # unknown params each end in one field diagnostic, not a traceback
+    cfg = picard_problem(tmp_path, **{"operator": SCALE_HALF, **overrides})
+    code = main(["solve", "--config", str(cfg)])
+    err = capsys.readouterr().err.splitlines()
+    assert code == 1
+    assert len(err) == 1 and err[0].startswith(f"error: {field}: ")
+
+
 def test_solve_false_constant_exits_one(tmp_path, capsys):
     cfg = picard_problem(
         tmp_path,

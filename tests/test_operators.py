@@ -91,6 +91,30 @@ def test_apply_validation():
         apply(op, [1.0, 2.0, 3.0])
 
 
+@pytest.mark.parametrize("d", [3, 16, 64])
+def test_linear_builtins_map_rows_bit_for_bit(d):
+    # scale, rotation-scale and constant run as x @ L^T + c from their
+    # affine form; on finite rows that must give exactly the direct
+    # formulas, for a batch and for compile's one-row step alike
+    rng = np.random.default_rng([d, 61])
+    pts = rng.standard_normal((8, d)) * 10.0 ** rng.integers(-3, 4, size=(8, 1))
+    theta, factor = 0.9, 0.7
+    rot = np.eye(d)
+    rot[[1, 1, d - 1, d - 1], [1, d - 1, 1, d - 1]] = factor * np.array(
+        [math.cos(theta), -math.sin(theta), math.sin(theta), math.cos(theta)])
+    value = rng.standard_normal(d)
+    for op, direct in (
+        (builtin_operator("scale", factor=-0.7), lambda p: -0.7 * p),
+        (builtin_operator("rotation-scale", axis1=1, axis2=d - 1, angle=theta, factor=factor),
+         lambda p: p @ rot.T),
+        (builtin_operator("constant", value=value), lambda p: np.tile(value, (p.shape[0], 1))),
+    ):
+        assert apply_batch(op, pts).tobytes() == direct(pts).tobytes()
+        step = op.compile(d)
+        for x in pts:
+            assert step(x).tobytes() == direct(x[None, :])[0].tobytes()
+
+
 def test_apply_batch_matches_scalar():
     rng = np.random.default_rng(0)
     pts = rng.standard_normal((16, 3))
@@ -130,6 +154,21 @@ def test_kernel_preserved_constant_map():
     sp = space_e23()
     assert not kernel_preserved(builtin_operator("constant", value=[1.0, 0.0, 0.0]), sp)
     assert kernel_preserved(builtin_operator("constant", value=[0.0, 3.0, -1.0]), sp)
+
+
+@pytest.mark.parametrize("axes,moved", [((0, 1), 0), ((0, 2), 1), ((0, 3), None), ((1, 2), None)])
+def test_kernel_gate_rotation_scale(axes, moved):
+    # the rotation of span(e2, e3) in R^4 is decided exactly from its
+    # matrix: the witness is the first anchor it moves, whatever the seed
+    sp = space_e23(4)
+    op = builtin_operator("rotation-scale", axis1=axes[0], axis2=axes[1], angle=0.8, factor=0.6)
+    for seed in range(5):
+        w = kernel_violation_witness(op, sp, seed=seed)
+        if moved is None:
+            assert w is None and kernel_preserved(op, sp, seed=seed)
+        else:
+            assert np.array_equal(w, sp.anchors[moved])
+            assert not kernel_preserved(op, sp, seed=seed)
 
 
 def _near_preserver():
