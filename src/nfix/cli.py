@@ -1,7 +1,7 @@
 """Command-line front end: declarative problems in, traces and reports out.
 
 Verbs:
-  solve   --config problem.json [--out trace.csv] [--tol --max-iter --seed]
+  solve   --config problem.json [--out trace.csv] [--tol --max-iter]
   check   SUITE [--trials --seed --dim --n --out]
   opnorm  --config problem.json
 
@@ -97,7 +97,10 @@ def _get_vector(data, field: str, dim: Optional[int] = None) -> np.ndarray:
     _require(set(map(type, data)) <= _NUMBER_TYPES
              or all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in data),
              field, "entries must be numbers")
-    v = np.asarray(data, dtype=float)
+    try:
+        v = np.asarray(data, dtype=float)
+    except OverflowError:  # an integer beyond the float range
+        raise ValidationError(f"{field}: entries must be finite") from None
     _require(np.all(np.isfinite(v)), field, "entries must be finite")
     if dim is not None:
         _require(v.size == dim, field, f"expected length {dim}, got {v.size}")
@@ -108,11 +111,14 @@ def _get_rows(data: list, field: str, dim: int) -> np.ndarray:
     """Vectors of length ``dim`` stacked as rows, each checked as
     _get_vector checks it; a failing input is rechecked row by row so the
     diagnostic names the first bad row."""
-    if all(type(row) is list and len(row) == dim for row in data) and \
-            set(map(type, chain.from_iterable(data))) <= _NUMBER_TYPES:
-        rows = np.array(data, dtype=float)
-        if np.all(np.isfinite(rows)):
-            return rows
+    try:
+        if all(type(row) is list and len(row) == dim for row in data) and \
+                set(map(type, chain.from_iterable(data))) <= _NUMBER_TYPES:
+            rows = np.array(data, dtype=float)
+            if np.all(np.isfinite(rows)):
+                return rows
+    except OverflowError:
+        pass  # an integer beyond the float range, which the row check names
     return np.vstack([_get_vector(row, f"{field}[{i}]", dim) for i, row in enumerate(data)])
 
 
@@ -184,7 +190,7 @@ def _parse_a_seq(data) -> ASeq:
     raise ValidationError("solver.a_seq.kind: must be 'geometric' or 'explicit'")
 
 
-def _parse_solver(data, seed: int) -> SolverConfig:
+def _parse_solver(data) -> SolverConfig:
     _require(isinstance(data, dict), "solver", "expected an object")
     allowed = {"regime", "alpha", "beta", "radius", "a_seq", "tol", "max_iter", "crosscheck_pairs"}
     unknown = set(data) - allowed
@@ -194,7 +200,6 @@ def _parse_solver(data, seed: int) -> SolverConfig:
         "regime": data["regime"],
         "tol": _get_number(data.get("tol", 1e-10), "solver.tol"),
         "max_iter": _get_int(data.get("max_iter", 10 ** 6), "solver.max_iter"),
-        "seed": seed,
     }
     for key in ("alpha", "beta", "radius"):
         if key in data:
@@ -244,10 +249,10 @@ def parse_problem(data: dict, default_seed: int = 0, need_solver: bool = True) -
     if need_solver:
         _require("solver" in data, "solver", "required field missing")
         _require("x0" in data, "x0", "required field missing")
-        solver = _parse_solver(data["solver"], seed)
+        solver = _parse_solver(data["solver"])
         x0 = _get_vector(data["x0"], "x0", dim)
     elif "solver" in data:
-        solver = _parse_solver(data["solver"], seed)
+        solver = _parse_solver(data["solver"])
     if x0 is None and "x0" in data:
         x0 = _get_vector(data["x0"], "x0", dim)
 
@@ -347,10 +352,8 @@ def _default_seed(args_seed: Optional[int]) -> int:
 
 
 def cmd_solve(args) -> int:
-    problem = load_problem(args.config, default_seed=_default_seed(args.seed))
+    problem = load_problem(args.config)
     cfg = problem.solver
-    if args.seed is not None:
-        cfg.seed = args.seed
     if args.tol is not None:
         cfg.tol = args.tol
     if args.max_iter is not None:
@@ -441,7 +444,6 @@ def build_parser() -> _Parser:
     p_solve.add_argument("--out", help="trace CSV output path")
     p_solve.add_argument("--tol", type=float, help="override the certified-error target")
     p_solve.add_argument("--max-iter", type=int, dest="max_iter", help="override the iteration cap")
-    p_solve.add_argument("--seed", type=int, help="override the problem seed")
     p_solve.set_defaults(func=cmd_solve)
 
     p_check = sub.add_parser("check", help="run a property suite")

@@ -149,15 +149,6 @@ class _Tally:
         return PropertyReport(property_id, trials, self.failures, self.worst, self.ce, seed)
 
 
-def _bound_constant(op: OperatorSpec, space: AnchoredSpace) -> float:
-    """The exact bound constant M of a kernel-preserving operator: an upper
-    bound, as the bounded suites' inequalities need, not a sampled one."""
-    m = lipschitz_constant(op, space)
-    if m is None:
-        raise ValueError("the bounded suites need operators with a linear part")
-    return m
-
-
 # ---------------------------------------------------------------------------
 # axiom suite
 # ---------------------------------------------------------------------------
@@ -279,7 +270,7 @@ def check_bounded_iff_continuous(
     worst = 0.0
     ce = None
     for i, op in enumerate(ops):
-        witness = kernel_violation_witness(op, space, seed=seed + i)
+        witness = kernel_violation_witness(op, space)
         if witness is not None:
             failures += 1
             u = space.complement_basis[:, 0]
@@ -298,7 +289,7 @@ def check_bounded_iff_continuous(
                     "image_residuals": residuals,
                 }
             continue
-        m = _bound_constant(op, space)
+        m = lipschitz_constant(op, space)
         eps = float(rng.uniform(0.2, 2.0))
         delta = eps / (m + 1.0)
         for x0 in (np.zeros(space.dim), rng.standard_normal(space.dim)):
@@ -337,7 +328,7 @@ def check_bounded_sets(
     worst = 0.0
     ce = None
     for i, op in enumerate(ops):
-        witness = kernel_violation_witness(op, space, seed=seed + i)
+        witness = kernel_violation_witness(op, space)
         if witness is not None:
             failures += 1
             img = space.seminorm_raw(apply(op, witness))
@@ -350,7 +341,7 @@ def check_bounded_sets(
                     "image_seminorm": img,
                 }
             continue
-        m = _bound_constant(op, space)
+        m = lipschitz_constant(op, space)
         radius = float(rng.uniform(0.5, 3.0))
         pts = space.sample_ball(rng, BOUNDED_SET_POINTS, radius)
         imgs = space.seminorm_batch(apply_batch(op, pts))

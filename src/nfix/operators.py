@@ -1,17 +1,17 @@
 """Self-maps of R^d and their anchored-semi-norm analysis.
 
 Covers the operator abstraction (affine maps plus a small fixed catalog of
-named nonlinear maps), the exact Lipschitz constant of an operator with a
-linear part, operator-norm estimation by three equivalent supremum
-formulas, contraction-constant and Kannan-constant estimation, and a
-sampled continuity probe.
+named nonlinear maps), the exact kernel gate, Lipschitz and Kannan
+constants of every catalog operator, operator-norm estimation by three
+equivalent supremum formulas, sampled contraction and Kannan constants, and
+a sampled continuity probe.
 
-Suprema are estimated over deterministic seeded samples, so every estimate
-is a reproducible lower bound of the true supremum.  Sampling is chunked so
-that a larger budget only ever extends the sample set: the reported value
-is monotone nondecreasing in the budget.  Operators that move the semi-norm
-kernel out of itself admit no finite bound constant at all; they are gated
-to an explicit +inf instead of a meaningless sample maximum.
+The estimators take suprema over deterministic seeded samples, so every
+estimate is a reproducible lower bound of the exact value.  Sampling is
+chunked so that a larger budget only ever extends the sample set: the
+reported value is monotone nondecreasing in the budget.  Operators that
+move the semi-norm kernel out of itself are gated to an explicit +inf bound
+constant instead of a meaningless sample maximum.
 """
 
 from __future__ import annotations
@@ -25,9 +25,6 @@ import numpy as np
 from .nnorm import AnchoredSpace, as_vector
 
 _CHUNK = 1024
-
-# Random kernel points the sampled kernel probe adds to its fixed candidates.
-KERNEL_SAMPLES = 32
 
 # builtin name -> (required params, optional params with their defaults)
 _BUILTIN_PARAMS = {
@@ -114,7 +111,10 @@ def _validate_builtin_params(name, params):
     if name == "constant":
         params["value"] = as_vector(params["value"])
     if name == "rotation-scale":
-        a1, a2 = int(params["axis1"]), int(params["axis2"])
+        for key in ("axis1", "axis2"):
+            if isinstance(params[key], bool) or not isinstance(params[key], (int, np.integer)):
+                raise ValueError(f"rotation-scale param {key!r} must be an integer, got {params[key]!r}")
+        a1, a2 = params["axis1"], params["axis2"]
         if a1 == a2 or a1 < 0 or a2 < 0:
             raise ValueError("rotation-scale needs two distinct nonnegative axes")
 
@@ -144,7 +144,7 @@ def compose(second: OperatorSpec, first: OperatorSpec) -> OperatorSpec:
 
 
 def _rotation_matrix(op: OperatorSpec, d: int) -> np.ndarray:
-    i, j = int(op.params["axis1"]), int(op.params["axis2"])
+    i, j = op.params["axis1"], op.params["axis2"]
     if i >= d or j >= d:
         raise ValueError(f"rotation-scale axes ({i}, {j}) exceed dimension {d}")
     theta = float(op.params["angle"])
@@ -221,45 +221,56 @@ def apply_batch(op: OperatorSpec, points: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# kernel preservation
+# exact kernel gate and constants
 # ---------------------------------------------------------------------------
 
-def kernel_preserved(op: OperatorSpec, space: AnchoredSpace, seed: int = 0) -> bool:
+def kernel_preserved(op: OperatorSpec, space: AnchoredSpace) -> bool:
     """Does the operator map the semi-norm kernel span(b_2..b_n) into itself?
 
     True exactly when ``kernel_violation_witness`` finds no witness, so the
     gate and its witness always agree.  Without this property no finite
     bound constant M with ||Tx|| <= M ||x|| can exist.
     """
-    return kernel_violation_witness(op, space, seed) is None
+    return kernel_violation_witness(op, space) is None
 
 
-def kernel_violation_witness(op: OperatorSpec, space: AnchoredSpace, seed: int = 0) -> Optional[np.ndarray]:
+def kernel_violation_witness(op: OperatorSpec, space: AnchoredSpace) -> Optional[np.ndarray]:
     """A kernel point whose image leaves the kernel, or None if preserved.
 
-    An image stays in the kernel when its part off the anchor span is at
-    most ``space.rank_tol`` times the scale of the arithmetic behind it:
-    the length of the entrywise |L| |b| (the product's forward-error bound)
-    for an anchor image L b, |c| for the offset c, and |x| + |y| for an
-    image y of x.  An operator with an affine form T(x) = L x + c is
-    decided exactly: the witness is 0 if c leaves the span, else the first
-    anchor whose image under L does.  "saturating" and "step" are probed at
-    0, the anchors, their doubles and ``KERNEL_SAMPLES`` random kernel
-    points, in order.
+    For T(x) = L x + c: 0 if c leaves the span, else the first anchor b
+    whose image L b does, each measured against ``space.rank_tol`` times
+    |c| or the length of |L| |b| (the product's forward-error bound).
+    "saturating" and "step" move x_1 alone (``_e1_split``): nothing leaves
+    a span holding e1; one orthogonal to e1 gives 0 if T(0) != 0; else the
+    anchor with the largest |a_1|, scaled to a_1 = 2 max(threshold, 1)
+    (threshold 1 for saturating), unless its move along e1 is 0.
     """
+    zero = np.zeros(space.dim)
     form = _affine_form(op, space.dim)
     if form is not None:
         lin, offset = form
         if _first_off_span(space, offset[None, :], np.linalg.norm(offset)) is not None:
-            return np.zeros(space.dim)
+            return zero
         return _moved_anchor(space, lin)
-    rng = np.random.default_rng([_seed_key(seed), 103])
-    coeffs = rng.standard_normal((KERNEL_SAMPLES, space.order - 1)) * 2.0
-    candidates = np.vstack([np.zeros(space.dim), space.anchors, 2.0 * space.anchors, coeffs @ space.anchors])
-    images = apply_batch(op, candidates)
-    scales = np.linalg.norm(candidates, axis=1) + np.linalg.norm(images, axis=1)
-    bad = _first_off_span(space, images, scales)
-    return None if bad is None else candidates[bad]
+    split = _e1_split(space)
+    if split == "span":
+        return None
+    if split == "orthogonal":
+        return zero if np.any(apply(op, zero)) else None
+    a = space.anchors[np.argmax(np.abs(space.anchors[:, 0]))]
+    witness = (2.0 * max(float(op.params.get("threshold", 1.0)), 1.0) / a[0]) * a
+    return witness if apply(op, witness)[0] != witness[0] else None
+
+
+def _e1_split(space: AnchoredSpace) -> str:
+    """"span" when e1's part off the anchor span is at most
+    ``space.rank_tol``, "orthogonal" when its part in the span is, else
+    "oblique"."""
+    if np.linalg.norm(space.complement_basis[0]) <= space.rank_tol:
+        return "span"
+    if np.linalg.norm(space.anchor_basis[0]) <= space.rank_tol:
+        return "orthogonal"
+    return "oblique"
 
 
 def _first_off_span(space: AnchoredSpace, images: np.ndarray, scales) -> Optional[int]:
@@ -278,27 +289,62 @@ def _moved_anchor(space: AnchoredSpace, matrix: np.ndarray) -> Optional[np.ndarr
     return None if bad is None else space.anchors[bad]
 
 
-def lipschitz_constant(op: OperatorSpec, space: AnchoredSpace) -> Optional[float]:
-    """The exact semi-norm Lipschitz constant of an operator with a linear part.
+def _quotient_map(space: AnchoredSpace, lin: np.ndarray) -> Optional[np.ndarray]:
+    """C^T L C for a linear part L that keeps the anchor span, else None."""
+    if _moved_anchor(space, lin) is not None:
+        return None
+    c = space.complement_basis
+    return c.T @ lin @ c
 
-    With L the operator's linear part (``OperatorSpec.linear_part``) and C
-    the complement basis, ||Tx - Ty|| = ||L (x - y)||; when L maps the
-    anchor span into itself this is at most sigma_max(C^T L C) ||x - y||,
-    with equality for some pair, so the constant is the spectral norm of the
-    map L induces on the quotient of R^d by the anchor span.  The offset
-    plays no part.  When L moves an anchor off the span (the affine rule of
-    ``kernel_violation_witness``, applied to L alone) no finite constant
-    exists and the result is +inf.  Operators without a linear part
-    ("saturating", "step") give None: only a sampled estimate is available
-    for them.
+
+def lipschitz_constant(op: OperatorSpec, space: AnchoredSpace, center=None, radius=None) -> float:
+    """The exact sup ||Tx - Ty|| / ||x - y|| over R^d, or over the closed
+    ball of ``radius`` around ``center``.
+
+    A linear part L gives sigma_max(C^T L C), reached in any ball, or +inf
+    when L moves an anchor off the span.  "saturating" and "step" move x_1
+    alone, by g(t) = T(t e1)_1: 1 with e1 in the span; with e1 orthogonal
+    to it, the largest slope of g over the reach of x_1 (R, or center_1 +-
+    radius / vol), at least 1 if the complement has a second direction:
+    1 / (1 + min |t|)^2 for saturating, and for step 1, or +inf when a
+    nonzero jump lies inside the reach.  Otherwise an anchor move changes
+    T off the span: +inf, unless g is a translation (a step of height 0).
     """
     lin = op.linear_part(space.dim)
-    if lin is None:
-        return None
-    if _moved_anchor(space, lin) is not None:
+    if lin is not None:
+        bar = _quotient_map(space, lin)
+        return math.inf if bar is None else float(np.linalg.norm(bar, 2))
+    split = _e1_split(space)
+    if split == "span":
+        return 1.0
+    lo, hi = -math.inf, math.inf
+    if split == "orthogonal" and radius is not None:
+        lo, hi = center[0] - radius / space.anchor_volume, center[0] + radius / space.anchor_volume
+    if op.name == "step":
+        return math.inf if op.params["height"] != 0 and lo < op.params["threshold"] <= hi else 1.0
+    if split == "oblique":
         return math.inf
-    c = space.complement_basis
-    return float(np.linalg.norm(c.T @ lin @ c, 2))
+    slope = 1.0 / (1.0 + (0.0 if lo <= 0.0 <= hi else min(abs(lo), abs(hi)))) ** 2
+    return max(slope, 1.0) if space.complement_dim > 1 else slope
+
+
+def kannan_constant(op: OperatorSpec, space: AnchoredSpace) -> float:
+    """The exact sup ||Tx - Ty|| / (||x - Tx|| + ||y - Ty||).
+
+    For T(x) = L x + c with Lbar = C^T L C, u = C^T (x - Tx) and
+    w = C^T (y - Ty) range over the complement and C^T (Tx - Ty) =
+    Lbar (I - Lbar)^-1 (u - w): the constant is sigma_max of that matrix,
+    reached at w = -u; +inf when L moves the span or I - Lbar is singular.
+    "saturating" and "step" give +inf: each fixes two points that differ
+    modulo the span, or (saturating, span = e1's complement) has the ratio
+    1 / s at x = +-s e1.
+    """
+    lin = op.linear_part(space.dim)
+    bar = None if lin is None else _quotient_map(space, lin)
+    try:
+        return math.inf if bar is None else float(np.linalg.norm(np.linalg.solve(np.eye(len(bar)) - bar, bar), 2))
+    except np.linalg.LinAlgError:
+        return math.inf
 
 
 def _seed_key(seed: int) -> int:
@@ -392,7 +438,7 @@ def operator_norm(
         raise ValueError("budget must be >= 1")
     if not is_linear(op):
         raise ValueError("operator_norm requires a linear operator (affine with zero offset)")
-    if not kernel_preserved(op, space, seed=seed):
+    if not kernel_preserved(op, space):
         return OperatorNormEstimate(math.inf, method, budget, kernel_preserved=False)
 
     best = 0.0

@@ -1,7 +1,7 @@
 """Fixed-point iteration with certified anchored-semi-norm error bounds.
 
 Five regimes share one iteration engine and differ only in the bound model,
-the sampled cross-check run before iterating, and the ball containment test:
+the exact cross-check run before iterating, and the ball containment test:
 
 - picard:    contraction constant alpha in (0,1); a-priori envelope
              alpha^k / (1 - alpha) * ||x0 - Tx0|| for the k-th iterate.
@@ -33,11 +33,11 @@ the full checks run only when a residual is not finite, and a bad iterate is
 still refused at the step that produced it.
 
 Declared constants are trusted for the certificate but cross-checked
-before iterating; a found value exceeding the declared one aborts loudly,
-because every bound above would be fiction.  A contraction constant alpha
-(picard, ball, and a_1 of summable) is checked against the exact constant
-``lipschitz_constant`` when the operator has a linear part, and against
-a sampled estimate otherwise; Kannan's beta is always sampled.
+before iterating against the operator's exact constants: alpha (picard,
+ball on its admission ball, and a_1 of summable) against
+``lipschitz_constant``, Kannan's beta against ``kannan_constant``.  One
+exceeding the declared value aborts loudly, because every bound above would
+be fiction.  Nothing in a solve is sampled or seeded.
 """
 
 from __future__ import annotations
@@ -50,15 +50,15 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .nnorm import AnchoredSpace, as_vector
-from .operators import OperatorSpec, apply_batch, contraction_constant, lipschitz_constant
+from .operators import OperatorSpec, kannan_constant, lipschitz_constant
 
 REGIMES = ("picard", "ball", "summable", "kannan", "edelstein")
 
 UNIQUE_MOD_KERNEL = "kernel_modulo_unique"
 INDEPENDENCE_FAILED = "independence_condition_failed"
 
-# A found (exact or sampled) constant may exceed the declared one by at most
-# this before the solver refuses to certify.
+# An exact constant, or an orbit's residual ratio, may exceed the declared
+# one by at most this before the solver refuses to certify.
 CROSSCHECK_SLACK = 1e-6
 
 
@@ -81,18 +81,16 @@ class PreconditionError(SolverInputError):
 class ConstantMismatchError(SolverInputError):
     """A found contraction constant exceeds the declared one.
 
-    ``sampled`` holds the found constant: a sampled ratio, or with ``exact``
-    the operator's exact Lipschitz constant (+inf when its linear part moves
-    the anchor span)."""
+    ``found`` is the operator's exact constant (+inf when none is finite),
+    or the residual ratio of the orbit step that broke the declared
+    recursion."""
 
-    def __init__(self, name: str, declared: float, sampled: float, exact: bool = False):
+    def __init__(self, name: str, declared: float, found: float):
         self.name = name
         self.declared = declared
-        self.sampled = sampled
-        found = (f"the exact {name} = {sampled:.17g} of the operator's linear part"
-                 if exact else f"sampled {name}_hat = {sampled:.17g}")
+        self.found = found
         super().__init__(
-            f"declared {name} = {declared:.17g} is contradicted by {found}; "
+            f"declared {name} = {declared:.17g} is contradicted by the exact {name} = {found:.17g}; "
             f"certificates would be fiction"
         )
 
@@ -185,8 +183,7 @@ class SolverConfig:
     a_seq: Optional[ASeq] = None
     tol: float = 1e-10
     max_iter: int = 10 ** 6
-    seed: int = 0
-    crosscheck_pairs: int = 64
+    crosscheck_pairs: int = 64  # 0 skips the exact cross-check, any positive value runs it
     keep_iterates: bool = False
 
     def validate(self):
@@ -196,8 +193,6 @@ class SolverConfig:
             raise SolverInputError("tol must be a positive real")
         if self.max_iter < 1:
             raise SolverInputError("max_iter must be >= 1")
-        if self.seed < 0:
-            raise SolverInputError("seed must be nonnegative")
         if self.crosscheck_pairs < 0:
             raise SolverInputError("crosscheck_pairs must be >= 0")
         if self.regime in ("picard", "ball"):
@@ -264,38 +259,23 @@ def _independence(space: AnchoredSpace, point: np.ndarray, certified: float):
 
 
 def _crosscheck(op, space, cfg, x0):
-    """Refuse a declared rate that a found constant exceeds by more than
-    ``CROSSCHECK_SLACK``.  Kannan's beta is checked against a sampled
-    beta_hat.  A contraction constant (alpha of picard and ball, a_1 of
-    summable) is checked against the exact Lipschitz constant when the
-    operator has a linear part, which any ball's ratios reach too; otherwise
-    pairs are sampled, for the ball regime inside the admission ball, where
-    a locally valid alpha must dominate every displacement ratio."""
-    n = cfg.crosscheck_pairs
-    if n < 1:
+    """Refuse a declared rate that the operator's exact constant exceeds by
+    more than ``CROSSCHECK_SLACK``: Kannan's beta against
+    ``kannan_constant``, a contraction constant (alpha of picard and ball,
+    a_1 of summable) against ``lipschitz_constant``, for the ball regime
+    over the admission ball, where a locally valid alpha must dominate every
+    displacement ratio."""
+    if cfg.crosscheck_pairs < 1:
         return
-    exact = False
     if cfg.regime == "kannan":
-        name, declared = "beta", cfg.beta
-        found = contraction_constant(op, space, budget=n, seed=cfg.seed).beta_hat
+        name, declared, found = "beta", cfg.beta, kannan_constant(op, space)
+    elif cfg.regime == "ball":
+        name, declared, found = "alpha (on the ball)", cfg.alpha, lipschitz_constant(op, space, x0, cfg.radius)
     else:
         seq, name = _bound_model(cfg)
-        declared = seq.term(1)
-        if cfg.regime == "ball":
-            name = "alpha (on the ball)"
-        found = lipschitz_constant(op, space)
-        exact = found is not None
-        if not exact and cfg.regime == "ball":
-            rng = np.random.default_rng([cfg.seed, 23])
-            xs, ys = (space.sample_ball(rng, n, cfg.radius, center=x0) for _ in range(2))
-            num = space.seminorm_batch(apply_batch(op, xs) - apply_batch(op, ys))
-            den = space.seminorm_batch(xs - ys)
-            keep = den > space.roundoff_floor(np.linalg.norm(xs, axis=1) + np.linalg.norm(ys, axis=1))
-            found = float(np.max(num[keep] / den[keep], initial=0.0))
-        elif not exact:
-            found = contraction_constant(op, space, budget=n, seed=cfg.seed).alpha_hat
+        declared, found = seq.term(1), lipschitz_constant(op, space)
     if found > declared + CROSSCHECK_SLACK:
-        raise ConstantMismatchError(name, declared, found, exact=exact)
+        raise ConstantMismatchError(name, declared, found)
 
 
 def _bound_model(cfg: SolverConfig):

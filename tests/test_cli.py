@@ -172,6 +172,8 @@ def test_validation_dependent_anchors(tmp_path, capsys):
 
 
 SCALE_HALF = {"kind": "builtin", "name": "scale", "params": {"factor": 0.5}}
+HALF = [[0.5, 0.0, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.5]]
+HUGE = 10 ** 400  # a JSON integer beyond the float range
 
 
 @pytest.mark.parametrize("field,overrides", [
@@ -191,6 +193,10 @@ SCALE_HALF = {"kind": "builtin", "name": "scale", "params": {"factor": 0.5}}
                                             "params": {"value": [1.0, 2.0]}}}),
     ("operator", {"operator": {"kind": "builtin", "name": "scale",
                                "params": {"factor": 0.5, "bogus": 1}}}),
+    ("operator.offset", {"operator": {"kind": "affine", "matrix": HALF, "offset": [HUGE, 0, 0]}}),
+    ("operator.matrix[1]", {"operator": {"kind": "affine", "matrix": [HALF[0], [0, HUGE, 0], HALF[2]]}}),
+    ("anchors[0]", {"anchors": [[0, HUGE, 0], [0, 0, 1]]}),
+    ("x0", {"x0": [HUGE, 0, 0]}),
 ])
 def test_validation_names_the_mistyped_field(tmp_path, capsys, field, overrides):
     # wrongly typed numbers, builtins that do not fit the dimension and

@@ -8,7 +8,7 @@ import pytest
 
 from nfix.harness import canonical_space
 from nfix.nnorm import AnchoredSpace
-from nfix.operators import affine_operator, apply, apply_batch, builtin_operator
+from nfix.operators import affine_operator, apply, apply_batch, builtin_operator, contraction_constant, kannan_constant
 from nfix.solvers import (
     ConstantMismatchError,
     ContainmentError,
@@ -144,7 +144,7 @@ def test_picard_crosscheck_catches_false_constant():
     with pytest.raises(ConstantMismatchError) as err:
         picard_solve(op, sp, np.array([1.0, 0.0, 0.0]), cfg)
     assert err.value.declared == 0.3
-    assert err.value.sampled > 0.3
+    assert err.value.found > 0.3
 
 
 def test_picard_orbit_refutes_false_constant():
@@ -169,10 +169,10 @@ def test_false_alpha_at_d64_is_refused_on_every_seed():
         u, v = rng.standard_normal((2, 61)) @ sp.complement_basis.T
         a = 0.3 * np.eye(64) + 1.2 * np.outer(u / np.linalg.norm(u), v / np.linalg.norm(v))
         exact = np.linalg.norm(sp.complement_basis.T @ a @ sp.complement_basis, 2)
-        cfg = SolverConfig(regime="picard", alpha=0.5, tol=1e-10, seed=seed)
+        cfg = SolverConfig(regime="picard", alpha=0.5, tol=1e-10)
         with pytest.raises(ConstantMismatchError) as err:
             picard_solve(affine_operator(a), sp, rng.standard_normal(64), cfg)
-        assert err.value.sampled == pytest.approx(exact, rel=1e-12)
+        assert err.value.found == pytest.approx(exact, rel=1e-12)
         assert "exact alpha" in str(err.value)
 
 
@@ -184,7 +184,7 @@ def test_small_anchors_cannot_forge_a_certificate():
     cfg = SolverConfig(regime="picard", alpha=0.1, tol=1e-24)
     with pytest.raises(ConstantMismatchError) as err:
         picard_solve(builtin_operator("scale", factor=0.95), sp, np.array([1.0, 0.0, 0.0]), cfg)
-    assert err.value.sampled == pytest.approx(0.95, rel=1e-15)
+    assert err.value.found == pytest.approx(0.95, rel=1e-15)
 
 
 # (operator, regime constants, outcome at every anchor scale): the outcome
@@ -287,13 +287,14 @@ def test_outcomes_are_invariant_under_an_orthogonal_change_of_frame(name, seed):
 
 
 @pytest.mark.parametrize("regime", ["picard", "ball"])
-def test_maps_without_a_linear_part_are_cross_checked_by_sampling(regime):
-    # near t = 0 the saturating map's displacement ratios approach 1
+def test_maps_without_a_linear_part_are_cross_checked_exactly(regime):
+    # saturating's slope 1 / (1 + |t|)^2 reaches 1 at t = 0, which lies in
+    # the reach of x_1 on all of R and on the ball x_1 in [-0.4, 0.6]
     cfg = SolverConfig(regime=regime, alpha=0.5, radius=0.5, tol=1e-8)
     with pytest.raises(ConstantMismatchError) as err:
         solve(builtin_operator("saturating"), space_e23(), np.array([0.1, 0.0, 0.0]), cfg)
-    assert 0.5 < err.value.sampled <= 1.0
-    assert "sampled" in str(err.value)
+    assert err.value.found == 1.0
+    assert "exact" in str(err.value)
 
 
 @pytest.mark.parametrize("seed", [0, 3, 4])
@@ -433,7 +434,7 @@ def test_ball_crosscheck_uses_in_ball_pairs():
     cfg = SolverConfig(regime="ball", alpha=0.5, radius=1.0, tol=1e-8)
     with pytest.raises(ConstantMismatchError) as err:
         ball_solve(op, sp, np.array([1.0, 0.0, 0.0]), cfg)
-    assert err.value.sampled == pytest.approx(0.9, abs=1e-9)
+    assert err.value.found == pytest.approx(0.9, abs=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -587,6 +588,36 @@ def test_kannan_rejects_bad_beta_and_false_constant():
     with pytest.raises(ConstantMismatchError):
         kannan_solve(builtin_operator("scale", factor=0.45), sp, np.ones(3),
                      SolverConfig(regime="kannan", beta=0.49))
+
+
+@pytest.mark.parametrize("d", [16, 64])
+def test_kannan_beta_is_checked_against_its_exact_value(d):
+    # T = C Lbar C^T x + c with Lbar = Q diag(0.3, 0.001, ...) Q^T has the
+    # Kannan constant 0.3 / 0.7.  A 64-pair sample found 0.09 at d = 16,
+    # seed 0, and with beta declared just above it kannan certified 2.3e-10
+    # for a true error of 8.1e-10 at tol 1e-8: x0 is x* plus an error
+    # along the weak direction and 1e-7 along the strong one
+    sp = canonical_space(d, 2)
+    c = sp.complement_basis
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        q = np.linalg.qr(rng.standard_normal((d - 1, d - 1)))[0]
+        lbar = q @ np.diag([0.3] + [0.001] * (d - 2)) @ q.T
+        offset = rng.standard_normal(d)
+        op = affine_operator(c @ lbar @ c.T, offset=offset)
+        xstar = c @ np.linalg.solve(np.eye(d - 1) - lbar, c.T @ offset)
+        x0 = xstar + c @ (q[:, 1] + 1e-7 * q[:, 0])
+        exact = kannan_constant(op, sp)
+        assert exact == pytest.approx(0.3 / 0.7, rel=1e-12)
+        sampled = contraction_constant(op, sp, budget=64, seed=0).beta_hat
+        with pytest.raises(ConstantMismatchError) as err:
+            kannan_solve(op, sp, x0, SolverConfig(regime="kannan", beta=sampled * (1 + 1e-6), tol=1e-8))
+        assert err.value.found == exact
+        for tol in (1e-6, 1e-8, 1e-10):
+            report = kannan_solve(op, sp, x0, SolverConfig(regime="kannan", beta=exact, tol=tol))
+            error = sp.seminorm_raw(report.fixed_point - xstar)
+            assert report.converged
+            assert error <= report.certified_error + sp.roundoff_floor(np.linalg.norm(xstar))
 
 
 # ---------------------------------------------------------------------------
