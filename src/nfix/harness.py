@@ -17,17 +17,19 @@ import numpy as np
 from .nnorm import AnchoredSpace, as_vector, gram_volumes
 from .operators import (
     OperatorSpec,
+    _affine_form,
+    _bound_constants,
+    _kernel_gate,
+    _probe_chunks,
     affine_operator,
     apply,
     apply_batch,
-    continuity_probe,
-    kernel_violation_witness,
-    lipschitz_constant,
 )
 from .solvers import SolverConfig, edelstein_solve, explicit_sequence, summable_solve
 
 RATIO_FLAG_TOL = 1e-9  # a sampled ratio this close to 1 breaks strictness
 BOUNDED_SET_POINTS = 32  # ball points check_bounded_sets maps per operator
+PROBE_SAMPLES = 64  # continuity-probe points per base point in check_bounded_iff_continuous
 
 # The stacked suites draw and decide their trials SUITE_BLOCK at a time, and
 # fewer when one trial's tuples hold many coordinates, so memory does not
@@ -61,17 +63,22 @@ def canonical_space(dim: int, order: int, rank_tol: float = 1e-9) -> AnchoredSpa
     return AnchoredSpace(dim=dim, order=order, anchors=np.eye(dim)[1:order], rank_tol=rank_tol)
 
 
+def _kernel_preserving_matrices(space: AnchoredSpace, rng, count: int, spread: float = 1.0) -> np.ndarray:
+    """``count`` random (d, d) matrices that map the anchor span into itself
+    (block triangular over the orthonormal split), each drawn from ``rng``
+    as its complement, mixed and anchor blocks in turn."""
+    m, k = space.complement_dim, space.order - 1
+    draws = rng.standard_normal((count, m * m + k * m + k * k)) * spread
+    b11, b21, b22 = np.split(draws, [m * m, m * m + k * m], axis=1)
+    qc, qa = space.complement_basis, space.anchor_basis
+    return (qc @ b11.reshape(-1, m, m) @ qc.T + qa @ b21.reshape(-1, k, m) @ qc.T
+            + qa @ b22.reshape(-1, k, k) @ qa.T)
+
+
 def random_kernel_preserving_operator(space: AnchoredSpace, rng, spread: float = 1.0) -> OperatorSpec:
     """Random linear operator whose matrix maps the anchor span into itself
     (block triangular over the orthonormal split)."""
-    m = space.complement_dim
-    k = space.order - 1
-    b11 = rng.standard_normal((m, m)) * spread
-    b21 = rng.standard_normal((k, m)) * spread
-    b22 = rng.standard_normal((k, k)) * spread
-    qc = space.complement_basis
-    qa = space.anchor_basis
-    return affine_operator(qc @ b11 @ qc.T + qa @ b21 @ qc.T + qa @ b22 @ qa.T)
+    return affine_operator(_kernel_preserving_matrices(space, rng, 1, spread)[0])
 
 
 def _vec(x) -> list:
@@ -249,6 +256,19 @@ def check_axiom_suite(
 # bounded <-> continuous
 # ---------------------------------------------------------------------------
 
+def _suite_forms(space: AnchoredSpace, rng, trials: int, ops) -> tuple:
+    """The stacks (L, c) of a bounded suite's operators T(x) = L x + c: the
+    default family of ``trials`` matrices drawn from ``rng``, or ``ops``."""
+    d = space.dim
+    if ops is None:
+        return _kernel_preserving_matrices(space, rng, trials), np.zeros((trials, d))
+    forms = [_affine_form(op, d) for op in ops]
+    if None in forms:
+        raise ValueError(f"the bounded suites need operators with an affine form, not {ops[forms.index(None)].name!r}")
+    return (np.array([f[0] for f in forms], dtype=float).reshape(-1, d, d),
+            np.array([f[1] for f in forms], dtype=float).reshape(-1, d))
+
+
 def check_bounded_iff_continuous(
     space: AnchoredSpace,
     trials: int = 1000,
@@ -257,58 +277,62 @@ def check_bounded_iff_continuous(
 ) -> PropertyReport:
     """Linear kernel-preserving operators with their exact bound constant M
     (``lipschitz_constant``) must pass the epsilon-delta probe with
-    delta = eps / (M + 1).
+    delta = eps / (M + 1), at 0 and at a random base point.
 
     An operator that moves the kernel out of itself violates the family
     precondition: the suite flags it as a failure and records the
-    constructed divergent-image sequence as the counterexample.
+    constructed divergent-image sequence as the counterexample.  The
+    operators (the default family, or ``ops`` with an affine form) are
+    decided a block at a time: the kernel gate, M and ``continuity_probe``'s
+    points for both base points, from one probe draw each, as stacked arrays.
     """
     rng = np.random.default_rng([seed, 10])
-    if ops is None:
-        ops = [random_kernel_preserving_operator(space, rng) for _ in range(trials)]
-    failures = 0
-    worst = 0.0
-    ce = None
-    for i, op in enumerate(ops):
-        witness = kernel_violation_witness(op, space)
-        if witness is not None:
-            failures += 1
-            u = space.complement_basis[:, 0]
-            t_limit = apply(op, np.zeros(space.dim))
-            residuals = [
-                space.seminorm_raw(apply(op, witness + u / k) - t_limit)
-                for k in range(1, 17)
-            ]
-            stuck = min(residuals[8:])
-            if stuck > worst:
-                worst = stuck
-                ce = {
-                    "operator_index": i,
-                    "reason": "kernel not preserved: images of a vanishing sequence stay away from the image of its limit",
-                    "witness": _vec(witness),
-                    "image_residuals": residuals,
-                }
-            continue
-        m = lipschitz_constant(op, space)
-        eps = float(rng.uniform(0.2, 2.0))
+    lin, offset = _suite_forms(space, rng, trials, ops)
+    d, s = space.dim, PROBE_SAMPLES
+    tally = _Tally()
+    for start, rows in _blocks(len(lin), 2 * s * d):
+        lin_b, off_b = lin[start:start + rows], offset[start:start + rows]
+        witness, violated = _kernel_gate(space, lin_b, off_b)
+        m = np.where(violated, 0.0, _bound_constants(space, lin_b))
+        eps, radii, x0 = np.zeros(rows), np.zeros((rows, s)), np.zeros((rows, 2, d))
+        dirs, coeffs = np.zeros((rows, s, space.complement_dim)), np.zeros((rows, s, space.order - 1))
+        for i in np.flatnonzero(~violated):
+            eps[i] = rng.uniform(0.2, 2.0)
+            x0[i, 1] = rng.standard_normal(d)
+            dirs[i], radii[i], coeffs[i] = next(_probe_chunks(space, s, seed + start + i, stream=13))
         delta = eps / (m + 1.0)
-        for x0 in (np.zeros(space.dim), rng.standard_normal(space.dim)):
-            probe = continuity_probe(op, space, x0, eps, delta, samples=64, seed=seed + i)
-            if not probe.ok:
-                failures += 1
-                excess = probe.max_image_distance - eps
-                if excess > worst:
-                    worst = excess
-                    ce = {
-                        "operator_index": i,
-                        "reason": "continuity probe failed",
-                        "x0": _vec(x0),
-                        "witness": _vec(probe.witness),
-                        "epsilon": eps,
-                        "delta": delta,
-                        "image_distance": probe.max_image_distance,
-                    }
-    return PropertyReport("bounded_iff_continuous", len(ops), failures, worst, ce, seed)
+        # (operator, base point, sample): both base points share the draw
+        pts = space.ball_points(dirs[:, None], (radii * delta[:, None])[:, None], coeffs[:, None],
+                                center=x0[:, :, None])
+        lt = lin_b.swapaxes(-1, -2)[:, None]
+        tx0 = x0[:, :, None] @ lt + off_b[:, None, None]
+        imgs = space.seminorm_batch((pts @ lt + off_b[:, None, None] - tx0).reshape(-1, d)).reshape(rows, 2, s)
+        reach = imgs.max(axis=-1)
+        failed = (reach >= eps[:, None]) & ~violated[:, None]
+        values = np.where(failed, reach - eps[:, None], np.nan)
+        violations = {}
+        for i in np.flatnonzero(violated):
+            op = affine_operator(lin_b[i], off_b[i])
+            u = space.complement_basis[:, 0]
+            t_limit = apply(op, np.zeros(d))
+            residuals = [space.seminorm_raw(apply(op, witness[i] + u / k) - t_limit) for k in range(1, 17)]
+            failed[i, 0], values[i, 0] = True, min(residuals[8:])
+            violations[i] = {
+                "operator_index": start + int(i),
+                "reason": "kernel not preserved: images of a vanishing sequence stay away from the image of its limit",
+                "witness": _vec(witness[i]),
+                "image_residuals": residuals,
+            }
+
+        def probe_failure(j):
+            i, b = divmod(j, 2)
+            if violated[i]:
+                return violations[i]
+            return {"operator_index": start + i, "reason": "continuity probe failed", "x0": _vec(x0[i, b]),
+                    "witness": _vec(pts[i, b, np.argmax(imgs[i, b])]), "epsilon": float(eps[i]),
+                    "delta": float(delta[i]), "image_distance": float(reach[i, b])}
+        tally.add(values.ravel(), failed.ravel(), probe_failure)
+    return tally.report("bounded_iff_continuous", len(lin), seed)
 
 
 def check_bounded_sets(
@@ -320,45 +344,40 @@ def check_bounded_sets(
     """Bounded sets map into bounded sets: sampled points with semi-norm at
     most R land within M * R (+1e-9) of the origin, M the exact bound
     constant (``lipschitz_constant``).  Kernel violators are flagged with
-    their unbounded-ratio witness."""
+    their unbounded-ratio witness.  As in ``check_bounded_iff_continuous``,
+    a block of operators is decided at once: each draws its radius and
+    ``sample_ball``'s points in turn, and the images are one stacked pass."""
     rng = np.random.default_rng([seed, 20])
-    if ops is None:
-        ops = [random_kernel_preserving_operator(space, rng) for _ in range(trials)]
-    failures = 0
-    worst = 0.0
-    ce = None
-    for i, op in enumerate(ops):
-        witness = kernel_violation_witness(op, space)
-        if witness is not None:
-            failures += 1
-            img = space.seminorm_raw(apply(op, witness))
-            if img > worst:
-                worst = img
-                ce = {
-                    "operator_index": i,
-                    "reason": "kernel violator: zero semi-norm point with nonzero image, ratio unbounded",
-                    "witness": _vec(witness),
-                    "image_seminorm": img,
-                }
-            continue
-        m = lipschitz_constant(op, space)
-        radius = float(rng.uniform(0.5, 3.0))
-        pts = space.sample_ball(rng, BOUNDED_SET_POINTS, radius)
-        imgs = space.seminorm_batch(apply_batch(op, pts))
-        excess = float(np.max(imgs)) - (m * radius + 1e-9)
-        if excess > 0:
-            failures += 1
-            if excess > worst:
-                worst = excess
-                j = int(np.argmax(imgs))
-                ce = {
-                    "operator_index": i,
-                    "reason": "image escaped the bounded set",
-                    "point": _vec(pts[j]),
-                    "image_seminorm": float(imgs[j]),
-                    "bound": m * radius,
-                }
-    return PropertyReport("bounded_sets", len(ops), failures, worst, ce, seed)
+    lin, offset = _suite_forms(space, rng, trials, ops)
+    d, s = space.dim, BOUNDED_SET_POINTS
+    tally = _Tally()
+    for start, rows in _blocks(len(lin), s * d):
+        lin_b, off_b = lin[start:start + rows], offset[start:start + rows]
+        witness, violated = _kernel_gate(space, lin_b, off_b)
+        m = np.where(violated, 0.0, _bound_constants(space, lin_b))
+        radius, radii = np.zeros(rows), np.zeros((rows, s))
+        dirs, coeffs = np.zeros((rows, s, space.complement_dim)), np.zeros((rows, s, space.order - 1))
+        for i in np.flatnonzero(~violated):
+            radius[i] = rng.uniform(0.5, 3.0)
+            dirs[i], radii[i], coeffs[i] = space.draw_ball(rng, s, radius[i])
+        pts = space.ball_points(dirs, radii, coeffs)
+        imgs = space.seminorm_batch((pts @ lin_b.swapaxes(-1, -2) + off_b[:, None]).reshape(-1, d)).reshape(rows, s)
+        bound = m * radius
+        values = imgs.max(axis=1) - (bound + 1e-9)
+        failed = (values > 0) | violated
+        for i in np.flatnonzero(violated):
+            values[i] = space.seminorm_raw(apply(affine_operator(lin_b[i], off_b[i]), witness[i]))
+
+        def escape(i):
+            if violated[i]:
+                return {"operator_index": start + i,
+                        "reason": "kernel violator: zero semi-norm point with nonzero image, ratio unbounded",
+                        "witness": _vec(witness[i]), "image_seminorm": float(values[i])}
+            j = int(np.argmax(imgs[i]))
+            return {"operator_index": start + i, "reason": "image escaped the bounded set", "point": _vec(pts[i, j]),
+                    "image_seminorm": float(imgs[i, j]), "bound": float(bound[i])}
+        tally.add(values, failed, escape)
+    return tally.report("bounded_sets", len(lin), seed)
 
 
 # ---------------------------------------------------------------------------

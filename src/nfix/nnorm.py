@@ -240,30 +240,35 @@ class AnchoredSpace:
     def ball_points(self, dirs, radii, coeffs, center=None) -> np.ndarray:
         """Rows ``center + (radii / vol) * unit(dirs) @ Cᵀ + coeffs @ anchors``.
 
-        ``dirs`` are (m, complement_dim) directions in the coordinates of
+        ``dirs`` are (..., complement_dim) directions in the coordinates of
         the complement basis C, normalised here (a zero row stays zero), and
-        ``radii`` the semi-norm distances of the points from ``center`` (the
-        origin when None).  ``coeffs`` (m, order - 1) combine the anchors
-        into a kernel part, which moves no semi-norm.
+        ``radii`` (...) the semi-norm distances of the points from
+        ``center`` (the origin when None).  ``coeffs`` (..., order - 1)
+        combine the anchors into a kernel part, which moves no semi-norm.
+        The leading shapes and ``center`` broadcast against each other.
         """
-        norms = np.linalg.norm(dirs, axis=1)
+        norms = np.linalg.norm(dirs, axis=-1)
         norms[norms == 0.0] = 1.0
-        units = dirs / norms[:, None]
-        pts = (radii / self.anchor_volume)[:, None] * (units @ self.complement_basis.T)
+        units = dirs / norms[..., None]
+        pts = (radii / self.anchor_volume)[..., None] * (units @ self.complement_basis.T)
         if center is not None:
             pts = center + pts
         return pts + coeffs @ self.anchors
 
-    def sample_ball(self, rng: np.random.Generator, rows: int, radius, center=None) -> np.ndarray:
-        """``rows`` random points of the semi-norm ball of ``radius`` around
-        ``center``, each with a random kernel part: ``ball_points`` of
+    def draw_ball(self, rng: np.random.Generator, rows: int, radius) -> tuple:
+        """What ``sample_ball`` draws from ``rng``, in its order: ``rows``
         standard normal directions, radii uniform in [0, radius) and
-        standard normal anchor coefficients, drawn from ``rng`` in that
-        order."""
+        standard normal anchor coefficients, as ``ball_points`` takes them."""
         dirs = rng.standard_normal((rows, self.complement_dim))
         radii = rng.random(rows) * radius
         coeffs = rng.standard_normal((rows, self.order - 1))
-        return self.ball_points(dirs, radii, coeffs, center=center)
+        return dirs, radii, coeffs
+
+    def sample_ball(self, rng: np.random.Generator, rows: int, radius, center=None) -> np.ndarray:
+        """``rows`` random points of the semi-norm ball of ``radius`` around
+        ``center``, each with a random kernel part: ``ball_points`` of
+        ``draw_ball``'s draws."""
+        return self.ball_points(*self.draw_ball(rng, rows, radius), center=center)
 
 
 def anchored_seminorm(space: AnchoredSpace, x) -> float:

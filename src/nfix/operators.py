@@ -245,17 +245,15 @@ def kernel_violation_witness(op: OperatorSpec, space: AnchoredSpace) -> Optional
     anchor with the largest |a_1|, scaled to a_1 = 2 max(threshold, 1)
     (threshold 1 for saturating), unless its move along e1 is 0.
     """
-    zero = np.zeros(space.dim)
     form = _affine_form(op, space.dim)
     if form is not None:
-        lin, offset = form
-        if _first_off_span(space, offset[None, :], np.linalg.norm(offset)) is not None:
-            return zero
-        return _moved_anchor(space, lin)
+        witness, violated = _kernel_gate(space, *form)
+        return witness if violated else None
     split = _e1_split(space)
     if split == "span":
         return None
     if split == "orthogonal":
+        zero = np.zeros(space.dim)
         return zero if np.any(apply(op, zero)) else None
     a = space.anchors[np.argmax(np.abs(space.anchors[:, 0]))]
     witness = (2.0 * max(float(op.params.get("threshold", 1.0)), 1.0) / a[0]) * a
@@ -273,28 +271,43 @@ def _e1_split(space: AnchoredSpace) -> str:
     return "oblique"
 
 
-def _first_off_span(space: AnchoredSpace, images: np.ndarray, scales) -> Optional[int]:
-    """Index of the first row of ``images`` whose part off the anchor span
-    exceeds ``space.rank_tol`` times its row of ``scales``, or None."""
-    off = np.linalg.norm(images @ space.complement_basis, axis=1)
-    bad = np.flatnonzero(off > space.rank_tol * scales)
-    return int(bad[0]) if bad.size else None
+def _first_off_span(space: AnchoredSpace, images: np.ndarray, scales) -> np.ndarray:
+    """Index of the first row of each stack of ``images`` (..., rows, d)
+    whose part off the anchor span exceeds ``space.rank_tol`` times its
+    entry of ``scales`` (..., rows), or -1 where none does."""
+    bad = np.linalg.norm(images @ space.complement_basis, axis=-1) > space.rank_tol * scales
+    return np.where(bad.any(axis=-1), bad.argmax(axis=-1), -1)
 
 
-def _moved_anchor(space: AnchoredSpace, matrix: np.ndarray) -> Optional[np.ndarray]:
-    """The first anchor b whose image ``matrix @ b`` leaves the anchor span,
-    measured against the length of |matrix| |b|, or None if there is none."""
-    bounds = np.abs(space.anchors) @ np.abs(matrix).T
-    bad = _first_off_span(space, space.anchors @ matrix.T, np.linalg.norm(bounds, axis=1))
-    return None if bad is None else space.anchors[bad]
+def _moved_anchor(space: AnchoredSpace, matrix: np.ndarray) -> np.ndarray:
+    """For each matrix of a stack (..., d, d), the index of the first anchor
+    b whose image ``matrix @ b`` leaves the anchor span, measured against
+    the length of |matrix| |b|, or -1 where there is none."""
+    mt = matrix.swapaxes(-1, -2)
+    return _first_off_span(space, space.anchors @ mt, np.linalg.norm(np.abs(space.anchors) @ np.abs(mt), axis=-1))
 
 
-def _quotient_map(space: AnchoredSpace, lin: np.ndarray) -> Optional[np.ndarray]:
-    """C^T L C for a linear part L that keeps the anchor span, else None."""
-    if _moved_anchor(space, lin) is not None:
-        return None
+def _kernel_gate(space: AnchoredSpace, lin: np.ndarray, offset: np.ndarray) -> tuple:
+    """``kernel_violation_witness`` of T(x) = L x + c for stacks of L
+    (..., d, d) and c (..., d): the witness rows (..., d), 0 where c leaves
+    the span and else the first moved anchor, and whether each is one."""
+    leaves = _first_off_span(space, offset[..., None, :], np.linalg.norm(offset, axis=-1)[..., None]) >= 0
+    moved = _moved_anchor(space, lin)
+    return np.where(leaves[..., None], 0.0, space.anchors[moved]), leaves | (moved >= 0)
+
+
+def _quotient_map(space: AnchoredSpace, lin: np.ndarray) -> tuple:
+    """C^T L C of every linear part L of a stack (..., d, d), and whether
+    L keeps the anchor span."""
     c = space.complement_basis
-    return c.T @ lin @ c
+    return c.T @ lin @ c, _moved_anchor(space, lin) < 0
+
+
+def _bound_constants(space: AnchoredSpace, lin: np.ndarray) -> np.ndarray:
+    """sigma_max(C^T L C) of every linear part L of a stack (..., d, d), or
+    +inf where L moves an anchor off the span."""
+    bar, keeps = _quotient_map(space, lin)
+    return np.where(keeps, np.linalg.svd(bar, compute_uv=False)[..., 0], np.inf)
 
 
 def lipschitz_constant(op: OperatorSpec, space: AnchoredSpace, center=None, radius=None) -> float:
@@ -312,8 +325,7 @@ def lipschitz_constant(op: OperatorSpec, space: AnchoredSpace, center=None, radi
     """
     lin = op.linear_part(space.dim)
     if lin is not None:
-        bar = _quotient_map(space, lin)
-        return math.inf if bar is None else float(np.linalg.norm(bar, 2))
+        return float(_bound_constants(space, lin))
     split = _e1_split(space)
     if split == "span":
         return 1.0
@@ -340,9 +352,11 @@ def kannan_constant(op: OperatorSpec, space: AnchoredSpace) -> float:
     1 / s at x = +-s e1.
     """
     lin = op.linear_part(space.dim)
-    bar = None if lin is None else _quotient_map(space, lin)
+    if lin is None:
+        return math.inf
+    bar, keeps = _quotient_map(space, lin)
     try:
-        return math.inf if bar is None else float(np.linalg.norm(np.linalg.solve(np.eye(len(bar)) - bar, bar), 2))
+        return float(np.linalg.norm(np.linalg.solve(np.eye(len(bar)) - bar, bar), 2)) if keeps else math.inf
     except np.linalg.LinAlgError:
         return math.inf
 

@@ -1,12 +1,13 @@
 """Harness tests: suites pass on honest instances, fail on planted mutants,
 and reproduce exactly under a fixed seed."""
 
+import json
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from nfix import harness, solvers
+from nfix import harness, operators, solvers
 from nfix.harness import (
     canonical_space,
     check_axiom_suite,
@@ -19,7 +20,15 @@ from nfix.harness import (
     reduction_suite,
 )
 from nfix.nnorm import AnchoredSpace, ProductPoint, gram_nnorm, product_nnorm
-from nfix.operators import affine_operator, apply, builtin_operator
+from nfix.operators import (
+    affine_operator,
+    apply,
+    apply_batch,
+    builtin_operator,
+    continuity_probe,
+    kernel_violation_witness,
+    lipschitz_constant,
+)
 from nfix.solvers import SolverConfig, edelstein_solve
 
 
@@ -202,6 +211,196 @@ def test_bounded_iff_continuous_zero_operator_trivial():
     sp = canonical_space(3, 3)
     report = check_bounded_iff_continuous(sp, seed=8, ops=[affine_operator(np.zeros((3, 3)))])
     assert report.failures == 0
+
+
+def _loop_operator(space, rng):
+    """One default-family operator, its three blocks drawn by three calls:
+    the reference for the stacked draw."""
+    m, k = space.complement_dim, space.order - 1
+    b11 = rng.standard_normal((m, m))
+    b21 = rng.standard_normal((k, m))
+    b22 = rng.standard_normal((k, k))
+    qc, qa = space.complement_basis, space.anchor_basis
+    return affine_operator(qc @ b11 @ qc.T + qa @ b21 @ qc.T + qa @ b22 @ qa.T)
+
+
+def _loop_bounded_iff_continuous(space, trials, seed, ops=None):
+    """The bounded <-> continuous suite one operator at a time through the
+    public calls: the reference for the stacked suite."""
+    rng = np.random.default_rng([seed, 10])
+    if ops is None:
+        ops = [_loop_operator(space, rng) for _ in range(trials)]
+    failures, worst, ce = 0, 0.0, None
+    for i, op in enumerate(ops):
+        witness = kernel_violation_witness(op, space)
+        if witness is not None:
+            failures += 1
+            u = space.complement_basis[:, 0]
+            t_limit = apply(op, np.zeros(space.dim))
+            residuals = [space.seminorm_raw(apply(op, witness + u / k) - t_limit) for k in range(1, 17)]
+            if min(residuals[8:]) > worst:
+                worst = min(residuals[8:])
+                ce = {"operator_index": i,
+                      "reason": "kernel not preserved: images of a vanishing sequence stay away from the image of its limit",
+                      "witness": [float(v) for v in witness], "image_residuals": residuals}
+            continue
+        m = lipschitz_constant(op, space)
+        eps = float(rng.uniform(0.2, 2.0))
+        delta = eps / (m + 1.0)
+        for x0 in (np.zeros(space.dim), rng.standard_normal(space.dim)):
+            probe = continuity_probe(op, space, x0, eps, delta, samples=64, seed=seed + i)
+            if not probe.ok:
+                failures += 1
+                if probe.max_image_distance - eps > worst:
+                    worst = probe.max_image_distance - eps
+                    ce = {"operator_index": i, "reason": "continuity probe failed", "x0": x0.tolist(),
+                          "witness": probe.witness.tolist(), "epsilon": eps, "delta": delta,
+                          "image_distance": probe.max_image_distance}
+    return harness.PropertyReport("bounded_iff_continuous", len(ops), failures, worst, ce, seed)
+
+
+def _loop_bounded_sets(space, trials, seed, ops=None):
+    """The bounded-sets suite one operator at a time: the reference."""
+    rng = np.random.default_rng([seed, 20])
+    if ops is None:
+        ops = [_loop_operator(space, rng) for _ in range(trials)]
+    failures, worst, ce = 0, 0.0, None
+    for i, op in enumerate(ops):
+        witness = kernel_violation_witness(op, space)
+        if witness is not None:
+            failures += 1
+            img = space.seminorm_raw(apply(op, witness))
+            if img > worst:
+                worst = img
+                ce = {"operator_index": i,
+                      "reason": "kernel violator: zero semi-norm point with nonzero image, ratio unbounded",
+                      "witness": witness.tolist(), "image_seminorm": img}
+            continue
+        m = lipschitz_constant(op, space)
+        radius = float(rng.uniform(0.5, 3.0))
+        pts = space.sample_ball(rng, 32, radius)
+        imgs = space.seminorm_batch(apply_batch(op, pts))
+        excess = float(np.max(imgs)) - (m * radius + 1e-9)
+        if excess > 0:
+            failures += 1
+            if excess > worst:
+                worst = excess
+                j = int(np.argmax(imgs))
+                ce = {"operator_index": i, "reason": "image escaped the bounded set", "point": pts[j].tolist(),
+                      "image_seminorm": float(imgs[j]), "bound": m * radius}
+    return harness.PropertyReport("bounded_sets", len(ops), failures, worst, ce, seed)
+
+
+def _recorded_seminorms(monkeypatch, space):
+    """Record every array ``space.seminorm_batch`` returns."""
+    seen = []
+    batch = space.seminorm_batch
+    monkeypatch.setattr(space, "seminorm_batch", lambda pts: seen.append(batch(pts)) or seen[-1])
+    return seen
+
+
+@pytest.mark.parametrize("seed", [0, 1, 7])
+@pytest.mark.parametrize("dim,order", [(3, 2), (5, 3), (8, 4)])
+def test_stacked_bounded_suites_match_the_public_per_operator_calls(monkeypatch, dim, order, seed):
+    trials = 200
+    ref = canonical_space(dim, order)  # the per-operator calls run here, the suites in sp
+    rng = np.random.default_rng([seed, 10])
+    stacked = harness._kernel_preserving_matrices(ref, rng, trials)
+    loop_rng, public_rng = np.random.default_rng([seed, 10]), np.random.default_rng([seed, 10])
+    ops = [_loop_operator(ref, loop_rng) for _ in range(trials)]
+    public = [random_kernel_preserving_operator(ref, public_rng) for _ in range(trials)]
+    assert np.array_equal(stacked, [op.matrix for op in ops])
+    assert np.array_equal(stacked, [op.matrix for op in public])
+    assert np.array_equal(operators._bound_constants(ref, stacked), [lipschitz_constant(op, ref) for op in ops])
+
+    # the probe maxima: the suite's one stacked semi-norm call per block
+    sp = canonical_space(dim, order)
+    seen = _recorded_seminorms(monkeypatch, sp)
+    assert check_bounded_iff_continuous(sp, trials=trials, seed=seed).failures == 0
+    [imgs] = seen
+    for i, op in enumerate(ops):
+        eps = rng.uniform(0.2, 2.0)
+        delta = eps / (lipschitz_constant(op, ref) + 1.0)
+        for b, x0 in enumerate((np.zeros(dim), rng.standard_normal(dim))):
+            probe = continuity_probe(op, ref, x0, eps, delta, samples=64, seed=seed + i)
+            assert imgs.reshape(trials, 2, 64)[i, b].max() == probe.max_image_distance
+
+    # the bounded-sets images: one stacked semi-norm call per block
+    rng = np.random.default_rng([seed, 20])
+    ops = [_loop_operator(ref, rng) for _ in range(trials)]
+    seen.clear()
+    assert check_bounded_sets(sp, trials=trials, seed=seed).failures == 0
+    [imgs] = seen
+    for i, op in enumerate(ops):
+        radius = rng.uniform(0.5, 3.0)
+        want = ref.seminorm_batch(apply_batch(op, ref.sample_ball(rng, 32, radius)))
+        assert np.array_equal(imgs.reshape(trials, 32)[i], want)
+
+
+_SUITES_AND_LOOPS = ((check_bounded_iff_continuous, _loop_bounded_iff_continuous),
+                     (check_bounded_sets, _loop_bounded_sets))
+
+
+def _with_violator_at(index, space, rng, count):
+    """``count`` default-family operators from ``rng`` with a kernel violator
+    at ``index``: a shear moving e2 by 1e-4 e1, whose failure is small."""
+    ops = [random_kernel_preserving_operator(space, rng) for _ in range(count - 1)]
+    shear = np.eye(space.dim)
+    shear[0, 1] = 1e-4
+    return ops[:index] + [affine_operator(shear)] + ops[index:]
+
+
+def _understate_m(monkeypatch):
+    """Plant a defect: every exact bound constant M is reported as M / 4."""
+    exact = operators._bound_constants
+    quarter = lambda space, lin: exact(space, lin) / 4.0  # noqa: E731
+    monkeypatch.setattr(operators, "_bound_constants", quarter)
+    monkeypatch.setattr(harness, "_bound_constants", quarter)
+
+
+@pytest.mark.parametrize("planted", [False, True])
+def test_bounded_suites_keep_the_rng_aligned_after_a_kernel_violator(monkeypatch, planted):
+    sp = canonical_space(3, 2)
+    ops = _with_violator_at(2, sp, np.random.default_rng(29), 6)
+    if planted:
+        _understate_m(monkeypatch)
+    for stacked, loop in _SUITES_AND_LOOPS:
+        report = stacked(sp, seed=22, ops=ops)
+        assert report.to_dict() == loop(sp, 6, 22, ops).to_dict()
+        # planted, the worst failure comes after the violator's skipped draws
+        assert report.counterexample["operator_index"] == (4 if planted else 2)
+        assert (report.failures > 1) == planted
+
+
+def test_bounded_suites_catch_an_understated_bound_constant(monkeypatch):
+    sp = canonical_space(5, 3)
+    ops = [random_kernel_preserving_operator(sp, np.random.default_rng(23)) for _ in range(40)]
+    _understate_m(monkeypatch)
+    for stacked, loop in _SUITES_AND_LOOPS:
+        report = stacked(sp, seed=24, ops=ops)
+        assert report.to_dict() == loop(sp, 40, 24, ops).to_dict()
+        assert report.failures > 0
+        assert report.counterexample["reason"] in ("continuity probe failed", "image escaped the bounded set")
+
+
+@pytest.mark.parametrize("planted", [False, True])
+def test_bounded_suites_do_not_depend_on_the_block_size(monkeypatch, planted):
+    sp = canonical_space(4, 3)
+    if planted:
+        _understate_m(monkeypatch)
+    full = [json.dumps(suite(sp, trials=30, seed=25).to_dict()) for suite, _ in _SUITES_AND_LOOPS]
+    monkeypatch.setattr(harness, "SUITE_BLOCK", 7)
+    assert [rows for _, rows in harness._blocks(30, 1)] == [7, 7, 7, 7, 2]
+    assert [json.dumps(suite(sp, trials=30, seed=25).to_dict()) for suite, _ in _SUITES_AND_LOOPS] == full
+    assert [json.dumps(loop(sp, 30, 25).to_dict()) for _, loop in _SUITES_AND_LOOPS] == full
+    assert (json.loads(full[1])["failures"] > 0) == planted
+
+
+def test_bounded_suites_need_an_affine_form():
+    sp = canonical_space(3, 2)
+    for suite in (check_bounded_iff_continuous, check_bounded_sets):
+        with pytest.raises(ValueError, match="affine form, not 'saturating'"):
+            suite(sp, ops=[affine_operator(np.eye(3)), builtin_operator("saturating")])
 
 
 def test_product_ball_margins():
