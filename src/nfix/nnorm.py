@@ -156,6 +156,7 @@ class AnchoredSpace:
     anchor_volume: float = field(init=False)
     anchor_basis: np.ndarray = field(init=False)
     complement_basis: np.ndarray = field(init=False)
+    _complement_rows: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.dim < 1:
@@ -175,8 +176,10 @@ class AnchoredSpace:
         self.anchors.setflags(write=False)
         self.anchor_basis = q[:, : self.order - 1]
         self.complement_basis = q[:, self.order - 1:]
-        self.anchor_basis.setflags(write=False)
-        self.complement_basis.setflags(write=False)
+        # C^T, contiguous, so a semi-norm is one matrix-vector product
+        self._complement_rows = np.ascontiguousarray(self.complement_basis.T)
+        for basis in (self.anchor_basis, self.complement_basis, self._complement_rows):
+            basis.setflags(write=False)
 
     @property
     def complement_dim(self) -> int:
@@ -189,22 +192,21 @@ class AnchoredSpace:
         return ROUNDOFF * self.anchor_volume * scale
 
     def seminorm(self, x) -> float:
-        """||x, b_2, ..., b_n|| in the projection form of ``seminorm_raw``,
-        snapped to exactly 0 when x's distance to the anchor span is at most
-        ``rank_tol`` times its own length."""
+        """``seminorm_raw``, snapped to exactly 0 when x's distance to the
+        anchor span is at most ``rank_tol`` times its own length."""
         x = as_vector(x, self.dim)
-        perp = x - self.anchor_basis @ (self.anchor_basis.T @ x)
-        off = math.sqrt(perp.dot(perp))
+        y = self._complement_rows @ x
+        off = math.sqrt(y.dot(y))
         return 0.0 if off <= self.rank_tol * math.sqrt(x.dot(x)) else self.anchor_volume * off
 
     def seminorm_raw(self, x) -> float:
-        """Semi-norm via the projection identity, without the dependence snap.
+        """Semi-norm in the complement form, without the dependence snap.
 
-        ||x, b_2, ..., b_n|| equals (anchor volume) * ||x - P x||_2 with P the
-        orthogonal projector onto the anchor span.  This keeps full relative
-        accuracy for tiny x, so residual and displacement arithmetic must use
-        it: the dependence snap would otherwise forge zero certificates for a
-        small step beside a large kernel component.
+        ||x, b_2, ..., b_n|| equals (anchor volume) * |C^T x|_2, C the
+        complement basis; its error is a few ulps of vol * |x|, however large
+        x's kernel part.  Residual and displacement arithmetic must use it:
+        the dependence snap would forge zero certificates for a small step
+        beside a large kernel component.
         """
         return self.projection_kernel()(as_vector(x, self.dim))
 
@@ -215,13 +217,12 @@ class AnchoredSpace:
         validates nothing.  A non-finite coordinate always yields a non-finite
         result, so a caller may test the result instead of the input.
         """
-        basis, basis_t, vol = self.anchor_basis, self.anchor_basis.T, self.anchor_volume
+        rows, vol = self._complement_rows, self.anchor_volume
         sqrt = math.sqrt
 
         def raw(x: np.ndarray) -> float:
-            perp = x - basis @ (basis_t @ x)
-            # sqrt(perp . perp) is what np.linalg.norm computes for 1-D input
-            return vol * sqrt(perp.dot(perp))
+            y = rows @ x
+            return vol * sqrt(y.dot(y))
 
         return raw
 
@@ -361,7 +362,7 @@ def b_cauchy_tail(seq: SequencePrefix, from_index: int) -> float:
     shrink as ``from_index`` grows for the prefix to look Cauchy.  A singleton
     tail gives 0, and so does a constant one, exactly.
 
-    Distances use the projection form of the semi-norm without the
+    Distances use the complement form of the semi-norm without the
     dependence snap, as ``seminorm_raw`` does.  The tail is centred on its
     first point in the original coordinates and then projected onto the
     complement of the anchor span, y_i = (x_i - x_1) C; the squared distances

@@ -79,14 +79,13 @@ class OperatorSpec:
     def compile(self, dim: int) -> Callable[[np.ndarray], np.ndarray]:
         """Single-point evaluator ``step(x)`` for ``dim``-dimensional inputs.
 
-        Dimension and parameter checks run here, once; the transposed
-        linear part of an operator with an affine form is built here too.
-        ``step`` itself validates nothing: it expects a finite 1-D float64
-        array of length ``dim`` and returns a new array.  It computes
-        exactly what ``apply_batch`` computes for a one-row batch.
+        Dimension and parameter checks run here, once; the transposed linear
+        part of an operator with an affine form is built here too, so its
+        step is one product, ``x @ L^T + c``.  ``step`` validates nothing: it
+        expects a finite 1-D float64 array of length ``dim`` and returns a
+        new array, exactly what ``apply_batch`` computes for a one-row batch.
         """
-        rows = _row_map(self, dim)
-        return lambda x: rows(x.reshape(1, -1))[0]
+        return _row_map(self, dim)
 
     def linear_part(self, dim: int) -> Optional[np.ndarray]:
         """The (dim, dim) matrix L with T(x) - T(y) = L (x - y), or None.
@@ -180,8 +179,8 @@ def _affine_form(op: OperatorSpec, d: int) -> Optional[tuple]:
 
 
 def _row_map(op: OperatorSpec, d: int) -> Callable[[np.ndarray], np.ndarray]:
-    """The operator as a map on (m, d) arrays of row points, checked for
-    dimension ``d`` once, with everything that depends on ``d`` prebuilt."""
+    """The operator as a map on (..., d) arrays of row points, one point
+    included, checked for dimension ``d`` once, with all it needs prebuilt."""
     form = _affine_form(op, d)
     if form is not None:
         mt, offset = form[0].T, form[1]
@@ -190,8 +189,8 @@ def _row_map(op: OperatorSpec, d: int) -> Callable[[np.ndarray], np.ndarray]:
     if name == "saturating":
         def saturate(pts):
             out = pts.copy()
-            t = out[:, 0]
-            out[:, 0] = t / (1.0 + np.abs(t))
+            t = out[..., 0]
+            out[..., 0] = t / (1.0 + np.abs(t))
             return out
         return saturate
     if name == "step":
@@ -200,7 +199,7 @@ def _row_map(op: OperatorSpec, d: int) -> Callable[[np.ndarray], np.ndarray]:
 
         def jump(pts):
             out = pts.copy()
-            out[:, 0] = np.where(out[:, 0] >= thr, out[:, 0] + h, out[:, 0])
+            out[..., 0] = np.where(out[..., 0] >= thr, out[..., 0] + h, out[..., 0])
             return out
         return jump
     raise ValueError(f"unknown builtin operator {name!r}")
@@ -247,8 +246,11 @@ def kernel_violation_witness(op: OperatorSpec, space: AnchoredSpace) -> Optional
     """
     form = _affine_form(op, space.dim)
     if form is not None:
-        witness, violated = _kernel_gate(space, *form)
-        return witness if violated else None
+        lin, offset = form
+        if _first_off_span(space, offset[None], np.linalg.norm(offset, axis=-1)[None]) >= 0:
+            return np.zeros(space.dim)
+        moved = _moved_anchor(space, lin)
+        return None if moved < 0 else space.anchors[moved]
     split = _e1_split(space)
     if split == "span":
         return None
@@ -271,18 +273,20 @@ def _e1_split(space: AnchoredSpace) -> str:
     return "oblique"
 
 
-def _first_off_span(space: AnchoredSpace, images: np.ndarray, scales) -> np.ndarray:
-    """Index of the first row of each stack of ``images`` (..., rows, d)
-    whose part off the anchor span exceeds ``space.rank_tol`` times its
-    entry of ``scales`` (..., rows), or -1 where none does."""
+def _first_off_span(space: AnchoredSpace, images: np.ndarray, scales):
+    """Index of the first row of each stack of ``images`` (..., rows, d), an
+    int for one (rows, d), whose part off the anchor span exceeds
+    ``space.rank_tol`` times its entry of ``scales`` (..., rows), or -1."""
     bad = np.linalg.norm(images @ space.complement_basis, axis=-1) > space.rank_tol * scales
+    if bad.ndim == 1:
+        return bad.tolist().index(True) if bad.any() else -1
     return np.where(bad.any(axis=-1), bad.argmax(axis=-1), -1)
 
 
-def _moved_anchor(space: AnchoredSpace, matrix: np.ndarray) -> np.ndarray:
-    """For each matrix of a stack (..., d, d), the index of the first anchor
-    b whose image ``matrix @ b`` leaves the anchor span, measured against
-    the length of |matrix| |b|, or -1 where there is none."""
+def _moved_anchor(space: AnchoredSpace, matrix: np.ndarray):
+    """For each matrix of a stack (..., d, d), an int for one (d, d), the
+    index of the first anchor b whose image ``matrix @ b`` leaves the anchor
+    span, measured against the length of |matrix| |b|, or -1."""
     mt = matrix.swapaxes(-1, -2)
     return _first_off_span(space, space.anchors @ mt, np.linalg.norm(np.abs(space.anchors) @ np.abs(mt), axis=-1))
 

@@ -308,7 +308,7 @@ def _solve(regime: str, op: OperatorSpec, space: AnchoredSpace, x0, cfg: SolverC
             raise PreconditionError(res0, threshold)
 
     trace = []
-    iterates = [x0.copy()] if cfg.keep_iterates else None
+    iterates = [x0] if cfg.keep_iterates else None
     ball_trace = [] if ball else None
     max_disp = 0.0 if ball else None
     if res0 == 0.0:
@@ -322,21 +322,25 @@ def _solve(regime: str, op: OperatorSpec, space: AnchoredSpace, x0, cfg: SolverC
     isfinite = math.isfinite
     sqrt = math.sqrt
     floor = space.roundoff_floor
+    append = trace.append
+    row = TraceRow
+    tol, max_iter = cfg.tol, cfg.max_iter
     x0_len = sqrt(x0.dot(x0))
     if seq is not None:
         tail_sum = seq.tail_sum
         rate = seq.term(1)
+        guard = rate * (1.0 + 1e-9)
         apost_factor = tail_sum(1)
     best = x0
     x_prev = x0
     x_next = x1
     certified = math.inf
-    prev_res = None
+    prev_res = math.inf  # no residual before step 1, so the orbit guard cannot fire there
     k = 0
     # a non-finite iterate makes the kernel compute 0 * inf; that iterate is
     # refused below, so numpy's "invalid value" warning would only be noise
     with np.errstate(invalid="ignore"):
-        while k < cfg.max_iter:
+        while k < max_iter:
             k += 1
             if k > 1:
                 x_next = step(x_prev)
@@ -363,29 +367,29 @@ def _solve(regime: str, op: OperatorSpec, space: AnchoredSpace, x0, cfg: SolverC
             if seq is None:
                 # no envelope: the certificate is the smallest residual
                 # ||x - Tx|| seen, attained at x = x_prev
-                trace.append(TraceRow(k, res_k, math.inf, math.inf, math.inf))
+                append(row(k, res_k, math.inf, math.inf, math.inf))
                 if res_k < certified:
                     certified = res_k
                     best = x_prev
             else:
-                if prev_res is not None:
-                    # the orbit is the sharpest sample of the constant: a
-                    # residual breaking the declared recursion by more than
-                    # its roundoff floor proves the constant false
-                    limit = rate * prev_res * (1.0 + 1e-9)
-                    if res_k > limit and res_k > limit + floor(sqrt(max(x_prev.dot(x_prev),
-                                                                        x_next.dot(x_next)))):
-                        raise ConstantMismatchError(f"{guard_name} (orbit residual recursion, step {k})",
-                                                    rate, res_k / prev_res)
+                # the orbit is the sharpest sample of the constant: a
+                # residual breaking the declared recursion by more than
+                # its roundoff floor proves the constant false
+                limit = guard * prev_res
+                if res_k > limit and res_k > limit + floor(sqrt(max(x_prev.dot(x_prev), x_next.dot(x_next)))):
+                    raise ConstantMismatchError(f"{guard_name} (orbit residual recursion, step {k})",
+                                                rate, res_k / prev_res)
                 prev_res = res_k
+                # the step's certificate: the smaller of the two envelopes
                 apriori = tail_sum(k) * res0
                 apost = apost_factor * res_k
-                certified = min(apriori, apost)
-                trace.append(TraceRow(k, res_k, apriori, apost, certified))
+                certified = apriori if apriori <= apost else apost
+                append(row(k, res_k, apriori, apost, certified))
                 best = x_next
             if iterates is not None:
-                iterates.append(x_next.copy())
-            if certified <= cfg.tol:
+                # every step returns a fresh array, so nothing is copied
+                iterates.append(x_next)
+            if certified <= tol:
                 break
             x_prev = x_next
     return _report(regime, space, cfg, best, k, trace, certified, res0, iterates, max_disp, ball_trace)

@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from nfix import cli
 from nfix.cli import ValidationError, load_problem, main, parse_problem, problem_to_dict
 
 
@@ -94,6 +95,53 @@ def test_solve_is_byte_deterministic(tmp_path, capsys):
     second = capsys.readouterr().out
     assert out1.read_bytes() == out2.read_bytes()
     assert first == second
+
+
+def test_trace_file_matches_a_row_by_row_writer(tmp_path):
+    # write_trace formats the whole trace in one call; a row-by-row
+    # reference must give the same bytes for certified rows, edelstein's
+    # infinite bounds and the header-only trace of a start that is fixed
+    problems = {  # each helper writes problem.json, so each is loaded at once
+        "picard": load_problem(str(picard_problem(tmp_path))),
+        "edelstein": load_problem(str(isometry_problem(tmp_path))),
+        "fixed": load_problem(str(picard_problem(tmp_path, x0=[2.0, 0.0, 0.0]))),
+    }
+    for name, problem in problems.items():
+        problem.solver.max_iter = 50
+        report = cli.solve(problem.operator, problem.space, problem.x0, problem.solver)
+        out = tmp_path / f"{name}.csv"
+        cli.write_trace(report, str(out))
+        rows = [f"{k},{res:.17g},{a:.17g},{b:.17g},{c:.17g}" for k, res, a, b, c in report.trace]
+        want = "\n".join(["k,residual,apriori,aposteriori,certified"] + rows) + "\n"
+        assert out.read_bytes() == want.encode()
+        assert len(report.trace) == {"picard": 35, "edelstein": 50, "fixed": 0}[name]
+
+
+def test_the_shared_parser_answers_as_a_fresh_one(tmp_path, capsys, monkeypatch):
+    # main builds its parser once per process; a usage error must leave it
+    # as a fresh parser would be, for the valid call that follows
+    cfg = picard_problem(tmp_path)
+    calls = (["check", "no-such-suite"], ["solve", "--config", str(cfg), "--out", str(tmp_path / "t.csv")],
+             ["solve"], ["check", "ratio", "--trials", "20", "--seed", "3"])
+
+    trace = tmp_path / "t.csv"
+
+    def run_all():
+        trace.unlink(missing_ok=True)
+        results = []
+        for argv in calls:
+            code = main(argv)
+            captured = capsys.readouterr()
+            results.append((code, captured.out, captured.err, trace.read_bytes() if trace.exists() else None))
+        return results
+
+    assert cli._shared_parser() is cli._shared_parser()
+    shared = run_all()
+    monkeypatch.setattr(cli, "_shared_parser", cli.build_parser)
+    fresh = run_all()
+    assert shared == fresh
+    assert [r[0] for r in shared] == [1, 0, 1, 0]
+    assert shared[0][2].startswith("error: usage:") and "usage: nfix" in shared[0][2]
 
 
 def test_solve_ball_precondition_violation_exits_one(tmp_path, capsys):

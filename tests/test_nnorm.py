@@ -383,21 +383,29 @@ def well_conditioned(*vectors):
     return gram_nnorm(vs) > 0.2 * scale
 
 
+def conditioned(tuples, *fixed):
+    """Tuples drawn from ``tuples`` that, completed by the ``fixed``
+    vectors, pass ``well_conditioned``.  Up to half of all draws fail it, so
+    the condition is a filter, which hypothesis retries before it counts an
+    example invalid; as an assume() in the test, every failure counted, and
+    50 of them before the 10th valid example (about 1 run in 1000) failed
+    the filter_too_much health check."""
+    return tuples.filter(lambda vs: well_conditioned(*vs, *fixed))
+
+
 @settings(max_examples=150, deadline=None)
-@given(vs=tuple_strategy(2, 3), seed=st.integers(0, 10_000))
+@given(vs=conditioned(tuple_strategy(2, 3)), seed=st.integers(0, 10_000))
 def test_permutation_invariance_pairs(vs, seed):
-    assume(well_conditioned(*vs))
     base = gram_nnorm(vs)
     swapped = gram_nnorm([vs[1], vs[0]])
     assert abs(base - swapped) <= 1e-12 * max(base, swapped, 1e-30)
 
 
 @settings(max_examples=150, deadline=None)
-@given(vs=tuple_strategy(3, 4))
+@given(vs=conditioned(tuple_strategy(3, 4)))
 def test_permutation_invariance_triples(vs):
     import itertools
 
-    assume(well_conditioned(*vs))
     base = gram_nnorm(vs)
     for perm in itertools.permutations(vs):
         got = gram_nnorm(list(perm))
@@ -406,7 +414,7 @@ def test_permutation_invariance_triples(vs):
 
 @settings(max_examples=150, deadline=None)
 @given(
-    vs=tuple_strategy(2, 3),
+    vs=conditioned(tuple_strategy(2, 3)),
     alpha=st.floats(min_value=1e-3, max_value=10.0).flatmap(
         lambda a: st.sampled_from([a, -a])
     ),
@@ -415,7 +423,6 @@ def test_absolute_homogeneity(vs, alpha):
     # the scaled first vector must stay above the rank threshold, which is
     # measured against the whole tuple; homogeneity below that scale
     # degenerates to an exact zero by design (the price of exact N1)
-    assume(well_conditioned(*vs))
     assume(abs(alpha) * np.max(np.abs(vs[0])) > 1e-6 * np.max(np.abs(vs)))
     base = gram_nnorm(vs)
     scaled = gram_nnorm([np.asarray(vs[0]) * alpha, vs[1]])
@@ -424,13 +431,9 @@ def test_absolute_homogeneity(vs, alpha):
 
 
 @settings(max_examples=200, deadline=None)
-@given(
-    x=st.lists(finite_coord, min_size=3, max_size=3),
-    y=st.lists(finite_coord, min_size=3, max_size=3),
-    rest=tuple_strategy(1, 3),
-)
-def test_triangle_inequality_first_slot(x, y, rest):
-    assume(well_conditioned(x, *rest) and well_conditioned(y, *rest))
+@given(xyr=tuple_strategy(3, 3).filter(lambda t: well_conditioned(t[0], t[2]) and well_conditioned(t[1], t[2])))
+def test_triangle_inequality_first_slot(xyr):
+    x, y, *rest = xyr
     lhs = gram_nnorm([np.asarray(x) + np.asarray(y)] + rest)
     rhs = gram_nnorm([x] + rest) + gram_nnorm([y] + rest)
     assert lhs <= rhs + 1e-9
@@ -438,15 +441,14 @@ def test_triangle_inequality_first_slot(x, y, rest):
 
 @settings(max_examples=150, deadline=None)
 @given(
-    x=st.lists(finite_coord, min_size=3, max_size=3),
-    y=st.lists(finite_coord, min_size=3, max_size=3),
+    x=conditioned(tuple_strategy(1, 3), *space_e23().anchors),
+    y=conditioned(tuple_strategy(1, 3), *space_e23().anchors),
     alpha=st.floats(min_value=1e-3, max_value=10.0),
 )
 def test_anchored_seminorm_is_a_seminorm(x, y, alpha):
     sp = space_e23()
-    x = np.asarray(x)
-    y = np.asarray(y)
-    assume(well_conditioned(x, *sp.anchors) and well_conditioned(y, *sp.anchors))
+    x = np.asarray(x[0])
+    y = np.asarray(y[0])
     assume(alpha * np.max(np.abs(x)) > 1e-6)  # scaled point above the rank snap
     tri = sp.seminorm(x + y)
     assert tri <= sp.seminorm(x) + sp.seminorm(y) + 1e-9
@@ -478,6 +480,26 @@ def _mp_gram_volume(vectors):
         vs = [[mpmath.mpf(float(x)) for x in v] for v in vectors]
         g = mpmath.matrix([[mpmath.fsum(a * b for a, b in zip(u, w)) for w in vs] for u in vs])
         return float(mpmath.sqrt(mpmath.det(g)))
+
+
+@pytest.mark.parametrize("dim,order", [(3, 2), (5, 3), (16, 4), (64, 3)])
+def test_raw_seminorm_is_within_a_few_ulps_of_an_mpmath_oracle(dim, order):
+    # seminorm_raw, vol * |C^T x|, against sqrt(det G(x, anchors)) of the
+    # same doubles in 60-digit arithmetic: the error stays within 16 ulps of
+    # vol * |x| at anchor scales 1e-8 ... 1e8, with kernel parts of x up to
+    # 1e8 times its part off the span
+    rng = np.random.default_rng([dim, order, 23])
+    eps = np.finfo(float).eps
+    worst = 0.0
+    for scale in 10.0 ** np.arange(-8, 9, 4):
+        sp = AnchoredSpace(dim=dim, order=order, anchors=scale * rng.standard_normal((order - 1, dim)))
+        for ratio in (0.0, 1.0, 1e4, 1e8):
+            off = sp.complement_basis @ rng.standard_normal(sp.complement_dim)
+            kernel = sp.anchors.T @ rng.standard_normal(order - 1)
+            x = (off + ratio * np.linalg.norm(off) / np.linalg.norm(kernel) * kernel) * 10.0 ** rng.integers(-6, 7)
+            err = abs(sp.seminorm_raw(x) - _mp_gram_volume([x, *sp.anchors]))
+            worst = max(worst, err / (eps * sp.anchor_volume * np.linalg.norm(x)))
+    assert worst <= 16.0
 
 
 def test_gram_scale_mismatched_pair_keeps_its_area():

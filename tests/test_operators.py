@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from nfix import operators
 from nfix.nnorm import AnchoredSpace
 from nfix.operators import (
     OperatorNormEstimate,
@@ -123,6 +124,25 @@ def test_linear_builtins_map_rows_bit_for_bit(d):
             assert step(x).tobytes() == direct(x[None, :])[0].tobytes()
 
 
+@pytest.mark.parametrize("d", [3, 16, 64])
+def test_compiled_step_is_the_one_row_batch_bit_for_bit(d):
+    # compile's step is x @ L^T + c on the 1-D point for every affine form,
+    # and the nonlinear builtins' row map on it; apply_batch runs the same
+    # product on a (1, d) row, and both must give the same bits
+    rng = np.random.default_rng([d, 67])
+    ops = [affine_operator(rng.standard_normal((d, d)) * 10.0 ** rng.integers(-3, 4),
+                           offset=rng.standard_normal(d)) for _ in range(30)]
+    ops += [builtin_operator("saturating"), builtin_operator("step", threshold=0.1, height=0.5),
+            builtin_operator("scale", factor=-0.7), builtin_operator("constant", value=rng.standard_normal(d)),
+            builtin_operator("rotation-scale", axis1=0, axis2=d - 1, angle=0.3, factor=0.9)]
+    for op in ops:
+        step = op.compile(d)
+        for x in rng.standard_normal((8, d)) * 10.0 ** rng.integers(-5, 6, size=(8, 1)):
+            got = step(x)
+            assert got.shape == (d,)
+            assert got.tobytes() == apply_batch(op, x[None])[0].tobytes()
+
+
 def test_apply_batch_matches_scalar():
     rng = np.random.default_rng(0)
     pts = rng.standard_normal((16, 3))
@@ -226,6 +246,37 @@ def test_kernel_gate_is_not_hidden_by_an_entry_that_misses_the_anchors():
     assert np.array_equal(kernel_violation_witness(op, sp), sp.anchors[0])
     for method in ("I", "II", "III"):
         assert operator_norm(op, sp, method, budget=64, seed=0).value == math.inf
+
+
+@pytest.mark.parametrize("dim,order", [(3, 2), (5, 3), (16, 4), (64, 2)])
+def test_single_map_kernel_gate_matches_the_stacked_gate(dim, order):
+    # kernel_violation_witness decides one map on its own (the anchor test
+    # only once the offset passes); the suites decide stacks with
+    # _kernel_gate, and both must give the same verdicts and witnesses
+    rng = np.random.default_rng([dim, order, 5])
+    sp = AnchoredSpace(dim=dim, order=order, anchors=rng.standard_normal((order - 1, dim)))
+    c = sp.complement_basis
+    lin, offset = [], []
+    for i in range(40):
+        op, _ = random_preserver(sp, rng)
+        a = op.matrix.copy()
+        if i % 4 in (1, 3):
+            a += 1e-3 * np.outer(c[:, 0], sp.anchors[i % (order - 1)])  # moves one anchor
+        off = sp.anchors.T @ rng.standard_normal(order - 1)  # in the span
+        if i % 4 in (2, 3):
+            off = off + 1e-3 * c[:, -1]  # leaves it
+        lin.append(a)
+        offset.append(off)
+    witness, violated = operators._kernel_gate(sp, np.array(lin), np.array(offset))
+    assert violated.tolist() == [i % 4 != 0 for i in range(40)]
+    for i in range(40):
+        single = kernel_violation_witness(affine_operator(lin[i], offset[i]), sp)
+        if violated[i]:
+            assert single.tobytes() == witness[i].tobytes()
+        else:
+            assert single is None
+    assert np.array_equal(operators._bound_constants(sp, np.array(lin)),
+                          [lipschitz_constant(affine_operator(a), sp) for a in lin])
 
 
 def test_kernel_violation_witness_offset_is_zero():

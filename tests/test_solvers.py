@@ -679,28 +679,41 @@ def test_solve_dispatches_by_regime():
 # engine
 # ---------------------------------------------------------------------------
 
-ENGINE_OPERATORS = {
-    "affine": affine_operator(
-        np.diag([0.5, 0.7, 0.3, 0.4]) + 0.2 * np.eye(4, k=-1), offset=[1.0, 0.5, -0.25, 2.0]
-    ),
-    "scale": builtin_operator("scale", factor=0.5),
-    "constant": builtin_operator("constant", value=[1.0, 2.0, 3.0, 4.0]),
-    "saturating": builtin_operator("saturating"),
-    "rotation-scale": builtin_operator("rotation-scale", axis1=0, axis2=3, angle=0.7, factor=0.6),
-    "step": builtin_operator("step", threshold=0.0, height=-1.0),
-}
+ENGINE_KINDS = ("affine", "scale", "constant", "saturating", "rotation-scale", "step")
 
 
-@pytest.mark.parametrize("kind", sorted(ENGINE_OPERATORS))
+def engine_operator(kind, d):
+    if kind == "affine":
+        return affine_operator(np.diag(np.resize([0.5, 0.7, 0.3, 0.4], d)) + 0.2 * np.eye(d, k=-1),
+                               offset=np.resize([1.0, 0.5, -0.25, 2.0], d))
+    if kind == "constant":
+        return builtin_operator("constant", value=np.resize([1.0, 2.0, 3.0, 4.0], d))
+    if kind == "rotation-scale":
+        return builtin_operator("rotation-scale", axis1=0, axis2=d - 1, angle=0.7, factor=0.6)
+    params = {"scale": {"factor": 0.5}, "saturating": {}, "step": {"threshold": 0.0, "height": -1.0}}
+    return builtin_operator(kind, **params[kind])
+
+
+def engine_space(d):
+    """e2, e3 in R^4; in larger dimensions two anchors tilted off the axes,
+    so the complement basis is not a coordinate projection."""
+    anchors = np.eye(d)[1:3]
+    if d > 4:
+        anchors = anchors + 0.25 * np.eye(d)[[d - 1, d - 2]] - 0.125 * np.eye(d)[[3, 4]]
+    return AnchoredSpace(dim=d, order=3, anchors=anchors)
+
+
+@pytest.mark.parametrize("d", [4, 16, 64])
+@pytest.mark.parametrize("kind", ENGINE_KINDS)
 @pytest.mark.parametrize("regime", sorted(REGIME_CONSTANTS))
-def test_engine_steps_match_public_apply_and_seminorm(regime, kind):
+def test_engine_steps_match_public_apply_and_seminorm(regime, kind, d):
     # the compiled step and distance inside the engine must be bit-for-bit
     # the public, validating apply / apply_batch / seminorm_raw
-    sp = AnchoredSpace(dim=4, order=3, anchors=np.eye(4)[1:3])
-    op = ENGINE_OPERATORS[kind]
+    sp = engine_space(d)
+    op = engine_operator(kind, d)
     cfg = SolverConfig(regime=regime, tol=1e-300, max_iter=25, crosscheck_pairs=0,
                        keep_iterates=True, **REGIME_CONSTANTS[regime])
-    report = solve(op, sp, np.array([0.5, 1.0, -2.0, 0.25]), cfg)
+    report = solve(op, sp, np.resize([0.5, 1.0, -2.0, 0.25], d), cfg)
     its = report.iterates
     assert report.iterations >= 2
     assert len(its) == report.iterations + 1 == len(report.trace) + 1
