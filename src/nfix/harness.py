@@ -20,7 +20,6 @@ from .operators import (
     _affine_form,
     _bound_constants,
     _kernel_gate,
-    _probe_chunks,
     affine_operator,
     apply,
     apply_batch,
@@ -294,16 +293,15 @@ def check_bounded_iff_continuous(
         lin_b, off_b = lin[start:start + rows], offset[start:start + rows]
         witness, violated = _kernel_gate(space, lin_b, off_b)
         m = np.where(violated, 0.0, _bound_constants(space, lin_b))
-        eps, radii, x0 = np.zeros(rows), np.zeros((rows, s)), np.zeros((rows, 2, d))
+        eps, delta, radii, x0 = np.zeros(rows), np.zeros(rows), np.zeros((rows, s)), np.zeros((rows, 2, d))
         dirs, coeffs = np.zeros((rows, s, space.complement_dim)), np.zeros((rows, s, space.order - 1))
         for i in np.flatnonzero(~violated):
             eps[i] = rng.uniform(0.2, 2.0)
+            delta[i] = eps[i] / (m[i] + 1.0)
             x0[i, 1] = rng.standard_normal(d)
-            dirs[i], radii[i], coeffs[i] = next(_probe_chunks(space, s, seed + start + i, stream=13))
-        delta = eps / (m + 1.0)
+            dirs[i], radii[i], coeffs[i] = space.draw_ball(rng, s, delta[i])
         # (operator, base point, sample): both base points share the draw
-        pts = space.ball_points(dirs[:, None], (radii * delta[:, None])[:, None], coeffs[:, None],
-                                center=x0[:, :, None])
+        pts = space.ball_points(dirs[:, None], radii[:, None], coeffs[:, None], center=x0[:, :, None])
         lt = lin_b.swapaxes(-1, -2)[:, None]
         tx0 = x0[:, :, None] @ lt + off_b[:, None, None]
         imgs = space.seminorm_batch((pts @ lt + off_b[:, None, None] - tx0).reshape(-1, d)).reshape(rows, 2, s)
@@ -508,7 +506,7 @@ def _reduction_rows(space: AnchoredSpace, ops, step, alpha: np.ndarray, x0: np.n
     if xstar is not None:
         points = np.stack([r.fixed_point for r in reports])
         certified = np.array([r.certified_error for r in reports])
-        errors = space.anchor_volume * np.linalg.norm((points - xstar) @ space.complement_basis, axis=1)
+        errors = space.seminorm_batch(points - xstar)
         slack = space.roundoff_floor(np.linalg.norm(points, axis=1) + np.linalg.norm(xstar, axis=1))
         excess = errors - (certified + slack)
 

@@ -227,16 +227,12 @@ class AnchoredSpace:
         return raw
 
     def seminorm_batch(self, points: np.ndarray) -> np.ndarray:
-        """Semi-norms of many row points at once via the projection identity.
-
-        Fast path for sampling loops and solver internals: no dependence
-        snap, full relative accuracy at every scale.
-        """
+        """``seminorm_raw`` of many row points at once: vol * |P C| row by
+        row, one product, no dependence snap."""
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.dim:
             raise ValueError(f"expected shape (m, {self.dim}), got {pts.shape}")
-        perp = pts - (pts @ self.anchor_basis) @ self.anchor_basis.T
-        return self.anchor_volume * np.linalg.norm(perp, axis=1)
+        return self.anchor_volume * np.linalg.norm(pts @ self.complement_basis, axis=1)
 
     def ball_points(self, dirs, radii, coeffs, center=None) -> np.ndarray:
         """Rows ``center + (radii / vol) * unit(dirs) @ Cᵀ + coeffs @ anchors``.

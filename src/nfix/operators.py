@@ -236,21 +236,17 @@ def kernel_preserved(op: OperatorSpec, space: AnchoredSpace) -> bool:
 def kernel_violation_witness(op: OperatorSpec, space: AnchoredSpace) -> Optional[np.ndarray]:
     """A kernel point whose image leaves the kernel, or None if preserved.
 
-    For T(x) = L x + c: 0 if c leaves the span, else the first anchor b
-    whose image L b does, each measured against ``space.rank_tol`` times
-    |c| or the length of |L| |b| (the product's forward-error bound).
-    "saturating" and "step" move x_1 alone (``_e1_split``): nothing leaves
-    a span holding e1; one orthogonal to e1 gives 0 if T(0) != 0; else the
-    anchor with the largest |a_1|, scaled to a_1 = 2 max(threshold, 1)
-    (threshold 1 for saturating), unless its move along e1 is 0.
+    An operator with an affine form T(x) = L x + c is ``_kernel_gate``'s
+    stack of one.  "saturating" and "step" move x_1 alone (``_e1_split``):
+    nothing leaves a span holding e1; one orthogonal to e1 gives 0 if
+    T(0) != 0; else the anchor with the largest |a_1|, scaled to
+    a_1 = 2 max(threshold, 1) (threshold 1 for saturating), unless its move
+    along e1 is 0.
     """
     form = _affine_form(op, space.dim)
     if form is not None:
-        lin, offset = form
-        if _first_off_span(space, offset[None], np.linalg.norm(offset, axis=-1)[None]) >= 0:
-            return np.zeros(space.dim)
-        moved = _moved_anchor(space, lin)
-        return None if moved < 0 else space.anchors[moved]
+        witness, violated = _kernel_gate(space, *form)
+        return witness if violated else None
     split = _e1_split(space)
     if split == "span":
         return None
@@ -273,38 +269,28 @@ def _e1_split(space: AnchoredSpace) -> str:
     return "oblique"
 
 
-def _first_off_span(space: AnchoredSpace, images: np.ndarray, scales):
-    """Index of the first row of each stack of ``images`` (..., rows, d), an
-    int for one (rows, d), whose part off the anchor span exceeds
-    ``space.rank_tol`` times its entry of ``scales`` (..., rows), or -1."""
-    bad = np.linalg.norm(images @ space.complement_basis, axis=-1) > space.rank_tol * scales
-    if bad.ndim == 1:
-        return bad.tolist().index(True) if bad.any() else -1
-    return np.where(bad.any(axis=-1), bad.argmax(axis=-1), -1)
-
-
-def _moved_anchor(space: AnchoredSpace, matrix: np.ndarray):
-    """For each matrix of a stack (..., d, d), an int for one (d, d), the
-    index of the first anchor b whose image ``matrix @ b`` leaves the anchor
-    span, measured against the length of |matrix| |b|, or -1."""
-    mt = matrix.swapaxes(-1, -2)
-    return _first_off_span(space, space.anchors @ mt, np.linalg.norm(np.abs(space.anchors) @ np.abs(mt), axis=-1))
-
-
 def _kernel_gate(space: AnchoredSpace, lin: np.ndarray, offset: np.ndarray) -> tuple:
-    """``kernel_violation_witness`` of T(x) = L x + c for stacks of L
-    (..., d, d) and c (..., d): the witness rows (..., d), 0 where c leaves
-    the span and else the first moved anchor, and whether each is one."""
-    leaves = _first_off_span(space, offset[..., None, :], np.linalg.norm(offset, axis=-1)[..., None]) >= 0
-    moved = _moved_anchor(space, lin)
-    return np.where(leaves[..., None], 0.0, space.anchors[moved]), leaves | (moved >= 0)
+    """The kernel gate of T(x) = L x + c for stacks of L (..., d, d) and
+    c (..., d): one pass over the rows [c, L b_1, ..., L b_{n-1}] finds the
+    first whose part off the anchor span exceeds ``space.rank_tol`` times
+    |c| or the length of |L| |b| (the product's forward-error bound).
+    Returns the witness rows (..., d), 0 where c leaves the span and else
+    the first moved anchor b, and whether each map moves the kernel (a map
+    that does not gets the row 0, which is no witness)."""
+    mt = lin.swapaxes(-1, -2)
+    images = np.concatenate([offset[..., None, :], space.anchors @ mt], axis=-2)
+    scales = np.concatenate([np.linalg.norm(offset, axis=-1)[..., None],
+                             np.linalg.norm(np.abs(space.anchors) @ np.abs(mt), axis=-1)], axis=-1)
+    off = np.linalg.norm(images @ space.complement_basis, axis=-1) > space.rank_tol * scales
+    points = np.concatenate([np.zeros((1, space.dim)), space.anchors])
+    return points[off.argmax(axis=-1)], off.any(axis=-1)
 
 
 def _quotient_map(space: AnchoredSpace, lin: np.ndarray) -> tuple:
     """C^T L C of every linear part L of a stack (..., d, d), and whether
     L keeps the anchor span."""
     c = space.complement_basis
-    return c.T @ lin @ c, _moved_anchor(space, lin) < 0
+    return c.T @ lin @ c, ~_kernel_gate(space, lin, np.zeros(lin.shape[:-1]))[1]
 
 
 def _bound_constants(space: AnchoredSpace, lin: np.ndarray) -> np.ndarray:
@@ -390,26 +376,24 @@ class OperatorNormEstimate:
     kernel_preserved: bool
 
 
-def _probe_chunks(space: AnchoredSpace, budget: int, seed: int, stream: int):
-    """Yield (complement directions, radii in [0,1), anchor coefficients).
+def _keyed_chunks(budget: int, seed: int, stream: int):
+    """Yield (generator, rows) for each chunk of a sampling budget.
 
-    Chunk i is drawn from its own generator keyed by (seed, stream, i), and a
-    partial last chunk is a prefix of the full draw, so the first k samples
-    are the same for every budget >= k.
+    Chunk i is drawn from its own generator keyed by (seed, stream, i) and
+    a partial last chunk takes a prefix of the full draw, so the first k
+    samples are the same for every budget >= k.
     """
-    m = space.complement_dim
-    nk = space.order - 1
-    produced = 0
-    chunk_idx = 0
-    while produced < budget:
-        rng = np.random.default_rng([_seed_key(seed), stream, chunk_idx])
-        dirs = rng.standard_normal((_CHUNK, m))
-        radii = rng.random(_CHUNK)
-        coeffs = rng.standard_normal((_CHUNK, nk))
-        take = min(_CHUNK, budget - produced)
+    key = _seed_key(seed)
+    for i, start in enumerate(range(0, budget, _CHUNK)):
+        yield np.random.default_rng([key, stream, i]), min(_CHUNK, budget - start)
+
+
+def _probe_chunks(space: AnchoredSpace, budget: int, seed: int, stream: int):
+    """Yield ``draw_ball``'s (complement directions, radii in [0, 1),
+    anchor coefficients), chunk by chunk of ``_keyed_chunks``."""
+    for rng, take in _keyed_chunks(budget, seed, stream):
+        dirs, radii, coeffs = space.draw_ball(rng, _CHUNK, 1.0)
         yield dirs[:take], radii[:take], coeffs[:take]
-        produced += take
-        chunk_idx += 1
 
 
 def _probe_point_chunks(space: AnchoredSpace, budget: int, seed: int, method: str):
@@ -507,11 +491,9 @@ def contraction_constant(
         raise ValueError("budget must be >= 1")
     best = [0.0, 0.0]
     wit = [None, None]
-    for chunk_idx, produced in enumerate(range(0, budget, _CHUNK)):
-        rng = np.random.default_rng([_seed_key(seed), 11, chunk_idx])
-        take = min(_CHUNK, budget - produced)
+    for rng, take in _keyed_chunks(budget, seed, stream=11):
         # pairs are drawn interleaved, so a partial chunk is a prefix of the
-        # full one and the first k pairs are the same for every budget >= k
+        # full one
         pairs = rng.standard_normal((take, 2, space.dim)) * 1.5
         xs, ys = pairs[:, 0], pairs[:, 1]
         txs = apply_batch(op, xs)

@@ -28,9 +28,9 @@ uniqueness claims hold modulo the anchor span; the independence of
 
 The engine compiles the operator and the semi-norm once per solve and
 validates nothing per step.  Finiteness is checked lazily: a non-finite
-coordinate in an iterate always makes its projected residual NaN or inf, so
-the full checks run only when a residual is not finite, and a bad iterate is
-still refused at the step that produced it.
+coordinate in an iterate, or an overflowing displacement between finite
+ones, always makes the step's residual NaN or inf, so the displacement is
+checked only then, and either is refused at the step that produced it.
 
 Declared constants are trusted for the certificate but cross-checked
 before iterating against the operator's exact constants: alpha (picard,
@@ -44,7 +44,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import accumulate
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -140,13 +139,14 @@ class ASeq:
         elif self.kind == "explicit":
             if not self.terms:
                 raise SolverInputError("explicit a_seq needs at least one term")
-            self.terms = [float(t) for t in self.terms]
-            if any(not math.isfinite(t) or t < 0 for t in self.terms):
+            terms = np.asarray(self.terms, dtype=float)
+            if terms.ndim != 1 or not np.all((terms >= 0.0) & (terms < math.inf)):
                 raise SolverInputError("explicit a_seq terms must be finite and nonnegative")
             if not (math.isfinite(self.tail) and self.tail >= 0):
                 raise SolverInputError("explicit a_seq needs a finite nonnegative declared tail bound")
+            self.terms = terms.tolist()
             # _suffix[i] = sum(terms[i:]), summed from the far end; _suffix[-1] = 0
-            self._suffix = list(accumulate(reversed(self.terms), initial=0.0))[::-1]
+            self._suffix = np.cumsum(terms[::-1])[::-1].tolist() + [0.0]
         else:
             raise SolverInputError(f"a_seq kind must be 'geometric' or 'explicit', got {self.kind!r}")
 
@@ -299,9 +299,17 @@ def _solve(regime: str, op: OperatorSpec, space: AnchoredSpace, x0, cfg: SolverC
     ball = regime == "ball"
     x0 = as_vector(x0, space.dim).copy()
     step = op.compile(space.dim)
-    x1 = step(x0)
-    _check_finite(x1, 1)
-    res0 = space.seminorm_raw(x0 - x1)
+    dist = space.projection_kernel()
+    # an iterate or a displacement may overflow, and a non-finite one makes
+    # the kernel compute 0 * inf; either is refused at the step that made
+    # it, so numpy's warnings would only be noise
+    with np.errstate(invalid="ignore", over="ignore"):
+        x1 = step(x0)
+        diff = x0 - x1
+        res0 = dist(diff)
+        x0_len = math.sqrt(x0.dot(x0))
+    if not math.isfinite(res0):
+        _check_finite(diff, 1)
     if ball:
         threshold = (1.0 - cfg.alpha) * cfg.radius
         if not (res0 < threshold):
@@ -318,14 +326,12 @@ def _solve(regime: str, op: OperatorSpec, space: AnchoredSpace, x0, cfg: SolverC
     if seq is not None:
         _crosscheck(op, space, cfg, x0)
 
-    dist = space.projection_kernel()
     isfinite = math.isfinite
     sqrt = math.sqrt
     floor = space.roundoff_floor
     append = trace.append
     row = TraceRow
     tol, max_iter = cfg.tol, cfg.max_iter
-    x0_len = sqrt(x0.dot(x0))
     if seq is not None:
         tail_sum = seq.tail_sum
         rate = seq.term(1)
@@ -337,9 +343,7 @@ def _solve(regime: str, op: OperatorSpec, space: AnchoredSpace, x0, cfg: SolverC
     certified = math.inf
     prev_res = math.inf  # no residual before step 1, so the orbit guard cannot fire there
     k = 0
-    # a non-finite iterate makes the kernel compute 0 * inf; that iterate is
-    # refused below, so numpy's "invalid value" warning would only be noise
-    with np.errstate(invalid="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):
         while k < max_iter:
             k += 1
             if k > 1:
@@ -348,16 +352,15 @@ def _solve(regime: str, op: OperatorSpec, space: AnchoredSpace, x0, cfg: SolverC
             res_k = dist(diff)
             if not isfinite(res_k):
                 # x_next has a NaN/inf coordinate, or x_next - x_prev
-                # overflowed: run the full checks, which raise for both
-                _check_finite(x_next, k)
-                res_k = space.seminorm_raw(diff)
+                # overflowed; either leaves a non-finite diff
+                _check_finite(diff, k)
             if ball:
                 # the ball theorem's own diagnostic comes first: an escaping
                 # iterate names the violated induction bound directly
                 diff = x_next - x0
                 disp = dist(diff)
                 if not isfinite(disp):
-                    disp = space.seminorm_raw(diff)
+                    _check_finite(diff, k)
                 bound = (1.0 - cfg.alpha ** k) * cfg.radius
                 ball_trace.append((k, disp, bound))
                 if disp > max_disp:

@@ -168,6 +168,16 @@ def test_solve_edelstein_isometry_exits_two(tmp_path, capsys):
     assert "converged=false" in captured.out
 
 
+def test_solve_overflowing_displacement_exits_two(tmp_path, capsys):
+    # x0 and Tx0 = -1.5e308 are finite, their difference overflows
+    cfg = picard_problem(tmp_path, dimension=3, order=2, anchors=[[0.0, 1.0, 0.0]], x0=[1e308, 0.0, 0.0],
+                         operator={"kind": "affine", "matrix": [[-1.5, 0, 0], [0, 1, 0], [0, 0, 1]]})
+    code = main(["solve", "--config", str(cfg)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: non-finite iterate at step 1; aborting\n"
+
+
 def test_solve_flag_overrides(tmp_path, capsys):
     cfg = picard_problem(tmp_path)
     code = main(["solve", "--config", str(cfg), "--tol", "1e-4"])

@@ -25,7 +25,6 @@ from nfix.operators import (
     apply,
     apply_batch,
     builtin_operator,
-    continuity_probe,
     kernel_violation_witness,
     lipschitz_constant,
 )
@@ -247,15 +246,19 @@ def _loop_bounded_iff_continuous(space, trials, seed, ops=None):
         m = lipschitz_constant(op, space)
         eps = float(rng.uniform(0.2, 2.0))
         delta = eps / (m + 1.0)
-        for x0 in (np.zeros(space.dim), rng.standard_normal(space.dim)):
-            probe = continuity_probe(op, space, x0, eps, delta, samples=64, seed=seed + i)
-            if not probe.ok:
+        base = (np.zeros(space.dim), rng.standard_normal(space.dim))
+        draw = space.draw_ball(rng, 64, delta)  # both base points share the probe draw
+        for x0 in base:
+            pts = space.ball_points(*draw, center=x0)
+            imgs = space.seminorm_batch(apply_batch(op, pts) - apply(op, x0))
+            reach = float(imgs.max())
+            if reach >= eps:
                 failures += 1
-                if probe.max_image_distance - eps > worst:
-                    worst = probe.max_image_distance - eps
+                if reach - eps > worst:
+                    worst = reach - eps
                     ce = {"operator_index": i, "reason": "continuity probe failed", "x0": x0.tolist(),
-                          "witness": probe.witness.tolist(), "epsilon": eps, "delta": delta,
-                          "image_distance": probe.max_image_distance}
+                          "witness": pts[int(np.argmax(imgs))].tolist(), "epsilon": eps, "delta": delta,
+                          "image_distance": reach}
     return harness.PropertyReport("bounded_iff_continuous", len(ops), failures, worst, ce, seed)
 
 
@@ -321,9 +324,11 @@ def test_stacked_bounded_suites_match_the_public_per_operator_calls(monkeypatch,
     for i, op in enumerate(ops):
         eps = rng.uniform(0.2, 2.0)
         delta = eps / (lipschitz_constant(op, ref) + 1.0)
-        for b, x0 in enumerate((np.zeros(dim), rng.standard_normal(dim))):
-            probe = continuity_probe(op, ref, x0, eps, delta, samples=64, seed=seed + i)
-            assert imgs.reshape(trials, 2, 64)[i, b].max() == probe.max_image_distance
+        base = (np.zeros(dim), rng.standard_normal(dim))
+        draw = ref.draw_ball(rng, 64, delta)
+        for b, x0 in enumerate(base):
+            want = ref.seminorm_batch(apply_batch(op, ref.ball_points(*draw, center=x0)) - apply(op, x0))
+            assert imgs.reshape(trials, 2, 64)[i, b].max() == want.max()
 
     # the bounded-sets images: one stacked semi-norm call per block
     rng = np.random.default_rng([seed, 20])

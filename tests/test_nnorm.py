@@ -484,10 +484,10 @@ def _mp_gram_volume(vectors):
 
 @pytest.mark.parametrize("dim,order", [(3, 2), (5, 3), (16, 4), (64, 3)])
 def test_raw_seminorm_is_within_a_few_ulps_of_an_mpmath_oracle(dim, order):
-    # seminorm_raw, vol * |C^T x|, against sqrt(det G(x, anchors)) of the
-    # same doubles in 60-digit arithmetic: the error stays within 16 ulps of
-    # vol * |x| at anchor scales 1e-8 ... 1e8, with kernel parts of x up to
-    # 1e8 times its part off the span
+    # seminorm_raw and seminorm_batch, vol * |C^T x|, against
+    # sqrt(det G(x, anchors)) of the same doubles in 60-digit arithmetic: the
+    # error stays within 16 ulps of vol * |x| at anchor scales 1e-8 ... 1e8,
+    # with kernel parts of x up to 1e8 times its part off the span
     rng = np.random.default_rng([dim, order, 23])
     eps = np.finfo(float).eps
     worst = 0.0
@@ -497,8 +497,9 @@ def test_raw_seminorm_is_within_a_few_ulps_of_an_mpmath_oracle(dim, order):
             off = sp.complement_basis @ rng.standard_normal(sp.complement_dim)
             kernel = sp.anchors.T @ rng.standard_normal(order - 1)
             x = (off + ratio * np.linalg.norm(off) / np.linalg.norm(kernel) * kernel) * 10.0 ** rng.integers(-6, 7)
-            err = abs(sp.seminorm_raw(x) - _mp_gram_volume([x, *sp.anchors]))
-            worst = max(worst, err / (eps * sp.anchor_volume * np.linalg.norm(x)))
+            exact = _mp_gram_volume([x, *sp.anchors])
+            for got in (sp.seminorm_raw(x), sp.seminorm_batch(x[None])[0]):
+                worst = max(worst, abs(got - exact) / (eps * sp.anchor_volume * np.linalg.norm(x)))
     assert worst <= 16.0
 
 

@@ -250,9 +250,10 @@ def test_kernel_gate_is_not_hidden_by_an_entry_that_misses_the_anchors():
 
 @pytest.mark.parametrize("dim,order", [(3, 2), (5, 3), (16, 4), (64, 2)])
 def test_single_map_kernel_gate_matches_the_stacked_gate(dim, order):
-    # kernel_violation_witness decides one map on its own (the anchor test
-    # only once the offset passes); the suites decide stacks with
-    # _kernel_gate, and both must give the same verdicts and witnesses
+    # kernel_violation_witness decides one map as a stack of one; the suites
+    # decide stacks with _kernel_gate, and both must give the same verdicts
+    # and witnesses: 0 where the offset leaves the span, else b_1, which the
+    # added term moves, as it moves every anchor not orthogonal to its b
     rng = np.random.default_rng([dim, order, 5])
     sp = AnchoredSpace(dim=dim, order=order, anchors=rng.standard_normal((order - 1, dim)))
     c = sp.complement_basis
@@ -273,6 +274,7 @@ def test_single_map_kernel_gate_matches_the_stacked_gate(dim, order):
         single = kernel_violation_witness(affine_operator(lin[i], offset[i]), sp)
         if violated[i]:
             assert single.tobytes() == witness[i].tobytes()
+            assert np.array_equal(single, np.zeros(dim) if i % 4 in (2, 3) else sp.anchors[0])
         else:
             assert single is None
     assert np.array_equal(operators._bound_constants(sp, np.array(lin)),

@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -344,6 +345,25 @@ def test_nonfinite_kernel_coordinate_aborts_at_its_step(regime):
     assert err.value.step == 31  # 1e10 ** 31 overflows; certification would need 34 steps
 
 
+@pytest.mark.parametrize("regime,op,x0,constants,step", [
+    # x1 = -1.5e308 is finite, x0 - x1 is not
+    ("picard", affine_operator(np.diag([-1.5, 1.0, 1.0])), [1e308, 0.0, 0.0], {"alpha": 0.5}, 1),
+    # x_193 = -1.1^193 * 1e300 ~ -9.6e307 is finite, x_193 - x_192 is not
+    ("edelstein", builtin_operator("scale", factor=-1.1), [1e300, 0.0, 0.0], {"max_iter": 10 ** 5}, 193),
+    # x_2 - x_1 is finite, the ball's displacement x_2 - x0 is not
+    ("ball", affine_operator(np.diag([0.5, 1.0, 0.5]), offset=[0.0, -1e308, 0.0]), [1.0, 1e308, 0.0],
+     {"alpha": 0.5, "radius": 10.0}, 2),
+])
+def test_overflowing_displacement_between_finite_iterates_aborts_at_its_step(regime, op, x0, constants, step):
+    sp = AnchoredSpace(dim=3, order=2, anchors=[[0.0, 1.0, 0.0]])
+    cfg = SolverConfig(regime=regime, tol=1e-10, **constants)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteIterateError) as err:
+            solve(op, sp, np.array(x0), cfg)
+    assert err.value.step == step
+
+
 def test_picard_max_iter_returns_partial_report():
     sp = space_e23()
     cfg = SolverConfig(regime="picard", alpha=0.99, tol=1e-12, max_iter=5)
@@ -473,6 +493,20 @@ def test_summable_explicit_list_arithmetic():
     assert seq.tail_sum(1) == pytest.approx(1.51, rel=1e-15)
     assert seq.tail_sum(4) == pytest.approx(0.01, rel=1e-15)
     assert seq.tail_sum(5) == 0.0
+
+
+@pytest.mark.parametrize("n", [5, 40, 5000])
+def test_explicit_tail_sums_are_sums_from_the_far_end(n):
+    # the suffix sums come from one array pass; they must keep the bits of
+    # adding the terms one by one from the last
+    rng = np.random.default_rng(n)
+    terms = (rng.random(n) * 10.0 ** rng.integers(-8, 3, n)).tolist()
+    seq = explicit_sequence(terms, tail=0.125)
+    reference = list(accumulate(reversed(terms), initial=0.0))[::-1]
+    assert seq.terms == terms and all(type(t) is float for t in seq.terms)
+    for q in range(1, n + 3):
+        got = seq.tail_sum(q)
+        assert type(got) is float and got == reference[min(q - 1, n)] + 0.125
 
 
 def test_summable_nilpotent_operator_finite_support():
