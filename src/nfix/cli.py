@@ -286,12 +286,9 @@ def problem_to_dict(problem: Problem) -> dict:
     if problem.solver is not None:
         cfg = problem.solver
         sol = {"regime": cfg.regime, "tol": cfg.tol, "max_iter": cfg.max_iter}
-        if cfg.alpha is not None:
-            sol["alpha"] = cfg.alpha
-        if cfg.beta is not None:
-            sol["beta"] = cfg.beta
-        if cfg.radius is not None:
-            sol["radius"] = cfg.radius
+        for key in ("alpha", "beta", "radius"):
+            if getattr(cfg, key) is not None:
+                sol[key] = getattr(cfg, key)
         if cfg.a_seq is not None:
             if cfg.a_seq.kind == "geometric":
                 sol["a_seq"] = {"kind": "geometric", "ratio": cfg.a_seq.ratio}
@@ -322,35 +319,33 @@ def write_trace(report: SolverReport, path: str):
         fh.write(_TRACE_HEADER + body)
 
 
-def _print_summary(report: SolverReport, out=None):
-    out = out or sys.stdout
-    print(f"regime={report.regime}", file=out)
-    print(f"converged={'true' if report.converged else 'false'}", file=out)
-    print(f"iterations={report.iterations}", file=out)
-    print(f"certified_error={_fmt(report.certified_error)}", file=out)
-    print(f"independence_ok={'true' if report.independence_ok else 'false'}", file=out)
-    print(f"uniqueness={report.uniqueness_note}", file=out)
+def _print_summary(report: SolverReport):
+    print(f"regime={report.regime}")
+    print(f"converged={'true' if report.converged else 'false'}")
+    print(f"iterations={report.iterations}")
+    print(f"certified_error={_fmt(report.certified_error)}")
+    print(f"independence_ok={'true' if report.independence_ok else 'false'}")
+    print(f"uniqueness={report.uniqueness_note}")
     coords = " ".join(_fmt(v) for v in report.fixed_point)
-    print(f"fixed_point={coords}", file=out)
+    print(f"fixed_point={coords}")
     if report.max_displacement is not None:
-        print(f"max_displacement={_fmt(report.max_displacement)}", file=out)
+        print(f"max_displacement={_fmt(report.max_displacement)}")
     if report.message:
-        print(f"note={report.message}", file=out)
+        print(f"note={report.message}")
 
 
 def _default_seed(args_seed: Optional[int]) -> int:
-    if args_seed is not None:
-        return args_seed
-    env = os.environ.get("NFIX_SEED")
-    if env is not None:
+    """--seed, else NFIX_SEED, else 0; a negative seed is refused either way."""
+    field, value = "--seed", args_seed
+    if value is None:
+        field, env = "NFIX_SEED", os.environ.get("NFIX_SEED", "0")
         try:
             value = int(env)
         except ValueError:
             raise ValidationError(f"NFIX_SEED: expected an integer, got {env!r}")
-        if value < 0:
-            raise ValidationError("NFIX_SEED: expected a nonnegative integer")
-        return value
-    return 0
+    if value < 0:
+        raise ValidationError(f"{field}: expected a nonnegative integer")
+    return value
 
 
 def cmd_solve(args) -> int:

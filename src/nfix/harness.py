@@ -57,35 +57,27 @@ class PropertyReport:
         }
 
 
-def canonical_space(dim: int, order: int, rank_tol: float = 1e-9) -> AnchoredSpace:
+def canonical_space(dim: int, order: int) -> AnchoredSpace:
     """Anchors e_2, ..., e_order: the standard instance used by the CLI."""
-    return AnchoredSpace(dim=dim, order=order, anchors=np.eye(dim)[1:order], rank_tol=rank_tol)
+    return AnchoredSpace(dim=dim, order=order, anchors=np.eye(dim)[1:order])
 
 
-def _kernel_preserving_matrices(space: AnchoredSpace, rng, count: int, spread: float = 1.0) -> np.ndarray:
+def _kernel_preserving_matrices(space: AnchoredSpace, rng, count: int) -> np.ndarray:
     """``count`` random (d, d) matrices that map the anchor span into itself
     (block triangular over the orthonormal split), each drawn from ``rng``
     as its complement, mixed and anchor blocks in turn."""
     m, k = space.complement_dim, space.order - 1
-    draws = rng.standard_normal((count, m * m + k * m + k * k)) * spread
+    draws = rng.standard_normal((count, m * m + k * m + k * k))
     b11, b21, b22 = np.split(draws, [m * m, m * m + k * m], axis=1)
     qc, qa = space.complement_basis, space.anchor_basis
     return (qc @ b11.reshape(-1, m, m) @ qc.T + qa @ b21.reshape(-1, k, m) @ qc.T
             + qa @ b22.reshape(-1, k, k) @ qa.T)
 
 
-def random_kernel_preserving_operator(space: AnchoredSpace, rng, spread: float = 1.0) -> OperatorSpec:
+def random_kernel_preserving_operator(space: AnchoredSpace, rng) -> OperatorSpec:
     """Random linear operator whose matrix maps the anchor span into itself
     (block triangular over the orthonormal split)."""
-    return affine_operator(_kernel_preserving_matrices(space, rng, 1, spread)[0])
-
-
-def _vec(x) -> list:
-    return [float(v) for v in np.asarray(x).ravel()]
-
-
-def _tuple_list(vectors) -> list:
-    return [_vec(v) for v in vectors]
+    return affine_operator(_kernel_preserving_matrices(space, rng, 1)[0])
 
 
 def _blocks(trials: int, width: int):
@@ -197,12 +189,12 @@ def check_axiom_suite(
         got, val = _norms(norm_fn, np.stack([dependent, indep]))
         excess = got - 1e-9 * scale
         tally.add(excess, excess > 0, lambda i: {"case": "dependent tuple not collapsed",
-                                                 "tuple": _tuple_list(dependent[i]), "value": float(got[i])})
+                                                 "tuple": dependent[i].tolist(), "value": float(got[i])})
         collapsed = np.flatnonzero(~(val > 0.0))
         tally.failures += collapsed.size
         if tally.ce is None and collapsed.size:
             i = collapsed[0]
-            tally.ce = {"case": "independent tuple collapsed", "tuple": _tuple_list(indep[i]), "value": float(val[i])}
+            tally.ce = {"case": "independent tuple collapsed", "tuple": indep[i].tolist(), "value": float(val[i])}
     reports.append(tally.report("axioms.N1", trials, seed))
 
     # N2: permutation invariance, relative 1e-12
@@ -213,7 +205,7 @@ def check_axiom_suite(
         perm = rng.permuted(np.tile(np.arange(order), (rows, 1)), axis=1)
         base, got = _norms(norm_fn, np.stack([vs, np.take_along_axis(vs, perm[:, :, None], axis=1)]))
         rel = np.abs(got - base) / np.maximum(np.maximum(base, got), 1e-30)
-        tally.add(rel, rel > 1e-12, lambda i: {"tuple": _tuple_list(vs[i]), "permutation": [int(p) for p in perm[i]],
+        tally.add(rel, rel > 1e-12, lambda i: {"tuple": vs[i].tolist(), "permutation": [int(p) for p in perm[i]],
                                                "base": float(base[i]), "permuted": float(got[i])})
     reports.append(tally.report("axioms.N2", trials, seed))
 
@@ -229,7 +221,7 @@ def check_axiom_suite(
         base, got = _norms(norm_fn, np.stack([vs, scaled_tuples]))
         want = np.abs(alpha) * base
         rel = np.abs(got - want) / np.maximum(np.maximum(got, want), 1e-30)
-        tally.add(rel, rel > 1e-12, lambda i: {"tuple": _tuple_list(vs[i]), "alpha": float(alpha[i]),
+        tally.add(rel, rel > 1e-12, lambda i: {"tuple": vs[i].tolist(), "alpha": float(alpha[i]),
                                                "scaled": float(got[i]), "expected": float(want[i])})
     reports.append(tally.report("axioms.N3", trials, seed))
 
@@ -245,7 +237,7 @@ def check_axiom_suite(
         lhs, nx, ny = _norms(norm_fn, tuples)
         rhs = nx + ny
         excess = lhs - rhs - 1e-9
-        tally.add(excess, excess > 0, lambda i: {"x": _vec(x[i]), "y": _vec(y[i]), "rest": _tuple_list(rest[i]),
+        tally.add(excess, excess > 0, lambda i: {"x": x[i].tolist(), "y": y[i].tolist(), "rest": rest[i].tolist(),
                                                  "lhs": float(lhs[i]), "rhs": float(rhs[i])})
     reports.append(tally.report("axioms.N4", trials, seed))
     return reports
@@ -318,7 +310,7 @@ def check_bounded_iff_continuous(
             violations[i] = {
                 "operator_index": start + int(i),
                 "reason": "kernel not preserved: images of a vanishing sequence stay away from the image of its limit",
-                "witness": _vec(witness[i]),
+                "witness": witness[i].tolist(),
                 "image_residuals": residuals,
             }
 
@@ -326,8 +318,8 @@ def check_bounded_iff_continuous(
             i, b = divmod(j, 2)
             if violated[i]:
                 return violations[i]
-            return {"operator_index": start + i, "reason": "continuity probe failed", "x0": _vec(x0[i, b]),
-                    "witness": _vec(pts[i, b, np.argmax(imgs[i, b])]), "epsilon": float(eps[i]),
+            return {"operator_index": start + i, "reason": "continuity probe failed", "x0": x0[i, b].tolist(),
+                    "witness": pts[i, b, np.argmax(imgs[i, b])].tolist(), "epsilon": float(eps[i]),
                     "delta": float(delta[i]), "image_distance": float(reach[i, b])}
         tally.add(values.ravel(), failed.ravel(), probe_failure)
     return tally.report("bounded_iff_continuous", len(lin), seed)
@@ -370,9 +362,9 @@ def check_bounded_sets(
             if violated[i]:
                 return {"operator_index": start + i,
                         "reason": "kernel violator: zero semi-norm point with nonzero image, ratio unbounded",
-                        "witness": _vec(witness[i]), "image_seminorm": float(values[i])}
+                        "witness": witness[i].tolist(), "image_seminorm": float(values[i])}
             j = int(np.argmax(imgs[i]))
-            return {"operator_index": start + i, "reason": "image escaped the bounded set", "point": _vec(pts[i, j]),
+            return {"operator_index": start + i, "reason": "image escaped the bounded set", "point": pts[i, j].tolist(),
                     "image_seminorm": float(imgs[i, j]), "bound": float(bound[i])}
         tally.add(values, failed, escape)
     return tally.report("bounded_sets", len(lin), seed)
@@ -425,7 +417,7 @@ def check_product_ball_lemma(
         left, right = gram_volumes(tuples, space.rank_tol)
         dist = left + right
         tally.add(dist - (r + r_prime), dist >= r1,
-                  lambda i: {"x": _vec(x[i]), "y": _vec(y[i]), "product_distance": float(dist[i]), "r1": r1})
+                  lambda i: {"x": x[i].tolist(), "y": y[i].tolist(), "product_distance": float(dist[i]), "r1": r1})
     return tally.report("product_ball", trials, seed)
 
 
@@ -434,6 +426,7 @@ def check_product_ball_lemma(
 # ---------------------------------------------------------------------------
 
 REFERENCE_BLOCK = 128  # rows the Banach reference iterates at once; memory is block x steps x dim
+REDUCTION_TOL = 1e-10  # the certified-error target of every reduction solve and its reference
 
 
 class _BanachReference(NamedTuple):
@@ -445,16 +438,15 @@ class _BanachReference(NamedTuple):
     cover: np.ndarray     # (rows,) steps the a-priori bound alone needs, plus one
 
 
-def _banach_reference(space: AnchoredSpace, step, alpha: np.ndarray, x0: np.ndarray,
-                      tol: float) -> _BanachReference:
+def _banach_reference(space: AnchoredSpace, step, alpha: np.ndarray, x0: np.ndarray) -> _BanachReference:
     """Iterate x_{k+1} = T x_k for every row of ``x0`` in lock step.
 
     ``step`` maps a (rows, dim) stack, and row i contracts by ``alpha[i]``.
     Row i's bounds are Banach's: a priori alpha^k / (1 - alpha) * res_0, a
     posteriori alpha / (1 - alpha) * res_k, with res_k the semi-norm of
     x_k - x_{k-1} in the projection form vol * |(I - B B^T) v|; the row stops
-    at the first step where their minimum is at most tol.  No row runs past
-    the step where the a-priori bound alone reaches tol.
+    at the first step where their minimum is at most REDUCTION_TOL.  No row
+    runs past the step where the a-priori bound alone reaches it.
     """
     basis, vol = space.anchor_basis, space.anchor_volume
 
@@ -466,7 +458,7 @@ def _banach_reference(space: AnchoredSpace, step, alpha: np.ndarray, x0: np.ndar
     res0 = residuals(x, x_next)
     moving = res0 > 0.0
     with np.errstate(divide="ignore"):
-        need = np.ceil(np.log(tol * (1.0 - alpha) / res0) / np.log(alpha))
+        need = np.ceil(np.log(REDUCTION_TOL * (1.0 - alpha) / res0) / np.log(alpha))
     cover = np.where(moving, np.maximum(need, 1.0), 0.0).astype(int) + 1
     stop = np.where(moving, -1, 0)
     rate = alpha / (1.0 - alpha)
@@ -480,26 +472,26 @@ def _banach_reference(space: AnchoredSpace, step, alpha: np.ndarray, x0: np.ndar
         apost = rate * res
         bounds.append(np.stack((apriori, apost, np.minimum(apriori, apost)), axis=1))
         iterates.append(x_next)
-        stop[(stop < 0) & (bounds[-1][:, 2] <= tol)] = k
+        stop[(stop < 0) & (bounds[-1][:, 2] <= REDUCTION_TOL)] = k
         if np.all(stop >= 0):
             break
     return _BanachReference(np.stack(iterates), np.stack(bounds), stop, cover)
 
 
 def _reduction_rows(space: AnchoredSpace, ops, step, alpha: np.ndarray, x0: np.ndarray,
-                    xstar: Optional[np.ndarray], tol: float) -> list:
+                    xstar: Optional[np.ndarray]) -> list:
     """Banach's theorem as the summable one with a_k = alpha^k, for a stack
     of problems: one summable solve per row, given alpha^1 ... alpha^N as an
     explicit list with the declared tail alpha^(N+1) / (1 - alpha), all
     checked at once against the lock-step reference and, where ``xstar``
     holds the exact fixed points, against those.  Returns one
     (worst discrepancy, problems) pair per row."""
-    ref = _banach_reference(space, step, alpha, x0, tol)
+    ref = _banach_reference(space, step, alpha, x0)
     reports = []
     for i, op in enumerate(ops):
         a, n = float(alpha[i]), int(ref.cover[i])
         seq = explicit_sequence([a ** k for k in range(1, n + 1)], tail=a ** (n + 1) / (1.0 - a))
-        cfg = SolverConfig(regime="summable", a_seq=seq, tol=tol, keep_iterates=True)
+        cfg = SolverConfig(regime="summable", a_seq=seq, tol=REDUCTION_TOL, keep_iterates=True)
         reports.append(summable_solve(op, space, x0[i], cfg))
 
     # the certificate against the exact fixed point, for every row at once
@@ -543,8 +535,7 @@ def _reduction_rows(space: AnchoredSpace, ops, step, alpha: np.ndarray, x0: np.n
     return out
 
 
-def check_banach_reduction(op, space: AnchoredSpace, x0, alpha: float, seed: int = 0,
-                           tol: float = 1e-10) -> PropertyReport:
+def check_banach_reduction(op, space: AnchoredSpace, x0, alpha: float, seed: int = 0) -> PropertyReport:
     """The summable solver with a_k = alpha^k given as an explicit list must
     replay Banach's iteration: the reference's iterates and stopping step,
     its closed-form bounds to 1e-12 relative, and, for an operator with a
@@ -562,22 +553,19 @@ def check_banach_reduction(op, space: AnchoredSpace, x0, alpha: float, seed: int
         except np.linalg.LinAlgError:
             pass  # no unique fixed point modulo the span: the engine refuses alpha
     [(worst, problems)] = _reduction_rows(space, [op], lambda x: apply_batch(op, x),
-                                          np.array([alpha], dtype=float), x0, xstar, tol)
-    ce = {"alpha": alpha, "x0": _vec(x0), "problems": problems} if problems else None
+                                          np.array([alpha], dtype=float), x0, xstar)
+    ce = {"alpha": alpha, "x0": x0[0].tolist(), "problems": problems} if problems else None
     return PropertyReport("banach_reduction", 1, 1 if problems else 0, worst, ce, seed)
 
 
-def reduction_suite(dim: int, order: int, trials: int = 1000, seed: int = 0,
-                    tol: float = 1e-10) -> PropertyReport:
+def reduction_suite(dim: int, order: int, trials: int = 1000, seed: int = 0) -> PropertyReport:
     """check_banach_reduction over a family of random affine contractions
     alpha * I + c, REFERENCE_BLOCK of them in lock step at a time."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     space = canonical_space(dim, order)
     rng = np.random.default_rng([seed, 40])
-    failures = 0
-    worst = 0.0
-    ce = None
+    tally = _Tally()
     for start in range(0, trials, REFERENCE_BLOCK):
         rows = min(REFERENCE_BLOCK, trials - start)
         alpha = np.empty(rows)
@@ -588,16 +576,12 @@ def reduction_suite(dim: int, order: int, trials: int = 1000, seed: int = 0,
             offset[j] = rng.standard_normal(dim)
             x0[j] = rng.standard_normal(dim)
         ops = [affine_operator(a * np.eye(dim), offset=c) for a, c in zip(alpha, offset)]
-        results = _reduction_rows(space, ops, lambda x: x * alpha[:, None] + offset, alpha, x0,
-                                  offset / (1.0 - alpha)[:, None], tol)
-        for j, (w, problems) in enumerate(results):
-            if problems:
-                failures += 1
-                if w > worst:
-                    ce = {"trial": start + j, "alpha": float(alpha[j]), "x0": _vec(x0[j]),
-                          "problems": problems}
-            worst = max(worst, w)
-    return PropertyReport("banach_reduction", trials, failures, worst, ce, seed)
+        worst, problems = zip(*_reduction_rows(space, ops, lambda x: x * alpha[:, None] + offset, alpha, x0,
+                                               offset / (1.0 - alpha)[:, None]))
+        tally.add(np.array(worst), np.array([bool(p) for p in problems]),
+                  lambda j: {"trial": start + j, "alpha": float(alpha[j]), "x0": x0[j].tolist(),
+                             "problems": problems[j]})
+    return tally.report("banach_reduction", trials, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -627,8 +611,8 @@ def check_contractive_ratio(
         keep = np.flatnonzero(den > space.roundoff_floor(np.linalg.norm(p, axis=1) + np.linalg.norm(q, axis=1)))
         p, q, den = p[keep], q[keep], den[keep]
         f = space.seminorm_batch(apply_batch(op, p) - apply_batch(op, q)) / den
-        tally.add(f, f >= 1.0 - RATIO_FLAG_TOL, lambda i: {"trial": start + int(keep[i]), "p": _vec(p[i]),
-                                                           "q": _vec(q[i]), "ratio": float(f[i])})
+        tally.add(f, f >= 1.0 - RATIO_FLAG_TOL, lambda i: {"trial": start + int(keep[i]), "p": p[i].tolist(),
+                                                           "q": q[i].tolist(), "ratio": float(f[i])})
     failures, worst, ce = tally.failures, tally.worst, tally.ce
 
     cfg = SolverConfig(regime="edelstein", tol=tol, max_iter=max_iter)

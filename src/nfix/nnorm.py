@@ -36,6 +36,8 @@ ROUNDOFF = 64 * sys.float_info.epsilon
 # Most pairs one block of squared distances in b_cauchy_tail may hold.
 _PAIR_BLOCK_ELEMENTS = 1 << 14
 
+_LENGTH_MIN = 1e-140  # below it, the squares of a length may have lost digits to underflow
+
 
 def as_vector(x, dim: int | None = None) -> np.ndarray:
     """Coerce to a finite 1-D float64 array, optionally checking its length."""
@@ -94,6 +96,22 @@ def _qr_split(rows: np.ndarray, tol: float, complete: bool = False):
     # a dependent tuple's |R_ii| become 0 before the product, which cannot overflow then
     diagonal = np.where(dependent[..., None], 0.0, np.abs(r.diagonal(axis1=-2, axis2=-1)))
     return q, np.multiply.reduce(diagonal, axis=-1), dependent
+
+
+def _rescaled_lengths(v: np.ndarray) -> np.ndarray:
+    """|v|_2 along the last axis, each vector divided by its largest |v_i|
+    first, as in ``_qr_split``; that entry itself where it is 0, inf or NaN."""
+    peaks = np.abs(v).max(axis=-1)
+    scaled = (peaks > 0.0) & (peaks < np.inf)
+    u = v / np.where(scaled, peaks, 1.0)[..., None]
+    return np.where(scaled, peaks * np.sqrt(np.add.reduce(u * u, axis=-1)), peaks)
+
+
+def _length(v: np.ndarray) -> float:
+    """|v|_2 of a 1-D array: sqrt(v.v) in [_LENGTH_MIN, inf), else rescaled.
+    v.v may overflow on the way, so callers ignore numpy's overflow warning."""
+    r = math.sqrt(v.dot(v))
+    return r if _LENGTH_MIN <= r < math.inf else float(_rescaled_lengths(v))
 
 
 def is_linearly_dependent(vectors, tol: float = DEFAULT_RANK_TOL) -> bool:
@@ -195,9 +213,9 @@ class AnchoredSpace:
         """``seminorm_raw``, snapped to exactly 0 when x's distance to the
         anchor span is at most ``rank_tol`` times its own length."""
         x = as_vector(x, self.dim)
-        y = self._complement_rows @ x
-        off = math.sqrt(y.dot(y))
-        return 0.0 if off <= self.rank_tol * math.sqrt(x.dot(x)) else self.anchor_volume * off
+        with np.errstate(over="ignore"):
+            off, whole = _length(self._complement_rows @ x), _length(x)
+        return 0.0 if off <= self.rank_tol * whole else self.anchor_volume * off
 
     def seminorm_raw(self, x) -> float:
         """Semi-norm in the complement form, without the dependence snap.
@@ -208,31 +226,38 @@ class AnchoredSpace:
         the dependence snap would forge zero certificates for a small step
         beside a large kernel component.
         """
-        return self.projection_kernel()(as_vector(x, self.dim))
+        with np.errstate(over="ignore"):
+            return self.projection_kernel()(as_vector(x, self.dim))
 
     def projection_kernel(self) -> Callable[[np.ndarray], float]:
         """``seminorm_raw`` without its input checks, for hot loops.
 
         The returned function expects a 1-D float64 array of length dim and
         validates nothing.  A non-finite coordinate always yields a non-finite
-        result, so a caller may test the result instead of the input.
+        result, so a caller may test the result instead of the input.  Call
+        it with numpy's overflow warning ignored, as the solver engine does.
         """
         rows, vol = self._complement_rows, self.anchor_volume
-        sqrt = math.sqrt
 
         def raw(x: np.ndarray) -> float:
-            y = rows @ x
-            return vol * sqrt(y.dot(y))
+            return vol * _length(rows @ x)
 
         return raw
 
     def seminorm_batch(self, points: np.ndarray) -> np.ndarray:
         """``seminorm_raw`` of many row points at once: vol * |P C| row by
-        row, one product, no dependence snap."""
+        row, one product, no dependence snap; rows out of ``_length``'s range
+        are measured again by ``_rescaled_lengths``."""
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.dim:
             raise ValueError(f"expected shape (m, {self.dim}), got {pts.shape}")
-        return self.anchor_volume * np.linalg.norm(pts @ self.complement_basis, axis=1)
+        y = pts @ self.complement_basis
+        with np.errstate(over="ignore"):
+            lengths = np.sqrt(np.add.reduce(y * y, axis=1))
+        if not (lengths.min(initial=np.inf) >= _LENGTH_MIN and lengths.max(initial=0.0) < np.inf):
+            redo = ~((lengths >= _LENGTH_MIN) & (lengths < np.inf))
+            lengths[redo] = _rescaled_lengths(y[redo])
+        return self.anchor_volume * lengths
 
     def ball_points(self, dirs, radii, coeffs, center=None) -> np.ndarray:
         """Rows ``center + (radii / vol) * unit(dirs) @ Cᵀ + coeffs @ anchors``.

@@ -156,17 +156,13 @@ def _rotation_matrix(op: OperatorSpec, d: int) -> np.ndarray:
     return r
 
 
-def _check_dim(op: OperatorSpec, d: int):
-    if op.matrix.shape[0] != d:
-        raise ValueError(f"dimension mismatch: operator is {op.matrix.shape[0]}-D, points are {d}-D")
-
-
 def _affine_form(op: OperatorSpec, d: int) -> Optional[tuple]:
     """(L, c) with T(x) = L x + c on R^d, or None for "saturating" and
     "step": affine maps give (matrix, offset), "scale" (factor * I, 0),
     "rotation-scale" (its rotation matrix, 0) and "constant" (0, value)."""
     if op.kind == "affine":
-        _check_dim(op, d)
+        if op.matrix.shape[0] != d:
+            raise ValueError(f"dimension mismatch: operator is {op.matrix.shape[0]}-D, points are {d}-D")
         return op.matrix, op.offset
     name = op.name
     if name == "scale":
@@ -178,6 +174,15 @@ def _affine_form(op: OperatorSpec, d: int) -> Optional[tuple]:
     return None
 
 
+def _e1_map(op: OperatorSpec) -> Callable[[np.ndarray], np.ndarray]:
+    """g with T(x)_1 = g(x_1) for "saturating" and "step", which fix every
+    other coordinate: t / (1 + |t|), and t + height for t >= threshold."""
+    if op.name == "saturating":
+        return lambda t: t / (1.0 + np.abs(t))
+    thr, h = float(op.params["threshold"]), float(op.params["height"])
+    return lambda t: np.where(t >= thr, t + h, t)
+
+
 def _row_map(op: OperatorSpec, d: int) -> Callable[[np.ndarray], np.ndarray]:
     """The operator as a map on (..., d) arrays of row points, one point
     included, checked for dimension ``d`` once, with all it needs prebuilt."""
@@ -185,24 +190,13 @@ def _row_map(op: OperatorSpec, d: int) -> Callable[[np.ndarray], np.ndarray]:
     if form is not None:
         mt, offset = form[0].T, form[1]
         return lambda pts: pts @ mt + offset
-    name = op.name
-    if name == "saturating":
-        def saturate(pts):
-            out = pts.copy()
-            t = out[..., 0]
-            out[..., 0] = t / (1.0 + np.abs(t))
-            return out
-        return saturate
-    if name == "step":
-        thr = float(op.params["threshold"])
-        h = float(op.params["height"])
+    g = _e1_map(op)
 
-        def jump(pts):
-            out = pts.copy()
-            out[..., 0] = np.where(out[..., 0] >= thr, out[..., 0] + h, out[..., 0])
-            return out
-        return jump
-    raise ValueError(f"unknown builtin operator {name!r}")
+    def move_e1(pts):
+        out = pts.copy()
+        out[..., 0] = g(pts[..., 0])
+        return out
+    return move_e1
 
 
 def apply(op: OperatorSpec, x) -> np.ndarray:
@@ -250,12 +244,12 @@ def kernel_violation_witness(op: OperatorSpec, space: AnchoredSpace) -> Optional
     split = _e1_split(space)
     if split == "span":
         return None
+    g = _e1_map(op)
     if split == "orthogonal":
-        zero = np.zeros(space.dim)
-        return zero if np.any(apply(op, zero)) else None
+        return np.zeros(space.dim) if g(0.0) != 0.0 else None
     a = space.anchors[np.argmax(np.abs(space.anchors[:, 0]))]
     witness = (2.0 * max(float(op.params.get("threshold", 1.0)), 1.0) / a[0]) * a
-    return witness if apply(op, witness)[0] != witness[0] else None
+    return witness if g(witness[0]) != witness[0] else None
 
 
 def _e1_split(space: AnchoredSpace) -> str:

@@ -186,6 +186,25 @@ def test_solve_flag_overrides(tmp_path, capsys):
     iterations = int(next(l for l in captured.out.splitlines()
                           if l.startswith("iterations=")).split("=")[1])
     assert iterations < 35
+    out = tmp_path / "trace.csv"
+    code = main(["solve", "--config", str(cfg), "--max-iter", "3", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "iterations=3\n" in captured.out and "converged=false\n" in captured.out
+    assert len(out.read_text().splitlines()) == 1 + 3
+
+
+def test_solve_geometric_a_seq_replays_picard(tmp_path, capsys):
+    # summable with a_k = 0.5^k is picard with alpha 0.5, trace byte for byte
+    traces = []
+    for regime, constants in (("picard", {"alpha": 0.5}),
+                              ("summable", {"a_seq": {"kind": "geometric", "ratio": 0.5}})):
+        cfg = picard_problem(tmp_path, solver={"regime": regime, "tol": 1e-10, **constants})
+        out = tmp_path / f"{regime}.csv"
+        assert main(["solve", "--config", str(cfg), "--out", str(out)]) == 0
+        traces.append(out.read_bytes())
+    capsys.readouterr()
+    assert traces[0] == traces[1]
 
 
 # ---------------------------------------------------------------------------
@@ -277,6 +296,27 @@ def test_solve_false_constant_exits_one(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert "contradicted" in captured.err
+
+
+@pytest.mark.parametrize("operator,solver", [
+    ({"kind": "builtin", "name": "constant", "params": {"value": [1.0, 2.0, 3.0]}},
+     {"regime": "kannan", "beta": 0.3}),
+    ({"kind": "builtin", "name": "rotation-scale", "params": {"axis1": 0, "axis2": 2, "angle": 0.5}},
+     {"regime": "ball", "alpha": 0.5, "radius": 3.0}),
+    ({"kind": "builtin", "name": "step", "params": {"threshold": 2.0}},
+     {"regime": "summable", "a_seq": {"kind": "geometric", "ratio": 0.5}}),
+    ({"kind": "builtin", "name": "saturating"},
+     {"regime": "summable", "a_seq": {"kind": "explicit", "terms": [0.5, 0.25], "tail": 0.25}}),
+])
+def test_problem_round_trip_of_builtins_and_solver_constants(tmp_path, operator, solver):
+    problem = load_problem(str(picard_problem(tmp_path, operator=operator, solver=solver)))
+    data = problem_to_dict(problem)
+    # plain JSON, with every given field kept and the defaults filled in
+    assert json.loads(json.dumps(data)) == data
+    assert data["operator"]["name"] == operator["name"]
+    assert operator.get("params", {}).items() <= data["operator"]["params"].items()
+    assert solver.items() <= data["solver"].items()
+    assert problem_to_dict(parse_problem(data)) == data
 
 
 def test_problem_round_trip(tmp_path):
@@ -428,6 +468,18 @@ def test_opnorm_rejects_nonlinear(tmp_path, capsys):
     captured = capsys.readouterr()
     assert code == 1
     assert "linear" in captured.err
+
+
+@pytest.mark.parametrize("argv", [["check", "axioms"], ["check", "all", "--trials", "5"], ["opnorm"]])
+def test_a_negative_seed_is_refused_in_one_line(tmp_path, capsys, argv):
+    # check handed --seed -1 to numpy, which ended in a ValueError traceback
+    if argv == ["opnorm"]:
+        argv = ["opnorm", "--config", str(picard_problem(tmp_path))]
+    code = main(argv + ["--seed", "-1"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err == "error: --seed: expected a nonnegative integer\n"
+    assert captured.out == ""
 
 
 def test_env_seed_used_as_default(tmp_path, capsys, monkeypatch):

@@ -1,5 +1,8 @@
 """Core norm tests: frozen oracle values plus randomized axiom properties."""
 
+import math
+import warnings
+
 import mpmath
 import numpy as np
 import pytest
@@ -475,19 +478,27 @@ def test_dependent_tuples_collapse_and_independent_tuples_do_not():
 # ---------------------------------------------------------------------------
 
 def _mp_gram_volume(vectors):
-    """Oracle: sqrt(det G) of the double-valued tuple in 60-digit arithmetic."""
+    """Oracle: sqrt(det G) of the double-valued tuple in 60-digit arithmetic.
+    Each vector is first divided by a power of two near its largest entry,
+    which is exact, so mpmath's det sees a well-scaled G at any scale."""
     with mpmath.workdps(60):
-        vs = [[mpmath.mpf(float(x)) for x in v] for v in vectors]
+        vs, scale = [], mpmath.mpf(1)
+        for v in vectors:
+            e = math.frexp(max(abs(float(x)) for x in v))[1]
+            vs.append([mpmath.ldexp(mpmath.mpf(float(x)), -e) for x in v])
+            scale *= mpmath.ldexp(1, e)
         g = mpmath.matrix([[mpmath.fsum(a * b for a, b in zip(u, w)) for w in vs] for u in vs])
-        return float(mpmath.sqrt(mpmath.det(g)))
+        return float(scale * mpmath.sqrt(mpmath.det(g)))
 
 
 @pytest.mark.parametrize("dim,order", [(3, 2), (5, 3), (16, 4), (64, 3)])
 def test_raw_seminorm_is_within_a_few_ulps_of_an_mpmath_oracle(dim, order):
-    # seminorm_raw and seminorm_batch, vol * |C^T x|, against
+    # seminorm_raw, seminorm_batch and seminorm, vol * |C^T x|, against
     # sqrt(det G(x, anchors)) of the same doubles in 60-digit arithmetic: the
-    # error stays within 16 ulps of vol * |x| at anchor scales 1e-8 ... 1e8,
-    # with kernel parts of x up to 1e8 times its part off the span
+    # error stays within 16 ulps of vol * |x| at anchor scales 1e-8 ... 1e8
+    # and point scales 1e-200 ... 1e200, where the squares of C^T x under-
+    # or overflow, with kernel parts of x up to 1e8 times its part off the
+    # span (far above the snap's 1e-9), and no numpy warning
     rng = np.random.default_rng([dim, order, 23])
     eps = np.finfo(float).eps
     worst = 0.0
@@ -496,11 +507,29 @@ def test_raw_seminorm_is_within_a_few_ulps_of_an_mpmath_oracle(dim, order):
         for ratio in (0.0, 1.0, 1e4, 1e8):
             off = sp.complement_basis @ rng.standard_normal(sp.complement_dim)
             kernel = sp.anchors.T @ rng.standard_normal(order - 1)
-            x = (off + ratio * np.linalg.norm(off) / np.linalg.norm(kernel) * kernel) * 10.0 ** rng.integers(-6, 7)
-            exact = _mp_gram_volume([x, *sp.anchors])
-            for got in (sp.seminorm_raw(x), sp.seminorm_batch(x[None])[0]):
-                worst = max(worst, abs(got - exact) / (eps * sp.anchor_volume * np.linalg.norm(x)))
+            unit = off + ratio * np.linalg.norm(off) / np.linalg.norm(kernel) * kernel
+            for x_scale in 10.0 ** np.arange(-200, 201, 50):
+                x = unit * x_scale * 10.0 ** rng.integers(-6, 7)
+                exact = _mp_gram_volume([x, *sp.anchors])
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    got = [sp.seminorm_raw(x), sp.seminorm_batch(x[None])[0], sp.seminorm(x)]
+                for value in got:
+                    worst = max(worst, abs(value - exact) / (eps * sp.anchor_volume * math.hypot(*x)))
     assert worst <= 16.0
+
+
+@pytest.mark.parametrize("s", [1e-300, 1e-170, 1e-160, 1e200, 1e300])
+def test_an_axis_point_off_the_span_keeps_its_seminorm_at_extreme_scales(s):
+    # |C^T x| was sqrt(y.y): y.y overflowed at 1e200, and the snap then read
+    # the point as in the kernel; it underflowed at 1e-170, so a closed ball
+    # of radius 1e-300 around 0 held the point, and lost digits at 1e-160
+    sp = canonical_space(3, 2)
+    x = np.array([s, 0.0, 0.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert anchored_seminorm(sp, x) == sp.seminorm_raw(x) == sp.seminorm_batch(np.stack([x, x]))[1] == s
+        assert not Ball(space=sp, center=np.zeros(3), radius=0.5 * s, closed=True).contains(x)
 
 
 def test_gram_scale_mismatched_pair_keeps_its_area():

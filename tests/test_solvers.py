@@ -364,6 +364,38 @@ def test_overflowing_displacement_between_finite_iterates_aborts_at_its_step(reg
     assert err.value.step == step
 
 
+def test_a_far_start_records_finite_residuals():
+    # every iterate and displacement is finite, but y.y of C^T x overflowed
+    # near 1e154, so the trace opened with inf residuals and bounds
+    sp = AnchoredSpace(dim=3, order=2, anchors=[[0.0, 1.0, 0.0]])
+    cfg = SolverConfig(regime="picard", alpha=0.5, tol=1e-10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = picard_solve(builtin_operator("scale", factor=0.5), sp, np.array([1e200, 0.0, 0.0]), cfg)
+    assert report.converged
+    assert report.residual0 == report.trace[0].residual == 5e199
+    assert all(math.isfinite(v) for row in report.trace for v in row)
+
+
+@pytest.mark.parametrize("s,steps", [(1e-170, 432), (1e-150, 499), (1e-140, 532)])
+def test_tiny_starts_certify_with_the_exact_alpha(s, steps):
+    # y.y of C^T x underflowed below ~1e-154: from 1e-170 the start read as
+    # fixed with a certificate of 0.0, and from 1e-150 and 1e-140 the lost
+    # digits broke the orbit recursion and the guard refused alpha = 0.5
+    sp = AnchoredSpace(dim=3, order=2, anchors=[[0.0, 1.0, 0.0]])
+    cfg = SolverConfig(regime="picard", alpha=0.5, tol=1e-300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = picard_solve(builtin_operator("scale", factor=0.5), sp, np.array([s, 0.0, 0.0]), cfg)
+    assert report.converged and report.iterations == steps
+    # halving is exact, so every residual is exactly half the one before
+    residuals = [row.residual for row in report.trace]
+    assert residuals[0] == 0.5 * s
+    assert all(b == 0.5 * a for a, b in zip(residuals, residuals[1:]))
+    # the fixed point is 0
+    assert abs(report.fixed_point[0]) <= report.certified_error <= cfg.tol
+
+
 def test_picard_max_iter_returns_partial_report():
     sp = space_e23()
     cfg = SolverConfig(regime="picard", alpha=0.99, tol=1e-12, max_iter=5)
