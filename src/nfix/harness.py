@@ -122,9 +122,9 @@ def _norms(norm_fn: Optional[Callable], tuples: np.ndarray) -> np.ndarray:
 
 
 class _Tally:
-    """Failures, worst value and counterexample of one property, reduced over
-    blocks of trials in trial order: the counterexample is the first failed
-    trial that reaches the worst value, as a loop over the trials finds it."""
+    """Failures, worst value and counterexample of one property over blocks of
+    trials in trial order: the first failed trial at the worst value, as a
+    loop over the trials finds it, else the first failed trial of all."""
 
     def __init__(self):
         self.failures = 0
@@ -142,6 +142,8 @@ class _Tally:
             self.worst = float(values[i])
             if failed[i]:
                 self.ce = witness(i)
+        if self.ce is None and failed.any():
+            self.ce = witness(int(np.argmax(failed)))
 
     def report(self, property_id: str, trials: int, seed: int) -> PropertyReport:
         return PropertyReport(property_id, trials, self.failures, self.worst, self.ce, seed)

@@ -48,7 +48,7 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .nnorm import AnchoredSpace, as_vector
+from .nnorm import AnchoredSpace, _length, as_vector
 from .operators import OperatorSpec, kannan_constant, lipschitz_constant
 
 REGIMES = ("picard", "ball", "summable", "kannan", "edelstein")
@@ -254,7 +254,8 @@ def _independence(space: AnchoredSpace, point: np.ndarray, certified: float):
     unsnapped semi-norm must exceed the certificate plus the space's
     roundoff floor at |point|, so a large kernel component hides no small
     gap."""
-    ok = space.seminorm_raw(point) > certified + space.roundoff_floor(float(np.linalg.norm(point)))
+    with np.errstate(over="ignore"):
+        ok = space.seminorm_raw(point) > certified + space.roundoff_floor(_length(point))
     return ok, (UNIQUE_MOD_KERNEL if ok else INDEPENDENCE_FAILED)
 
 
@@ -307,7 +308,7 @@ def _solve(regime: str, op: OperatorSpec, space: AnchoredSpace, x0, cfg: SolverC
         x1 = step(x0)
         diff = x0 - x1
         res0 = dist(diff)
-        x0_len = math.sqrt(x0.dot(x0))
+        x0_len = _length(x0)
     if not math.isfinite(res0):
         _check_finite(diff, 1)
     if ball:
@@ -327,7 +328,6 @@ def _solve(regime: str, op: OperatorSpec, space: AnchoredSpace, x0, cfg: SolverC
         _crosscheck(op, space, cfg, x0)
 
     isfinite = math.isfinite
-    sqrt = math.sqrt
     floor = space.roundoff_floor
     append = trace.append
     row = TraceRow
@@ -365,7 +365,7 @@ def _solve(regime: str, op: OperatorSpec, space: AnchoredSpace, x0, cfg: SolverC
                 ball_trace.append((k, disp, bound))
                 if disp > max_disp:
                     max_disp = disp
-                if disp > bound and disp > bound + floor(x0_len + sqrt(x_next.dot(x_next))):
+                if disp > bound and disp > bound + floor(x0_len + _length(x_next)):
                     raise ContainmentError(k, disp, bound)
             if seq is None:
                 # no envelope: the certificate is the smallest residual
@@ -379,7 +379,7 @@ def _solve(regime: str, op: OperatorSpec, space: AnchoredSpace, x0, cfg: SolverC
                 # residual breaking the declared recursion by more than
                 # its roundoff floor proves the constant false
                 limit = guard * prev_res
-                if res_k > limit and res_k > limit + floor(sqrt(max(x_prev.dot(x_prev), x_next.dot(x_next)))):
+                if res_k > limit and res_k > limit + floor(max(_length(x_prev), _length(x_next))):
                     raise ConstantMismatchError(f"{guard_name} (orbit residual recursion, step {k})",
                                                 rate, res_k / prev_res)
                 prev_res = res_k

@@ -123,6 +123,12 @@ def test_tally_keeps_the_first_trial_at_the_worst_value():
     assert (tally.failures, tally.worst, tally.ce) == (5, 3.0, {"at": 1})
 
 
+def test_tally_names_a_failure_below_the_worst_passing_value():
+    tally = harness._Tally()
+    tally.add(np.array([2.0, 1.0, 1.0]), np.array([False, True, True]), lambda i: {"at": i})
+    assert (tally.failures, tally.worst, tally.ce) == (2, 2.0, {"at": 1})
+
+
 def test_contractive_ratio_counterexample_names_its_draw():
     # the sampled pairs are one standard_normal((trials, 2, dim)) * 1.5 from
     # [seed, 50]; the counterexample's trial index points at its pair
@@ -530,6 +536,33 @@ def test_reduction_suite_checks_certificates_against_the_exact_fixed_point(monke
     monkeypatch.setattr(solvers, "_report", halved)
     report = reduction_suite(3, 2, trials=50, seed=7)
     assert report.failures == 50
+    problems = report.counterexample["problems"]
+    assert len(problems) == 1 and "below the exact error" in problems[0]
+
+
+@pytest.mark.parametrize("shaved,perturbed", [(0, 1), (1, 0)])
+def test_reduction_suite_names_a_tiny_undershoot_beside_a_larger_passing_gap(monkeypatch, shaved, perturbed):
+    # one trial's certificate undershoots the exact error by ~1e-13, which
+    # fails it with a discrepancy below the 5e-13 iterate gap that another
+    # trial of its block passes with; in either order the failing trial is
+    # the counterexample, although it never holds the worst value
+    make_report = solvers._report
+    calls = []
+
+    def planted(*args):
+        report = make_report(*args)
+        if len(calls) == shaved:
+            report.certified_error *= 1.0 - 1e-3
+        if len(calls) == perturbed:
+            report.iterates[0] = report.iterates[0] + 5e-13
+        calls.append(report)
+        return report
+
+    monkeypatch.setattr(solvers, "_report", planted)
+    report = reduction_suite(3, 2, trials=4, seed=7)
+    assert report.failures == 1
+    assert report.worst_violation == pytest.approx(5e-13, rel=1e-3)
+    assert report.counterexample["trial"] == shaved
     problems = report.counterexample["problems"]
     assert len(problems) == 1 and "below the exact error" in problems[0]
 

@@ -377,6 +377,25 @@ def test_a_far_start_records_finite_residuals():
     assert all(math.isfinite(v) for row in report.trace for v in row)
 
 
+@pytest.mark.parametrize("regime,factor,constants,error,match", [
+    ("picard", 0.9, {"alpha": 0.5}, ConstantMismatchError, "step 2"),
+    ("ball", 0.9, {"alpha": 0.5, "radius": 1e301}, ConstantMismatchError, "step 2"),
+    ("ball", 2.0, {"alpha": 0.5, "radius": 3e200}, ContainmentError, "iterate 2 left"),
+])
+def test_a_far_start_keeps_the_orbit_guard_and_containment_test(regime, factor, constants, error, match):
+    # the roundoff floors pad both tests by a multiple of |x|; taken as
+    # sqrt(x.x) that length overflowed past ~1.3e154, the padding became inf
+    # and a false alpha certified (picard of scale(0.9) at k = 696, true
+    # error ~1e168) while an escaping ball orbit ran on; from (1, 0, 0) both
+    # are refused at step 2, and so they must be from (1e200, 0, 0)
+    sp = AnchoredSpace(dim=3, order=2, anchors=[[0.0, 1.0, 0.0]])
+    cfg = SolverConfig(regime=regime, crosscheck_pairs=0, **constants)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error, match=match):
+            solve(builtin_operator("scale", factor=factor), sp, np.array([1e200, 0.0, 0.0]), cfg)
+
+
 @pytest.mark.parametrize("s,steps", [(1e-170, 432), (1e-150, 499), (1e-140, 532)])
 def test_tiny_starts_certify_with_the_exact_alpha(s, steps):
     # y.y of C^T x underflowed below ~1e-154: from 1e-170 the start read as
