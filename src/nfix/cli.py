@@ -41,10 +41,10 @@ from .harness import (
 from .nnorm import AnchoredSpace
 from .operators import (
     OperatorSpec,
+    _operator_norms,
     affine_operator,
     builtin_operator,
     is_linear,
-    operator_norm,
 )
 from .solvers import (
     ASeq,
@@ -416,10 +416,7 @@ def cmd_opnorm(args) -> int:
     op = problem.operator
     if not is_linear(op):
         raise ValidationError("operator: opnorm needs a linear operator (affine with zero offset)")
-    estimates = [
-        operator_norm(op, problem.space, method, budget=OPNORM_BUDGET, seed=problem.seed)
-        for method in ("I", "II", "III")
-    ]
+    estimates = _operator_norms(op, problem.space, ("I", "II", "III"), OPNORM_BUDGET, problem.seed)
     for est in estimates:
         print(f"method={est.method} value={_fmt(est.value)}")
     print(f"budget={OPNORM_BUDGET}")

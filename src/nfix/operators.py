@@ -11,7 +11,9 @@ estimate is a reproducible lower bound of the exact value.  Sampling is
 chunked so that a larger budget only ever extends the sample set: the
 reported value is monotone nondecreasing in the budget.  Operators that
 move the semi-norm kernel out of itself are gated to an explicit +inf bound
-constant instead of a meaningless sample maximum.
+constant instead of a meaningless sample maximum.  One gate and one draw
+per chunk serve all three operator-norm formulas, each value bit for bit
+what a call of its own gives.
 """
 
 from __future__ import annotations
@@ -263,19 +265,28 @@ def _e1_split(space: AnchoredSpace) -> str:
     return "oblique"
 
 
+def _lengths(rows: np.ndarray) -> np.ndarray:
+    """np.linalg.norm(rows, axis=-1), bit for bit, without its dispatch."""
+    return np.sqrt(np.add.reduce(rows * rows, axis=-1))
+
+
+def _moved_anchors(space: AnchoredSpace, lin: np.ndarray) -> np.ndarray:
+    """(..., n - 1): does L move b off the anchor span, for each L of a stack
+    (..., d, d) and each anchor b?  Yes where the part of L b off the span
+    exceeds ``space.rank_tol`` times the length of |L| |b|, its error bound."""
+    mt = lin.swapaxes(-1, -2)
+    images = space.anchors @ mt @ space.complement_basis
+    return _lengths(images) > space.rank_tol * _lengths(np.abs(space.anchors) @ np.abs(mt))
+
+
 def _kernel_gate(space: AnchoredSpace, lin: np.ndarray, offset: np.ndarray) -> tuple:
     """The kernel gate of T(x) = L x + c for stacks of L (..., d, d) and
-    c (..., d): one pass over the rows [c, L b_1, ..., L b_{n-1}] finds the
-    first whose part off the anchor span exceeds ``space.rank_tol`` times
-    |c| or the length of |L| |b| (the product's forward-error bound).
-    Returns the witness rows (..., d), 0 where c leaves the span and else
-    the first moved anchor b, and whether each map moves the kernel (a map
-    that does not gets the row 0, which is no witness)."""
-    mt = lin.swapaxes(-1, -2)
-    images = np.concatenate([offset[..., None, :], space.anchors @ mt], axis=-2)
-    scales = np.concatenate([np.linalg.norm(offset, axis=-1)[..., None],
-                             np.linalg.norm(np.abs(space.anchors) @ np.abs(mt), axis=-1)], axis=-1)
-    off = np.linalg.norm(images @ space.complement_basis, axis=-1) > space.rank_tol * scales
+    c (..., d): the witness rows (..., d), 0 where c's part off the anchor
+    span exceeds ``space.rank_tol`` |c| and else the first anchor that
+    ``_moved_anchors`` finds moved, and whether each map moves the kernel
+    (a map that does not gets the row 0, which is no witness)."""
+    leaves = _lengths(offset[..., None, :] @ space.complement_basis) > space.rank_tol * _lengths(offset[..., None, :])
+    off = np.concatenate([leaves, _moved_anchors(space, lin)], axis=-1)
     points = np.concatenate([np.zeros((1, space.dim)), space.anchors])
     return points[off.argmax(axis=-1)], off.any(axis=-1)
 
@@ -284,7 +295,7 @@ def _quotient_map(space: AnchoredSpace, lin: np.ndarray) -> tuple:
     """C^T L C of every linear part L of a stack (..., d, d), and whether
     L keeps the anchor span."""
     c = space.complement_basis
-    return c.T @ lin @ c, ~_kernel_gate(space, lin, np.zeros(lin.shape[:-1]))[1]
+    return c.T @ lin @ c, ~_moved_anchors(space, lin).any(axis=-1)
 
 
 def _bound_constants(space: AnchoredSpace, lin: np.ndarray) -> np.ndarray:
@@ -346,7 +357,7 @@ def kannan_constant(op: OperatorSpec, space: AnchoredSpace) -> float:
 
 
 def _seed_key(seed: int) -> int:
-    if seed < 0:
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
         raise ValueError("seed must be a nonnegative integer")
     return int(seed)
 
@@ -390,28 +401,35 @@ def _probe_chunks(space: AnchoredSpace, budget: int, seed: int, stream: int):
         yield dirs[:take], radii[:take], coeffs[:take]
 
 
-def _probe_point_chunks(space: AnchoredSpace, budget: int, seed: int, method: str):
-    """Yield, chunk by chunk, the sample points of operator_norm's ``method``.
+def _check_probe_args(methods, budget: int, seed: int) -> None:
+    for method in methods:
+        if method not in ("I", "II", "III"):
+            raise ValueError(f"method must be one of I, II, III, got {method!r}")
+    if budget < 1:
+        raise ValueError("budget must be >= 1")
+    _seed_key(seed)
+
+
+def _probe_point_sets(space: AnchoredSpace, budget: int, seed: int, methods):
+    """Yield, chunk by chunk, the sample points of each of operator_norm's
+    ``methods``, all placed from the chunk's one draw.
 
     "I" scales unit directions to semi-norm radius in [0, 1), "II" normalizes
     them to semi-norm 1, "III" scales them to radius in [0.5, 3); each point
-    also gets a random anchor-span (kernel) part.
+    also gets a random anchor-span (kernel) part.  One ``ball_points`` call
+    places every method's points from a stack of radii, each point bit for
+    bit where a call of its own places it.
     """
-    if method not in ("I", "II", "III"):
-        raise ValueError(f"method must be one of I, II, III, got {method!r}")
     for dirs, radii, coeffs in _probe_chunks(space, budget, seed, stream=7):
-        if method == "I":
-            yield space.ball_points(dirs, radii, coeffs)
-        elif method == "II":
-            raw = space.ball_points(dirs, np.ones_like(radii), coeffs)
-            yield raw / space.seminorm_batch(raw)[:, None]
-        else:
-            yield space.ball_points(dirs, 0.5 + 2.5 * radii, coeffs)
+        reach = {"I": radii, "II": np.ones_like(radii), "III": 0.5 + 2.5 * radii}
+        sets = space.ball_points(dirs, np.stack([reach[m] for m in methods]), coeffs)
+        yield [pts / space.seminorm_batch(pts)[:, None] if m == "II" else pts for m, pts in zip(methods, sets)]
 
 
 def draw_probe_points(space: AnchoredSpace, budget: int, seed: int, method: str = "II") -> np.ndarray:
     """The exact sample points operator_norm evaluates for the given method."""
-    return np.vstack(list(_probe_point_chunks(space, budget, seed, method)))
+    _check_probe_args((method,), budget, seed)
+    return np.vstack([sets[0] for sets in _probe_point_sets(space, budget, seed, (method,))])
 
 
 def operator_norm(
@@ -428,27 +446,31 @@ def operator_norm(
     components; the latter cannot change either side of the objective.
     Kernel-violating operators return the +inf marker.
     """
-    if method not in ("I", "II", "III"):
-        raise ValueError(f"method must be one of I, II, III, got {method!r}")
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
+    return _operator_norms(op, space, (method,), budget, seed)[0]
+
+
+def _operator_norms(op: OperatorSpec, space: AnchoredSpace, methods, budget: int, seed: int) -> list:
+    """``operator_norm`` of each of ``methods`` from one gate and one draw
+    per chunk, with a running maximum per formula."""
+    _check_probe_args(methods, budget, seed)
     if not is_linear(op):
         raise ValueError("operator_norm requires a linear operator (affine with zero offset)")
     if not kernel_preserved(op, space):
-        return OperatorNormEstimate(math.inf, method, budget, kernel_preserved=False)
+        return [OperatorNormEstimate(math.inf, m, budget, kernel_preserved=False) for m in methods]
 
-    best = 0.0
-    for pts in _probe_point_chunks(space, budget, seed, method):
-        num = space.seminorm_batch(apply_batch(op, pts))
-        if method == "III":
-            den = space.seminorm_batch(pts)
-            keep = den > space.roundoff_floor(np.sqrt(np.einsum("ij,ij->i", pts, pts)))
-            obj = num[keep] / den[keep]
-        else:
-            obj = num
-        if obj.size:
-            best = max(best, float(np.max(obj)))
-    return OperatorNormEstimate(best, method, budget, kernel_preserved=True)
+    # the offset is 0, so T(pts) is one product, pts @ L^T
+    mt = op.matrix.T
+    best = [0.0] * len(methods)
+    for sets in _probe_point_sets(space, budget, seed, methods):
+        for j, (method, pts) in enumerate(zip(methods, sets)):
+            obj = space.seminorm_batch(pts @ mt)
+            if method == "III":
+                den = space.seminorm_batch(pts)
+                keep = den > space.roundoff_floor(np.sqrt(np.einsum("ij,ij->i", pts, pts)))
+                obj = obj[keep] / den[keep]
+            if obj.size:
+                best[j] = max(best[j], float(np.max(obj)))
+    return [OperatorNormEstimate(b, m, budget, kernel_preserved=True) for m, b in zip(methods, best)]
 
 
 # ---------------------------------------------------------------------------

@@ -455,6 +455,32 @@ def test_opnorm_kernel_violator_prints_inf(tmp_path, capsys):
     assert "kernel_preserved=false" in captured.out
 
 
+def test_opnorm_gates_once_and_draws_each_chunk_once(tmp_path, capsys, monkeypatch):
+    # the three formulas share one kernel gate and one draw per chunk, and
+    # print what three separate operator_norm calls give
+    from nfix import operators
+    cfg = opnorm_config(tmp_path, np.diag([2.0, 1.0, 1.0]).tolist())
+    calls = {"gate": 0, "draw": 0}
+    gate, draw = operators._kernel_gate, operators.AnchoredSpace.draw_ball
+
+    def counted_gate(*args):
+        calls["gate"] += 1
+        return gate(*args)
+
+    def counted_draw(*args):
+        calls["draw"] += 1
+        return draw(*args)
+    monkeypatch.setattr(operators, "_kernel_gate", counted_gate)
+    monkeypatch.setattr(operators.AnchoredSpace, "draw_ball", counted_draw)
+    assert main(["opnorm", "--config", str(cfg)]) == 0
+    assert calls == {"gate": 1, "draw": -(-cli.OPNORM_BUDGET // operators._CHUNK)}
+    problem = load_problem(str(cfg), need_solver=False)
+    alone = [operators.operator_norm(problem.operator, problem.space, m, cli.OPNORM_BUDGET, seed=5)
+             for m in ("I", "II", "III")]
+    assert capsys.readouterr().out == "".join(f"method={e.method} value={cli._fmt(e.value)}\n" for e in alone) + \
+        f"budget={cli.OPNORM_BUDGET}\nkernel_preserved=true\n"
+
+
 def test_opnorm_rejects_nonlinear(tmp_path, capsys):
     data = {
         "dimension": 3,

@@ -248,12 +248,29 @@ def test_kernel_gate_is_not_hidden_by_an_entry_that_misses_the_anchors():
         assert operator_norm(op, sp, method, budget=64, seed=0).value == math.inf
 
 
+def _concatenated_gate(sp, lin, offset):
+    """The gate's rule written out: the first of the rows [c, L b_1, ...,
+    L b_{n-1}] whose part off the span exceeds rank_tol times |c|, or the
+    length of |L| |b|, gives the witness (0, or that b)."""
+    mt = lin.swapaxes(-1, -2)
+    images = np.concatenate([offset[..., None, :], sp.anchors @ mt], axis=-2)
+    scales = np.concatenate([np.linalg.norm(offset, axis=-1)[..., None],
+                             np.linalg.norm(np.abs(sp.anchors) @ np.abs(mt), axis=-1)], axis=-1)
+    off = np.linalg.norm(images @ sp.complement_basis, axis=-1) > sp.rank_tol * scales
+    points = np.concatenate([np.zeros((1, sp.dim)), sp.anchors])
+    return points[off.argmax(axis=-1)], off.any(axis=-1)
+
+
 @pytest.mark.parametrize("dim,order", [(3, 2), (5, 3), (16, 4), (64, 2)])
 def test_single_map_kernel_gate_matches_the_stacked_gate(dim, order):
-    # kernel_violation_witness decides one map as a stack of one; the suites
-    # decide stacks with _kernel_gate, and both must give the same verdicts
-    # and witnesses: 0 where the offset leaves the span, else b_1, which the
-    # added term moves, as it moves every anchor not orthogonal to its b
+    # kernel_violation_witness decides one map as a stack of one, and the
+    # exact constants decide its linear part with _moved_anchors; the suites
+    # decide stacks with _kernel_gate.  All must give the verdicts and
+    # witnesses of the rule written out: 0 where the offset leaves the span,
+    # else b_1, which the added term moves, as it moves every anchor not
+    # orthogonal to its b.  The stack ends with the complement projector
+    # (anchor images of size 1e-16, which the |L| |b| scale keeps in the
+    # span) and 1e12 times it.
     rng = np.random.default_rng([dim, order, 5])
     sp = AnchoredSpace(dim=dim, order=order, anchors=rng.standard_normal((order - 1, dim)))
     c = sp.complement_basis
@@ -268,16 +285,26 @@ def test_single_map_kernel_gate_matches_the_stacked_gate(dim, order):
             off = off + 1e-3 * c[:, -1]  # leaves it
         lin.append(a)
         offset.append(off)
-    witness, violated = operators._kernel_gate(sp, np.array(lin), np.array(offset))
-    assert violated.tolist() == [i % 4 != 0 for i in range(40)]
-    for i in range(40):
+    assert np.all(np.linalg.norm(sp.anchors @ c @ c.T, axis=1) < 1e-14)
+    lin += [c @ c.T, 1e12 * c @ c.T]
+    offset += [np.zeros(dim), sp.anchors.T @ rng.standard_normal(order - 1)]
+    lin, offset = np.array(lin), np.array(offset)
+    witness, violated = operators._kernel_gate(sp, lin, offset)
+    assert violated.tolist() == [i % 4 != 0 for i in range(40)] + [False, False]
+    ref_witness, ref_violated = _concatenated_gate(sp, lin, offset)
+    assert np.array_equal(violated, ref_violated) and np.array_equal(witness, ref_witness)
+    moves = [i % 4 in (1, 3) for i in range(40)] + [False, False]
+    assert _concatenated_gate(sp, lin, np.zeros_like(offset))[1].tolist() == moves
+    assert (~operators._quotient_map(sp, lin)[1]).tolist() == moves
+    for i in range(42):
         single = kernel_violation_witness(affine_operator(lin[i], offset[i]), sp)
         if violated[i]:
             assert single.tobytes() == witness[i].tobytes()
             assert np.array_equal(single, np.zeros(dim) if i % 4 in (2, 3) else sp.anchors[0])
         else:
             assert single is None
-    assert np.array_equal(operators._bound_constants(sp, np.array(lin)),
+        assert operators._quotient_map(sp, lin[i])[1] == (not moves[i])
+    assert np.array_equal(operators._bound_constants(sp, lin),
                           [lipschitz_constant(affine_operator(a), sp) for a in lin])
 
 
@@ -383,9 +410,10 @@ def test_operator_norm_rejects_nonlinear_and_bad_args():
 def test_operator_norm_monotone_in_budget():
     sp = AnchoredSpace(dim=4, order=3, anchors=np.eye(4)[1:3])
     op, _ = random_preserver(sp, np.random.default_rng(8))
-    values = [operator_norm(op, sp, "III", b, seed=5).value for b in (10, 100, 1000, 5000)]
-    for small, big in zip(values, values[1:]):
-        assert big >= small
+    for method in ("I", "II", "III"):
+        values = [operator_norm(op, sp, method, b, seed=5).value for b in (10, 100, 1000, 5000)]
+        for small, big in zip(values, values[1:]):
+            assert big >= small
 
 
 def test_operator_norm_methods_agree_and_respect_svd_oracle():
@@ -596,6 +624,96 @@ def test_operator_norm_displayed_bound_on_probe_points():
     lhs = sp.seminorm_batch(apply_batch(op, pts))
     rhs = est.value * sp.seminorm_batch(pts) + 1e-9
     assert np.all(lhs <= rhs)
+
+
+def _pass_case(d):
+    """A kernel-preserving map at d = 3 (anchor e2, diag(2, 1, 1)), or on a
+    random frame at d = 4 (order 3) and d = 64 (order 2)."""
+    if d == 3:
+        return AnchoredSpace(dim=3, order=2, anchors=[[0.0, 1.0, 0.0]]), affine_operator(np.diag([2.0, 1.0, 1.0]))
+    rng = np.random.default_rng([d, 61])
+    order = 3 if d == 4 else 2
+    sp = AnchoredSpace(dim=d, order=order, anchors=rng.standard_normal((order - 1, d)))
+    return sp, random_preserver(sp, rng)[0]
+
+
+@pytest.mark.parametrize("d", [3, 4, 64])
+@pytest.mark.parametrize("budget", [1, 1024, 2500])
+def test_one_pass_gives_each_formula_the_value_of_its_own_call(d, budget):
+    sp, op = _pass_case(d)
+    methods = ("I", "II", "III")
+    shared = operators._operator_norms(op, sp, methods, budget, seed=d)
+    for method, est in zip(methods, shared):
+        alone = operator_norm(op, sp, method, budget, seed=d)
+        assert (est.method, est.samples, est.kernel_preserved) == (method, budget, True)
+        assert est.value == alone.value
+    # any subset, in any order, gives the same values
+    assert [e.value for e in operators._operator_norms(op, sp, ("III", "I"), budget, seed=d)] == \
+        [shared[2].value, shared[0].value]
+
+
+@pytest.mark.parametrize("d", [3, 4, 64])
+@pytest.mark.parametrize("budget", [1, 1024, 2500])
+@pytest.mark.parametrize("method", ["I", "II", "III"])
+def test_operator_norm_is_the_maximum_over_its_probe_points(d, budget, method):
+    # the objective of each formula, evaluated through the public apply_batch
+    # and seminorm_batch on draw_probe_points' rows; a product's last bit
+    # can depend on how many rows it takes, so the rows go in the
+    # estimator's chunks of operators._CHUNK
+    sp, op = _pass_case(d)
+    pts = draw_probe_points(sp, budget, seed=d, method=method)
+    assert pts.shape == (budget, d)
+    best = 0.0
+    for rows in np.split(pts, range(operators._CHUNK, budget, operators._CHUNK)):
+        obj = sp.seminorm_batch(apply_batch(op, rows))
+        if method == "III":
+            den = sp.seminorm_batch(rows)
+            keep = den > sp.roundoff_floor(np.sqrt(np.einsum("ij,ij->i", rows, rows)))
+            obj = obj[keep] / den[keep]
+        best = max(best, float(obj.max(initial=0.0)))
+    assert operator_norm(op, sp, method, budget, seed=d).value == best
+
+
+def test_one_pass_gates_a_violator_once_for_every_formula():
+    sp = space_e23()
+    swap = affine_operator(np.eye(3)[[1, 0, 2]])
+    ests = operators._operator_norms(swap, sp, ("I", "II", "III"), 64, seed=0)
+    assert [(e.method, e.value, e.kernel_preserved) for e in ests] == \
+        [(m, math.inf, False) for m in ("I", "II", "III")]
+
+
+@pytest.mark.parametrize("seed", [1.5, 1.0, True, "1", None, -1])
+def test_a_seed_that_is_no_nonnegative_integer_is_refused(seed):
+    # int(1.5) would silently give the samples of seed 1
+    sp = space_e23()
+    diag, swap = affine_operator(np.diag([2.0, 1.0, 1.0])), affine_operator(np.eye(3)[[1, 0, 2]])
+    calls = [
+        lambda: operator_norm(diag, sp, "I", 10, seed=seed),
+        lambda: operator_norm(swap, sp, "I", 10, seed=seed),
+        lambda: draw_probe_points(sp, 10, seed),
+        lambda: contraction_constant(diag, sp, 10, seed=seed),
+        lambda: continuity_probe(diag, sp, np.zeros(3), 1.0, 0.5, 10, seed=seed),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+            call()
+
+
+def test_a_numpy_integer_seed_draws_what_the_int_draws():
+    sp = space_e23()
+    op = affine_operator(np.diag([2.0, 1.0, 1.0]))
+    for seed in (np.int64(3), np.uint8(3), np.int32(3)):
+        assert operator_norm(op, sp, "I", 100, seed=seed).value == operator_norm(op, sp, "I", 100, seed=3).value
+        assert np.array_equal(draw_probe_points(sp, 100, seed), draw_probe_points(sp, 100, 3))
+
+
+def test_draw_probe_points_refuses_bad_arguments_before_drawing(monkeypatch):
+    sp = space_e23()
+    monkeypatch.setattr(operators, "_keyed_chunks", None)  # any draw would fail with a TypeError
+    with pytest.raises(ValueError, match="budget must be >= 1"):
+        draw_probe_points(sp, 0, 0)
+    with pytest.raises(ValueError, match="method must be one of I, II, III, got 'IV'"):
+        draw_probe_points(sp, 10, 0, method="IV")
 
 
 def test_anchor_shift_invariance():
