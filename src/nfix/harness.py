@@ -14,7 +14,7 @@ from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .nnorm import AnchoredSpace, as_vector, gram_volumes
+from .nnorm import AnchoredSpace, _lengths, as_vector, gram_volumes
 from .operators import (
     OperatorSpec,
     _affine_form,
@@ -106,7 +106,7 @@ def _conditioned_tuples(rng, rows: int, count: int, dim: int, min_ratio: float =
     its volume is a healthy fraction of the product of its lengths; the
     double-precision tolerance claims hold for such conditioned draws."""
     def accept(vs):
-        scale = np.prod(np.linalg.norm(vs, axis=-1), axis=-1)
+        scale = np.prod(_lengths(vs), axis=-1)
         return (scale > 0) & (gram_volumes(vs) > min_ratio * scale)
 
     return _redrawn(rows, lambda m: rng.standard_normal((m, count, dim)), accept)
@@ -187,7 +187,7 @@ def check_axiom_suite(
         dependent = np.empty((rows, order, dim))
         dependent[at_slot] = (coeffs[:, None, :] @ vs)[:, 0]
         dependent[~at_slot] = vs.reshape(-1, dim)
-        scale = np.maximum(np.prod(np.linalg.norm(dependent, axis=-1), axis=-1), 1.0)
+        scale = np.maximum(np.prod(_lengths(dependent), axis=-1), 1.0)
         got, val = _norms(norm_fn, np.stack([dependent, indep]))
         excess = got - 1e-9 * scale
         tally.add(excess, excess > 0, lambda i: {"case": "dependent tuple not collapsed",
@@ -276,8 +276,8 @@ def check_bounded_iff_continuous(
     precondition: the suite flags it as a failure and records the
     constructed divergent-image sequence as the counterexample.  The
     operators (the default family, or ``ops`` with an affine form) are
-    decided a block at a time: the kernel gate, M and ``continuity_probe``'s
-    points for both base points, from one probe draw each, as stacked arrays.
+    decided a block at a time, the kernel gate and M as stacked arrays; each
+    draws eps, x0 and ``draw_ball`` rows from the suite's own generator.
     """
     rng = np.random.default_rng([seed, 10])
     lin, offset = _suite_forms(space, rng, trials, ops)
@@ -402,8 +402,7 @@ def check_product_ball_lemma(
         raise ValueError("component radii must be positive")
     if not (r + r_prime < r1):
         raise ValueError(f"need r + r' < r1, got {r} + {r_prime} >= {r1}")
-    x0 = np.asarray(x0, dtype=float)
-    y0 = np.asarray(y0, dtype=float)
+    x0, y0 = as_vector(x0, space.dim), as_vector(y0, space.dim)
     rng = np.random.default_rng([seed, 30])
     order, dim = space.order, space.dim
     tally = _Tally()
@@ -454,7 +453,7 @@ def _banach_reference(space: AnchoredSpace, step, alpha: np.ndarray, x0: np.ndar
 
     def residuals(x, x_next):
         d = x_next - x
-        return vol * np.linalg.norm(d - (d @ basis) @ basis.T, axis=1)
+        return vol * _lengths(d - (d @ basis) @ basis.T)
 
     x, x_next = x0, step(x0)
     res0 = residuals(x, x_next)
@@ -501,7 +500,7 @@ def _reduction_rows(space: AnchoredSpace, ops, step, alpha: np.ndarray, x0: np.n
         points = np.stack([r.fixed_point for r in reports])
         certified = np.array([r.certified_error for r in reports])
         errors = space.seminorm_batch(points - xstar)
-        slack = space.roundoff_floor(np.linalg.norm(points, axis=1) + np.linalg.norm(xstar, axis=1))
+        slack = space.roundoff_floor(_lengths(points) + _lengths(xstar))
         excess = errors - (certified + slack)
 
     out = []
@@ -610,7 +609,7 @@ def check_contractive_ratio(
     for start, rows in _blocks(trials, 2 * space.dim):
         p, q = (rng.standard_normal((rows, 2, space.dim)) * 1.5).swapaxes(0, 1)
         den = space.seminorm_batch(p - q)
-        keep = np.flatnonzero(den > space.roundoff_floor(np.linalg.norm(p, axis=1) + np.linalg.norm(q, axis=1)))
+        keep = np.flatnonzero(den > space.roundoff_floor(_lengths(p) + _lengths(q)))
         p, q, den = p[keep], q[keep], den[keep]
         f = space.seminorm_batch(apply_batch(op, p) - apply_batch(op, q)) / den
         tally.add(f, f >= 1.0 - RATIO_FLAG_TOL, lambda i: {"trial": start + int(keep[i]), "p": p[i].tolist(),

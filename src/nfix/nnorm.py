@@ -73,8 +73,8 @@ def _qr_split(rows: np.ndarray, tol: float, complete: bool = False):
     smallest singular value (that of R with its columns so scaled) is at
     most ``tol``, whatever the order and lengths of the rows; a zero row
     always is, and the empty tuple, with no singular values, is not.  Each
-    column of R is divided by its row's largest entry before its length is
-    taken, so no length underflows or overflows.  A dependent tuple has
+    column of R is divided by its row's ``_lengths``, which it has exactly,
+    so no length underflows or overflows.  A dependent tuple has
     volume exactly 0.0, any other prod |R_ii| (1.0 for the empty tuple).
     Every tuple is factored on its own, so no member's scale reaches
     another's verdict.  Q is the complete orthogonal factor when
@@ -86,11 +86,10 @@ def _qr_split(rows: np.ndarray, tol: float, complete: bool = False):
     else:
         q, r = None, np.linalg.qr(cols, mode="r")
     r = r[..., : rows.shape[-2], :]
-    peaks = np.abs(rows).max(axis=-1, initial=0.0)
-    zero = peaks == 0.0
+    lengths = _lengths(rows)
+    zero = lengths == 0.0
     # adding ``zero`` turns a zero divisor into 1.0, so a zero row's column stays 0
-    scaled = r / (peaks + zero)[..., None, :]
-    unit = scaled / (np.linalg.norm(scaled, axis=-2) + zero)[..., None, :]
+    unit = r / (lengths + zero)[..., None, :]
     smallest = np.linalg.svd(unit, compute_uv=False)[..., -1:].min(axis=-1, initial=np.inf)
     dependent = zero.any(axis=-1) | (smallest <= tol)
     # a dependent tuple's |R_ii| become 0 before the product, which cannot overflow then
@@ -98,20 +97,28 @@ def _qr_split(rows: np.ndarray, tol: float, complete: bool = False):
     return q, np.multiply.reduce(diagonal, axis=-1), dependent
 
 
-def _rescaled_lengths(v: np.ndarray) -> np.ndarray:
-    """|v|_2 along the last axis, each vector divided by its largest |v_i|
-    first, as in ``_qr_split``; that entry itself where it is 0, inf or NaN."""
-    peaks = np.abs(v).max(axis=-1)
-    scaled = (peaks > 0.0) & (peaks < np.inf)
-    u = v / np.where(scaled, peaks, 1.0)[..., None]
-    return np.where(scaled, peaks * np.sqrt(np.add.reduce(u * u, axis=-1)), peaks)
+def _lengths(rows: np.ndarray) -> np.ndarray:
+    """|v|_2 of each row v of a stack (..., d) by the length rule: sqrt(v.v) where
+    that lies in [_LENGTH_MIN, inf) or v is 0, else |v / max |v_i|| * max |v_i|, so
+    no length underflows or overflows (max |v_i| itself where it is inf or NaN)."""
+    with np.errstate(over="ignore"):
+        lengths = np.sqrt(np.add.reduce(rows * rows, axis=-1))
+    if not (lengths.min(initial=np.inf) >= _LENGTH_MIN and lengths.max(initial=0.0) < np.inf):
+        redo = ((lengths < _LENGTH_MIN) & rows.any(axis=-1)) | ~(lengths < np.inf)
+        if redo.any():
+            v = rows[redo]
+            peaks = np.abs(v).max(axis=-1)
+            finite = peaks < np.inf
+            u = v / np.where(finite, peaks, 1.0)[:, None]
+            lengths[redo] = np.where(finite, peaks * np.sqrt(np.add.reduce(u * u, axis=-1)), peaks)
+    return lengths
 
 
 def _length(v: np.ndarray) -> float:
-    """|v|_2 of a 1-D array: sqrt(v.v) in [_LENGTH_MIN, inf), else rescaled.
+    """``_lengths`` of a 1-D array, from one dot where sqrt(v.v) is in range.
     v.v may overflow on the way, so callers ignore numpy's overflow warning."""
     r = math.sqrt(v.dot(v))
-    return r if _LENGTH_MIN <= r < math.inf else float(_rescaled_lengths(v))
+    return r if _LENGTH_MIN <= r < math.inf else float(_lengths(v[None, :])[0])
 
 
 def is_linearly_dependent(vectors, tol: float = DEFAULT_RANK_TOL) -> bool:
@@ -245,19 +252,11 @@ class AnchoredSpace:
         return raw
 
     def seminorm_batch(self, points: np.ndarray) -> np.ndarray:
-        """``seminorm_raw`` of many row points at once: vol * |P C| row by
-        row, one product, no dependence snap; rows out of ``_length``'s range
-        are measured again by ``_rescaled_lengths``."""
+        """``seminorm_raw`` of many row points at once: vol * ``_lengths(P C)``, no snap."""
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.dim:
             raise ValueError(f"expected shape (m, {self.dim}), got {pts.shape}")
-        y = pts @ self.complement_basis
-        with np.errstate(over="ignore"):
-            lengths = np.sqrt(np.add.reduce(y * y, axis=1))
-        if not (lengths.min(initial=np.inf) >= _LENGTH_MIN and lengths.max(initial=0.0) < np.inf):
-            redo = ~((lengths >= _LENGTH_MIN) & (lengths < np.inf))
-            lengths[redo] = _rescaled_lengths(y[redo])
-        return self.anchor_volume * lengths
+        return self.anchor_volume * _lengths(pts @ self.complement_basis)
 
     def ball_points(self, dirs, radii, coeffs, center=None) -> np.ndarray:
         """Rows ``center + (radii / vol) * unit(dirs) @ Cᵀ + coeffs @ anchors``.
@@ -269,9 +268,7 @@ class AnchoredSpace:
         combine the anchors into a kernel part, which moves no semi-norm.
         The leading shapes and ``center`` broadcast against each other.
         """
-        norms = np.linalg.norm(dirs, axis=-1)
-        norms[norms == 0.0] = 1.0
-        units = dirs / norms[..., None]
+        units = dirs / np.maximum(_lengths(dirs), 5e-324)[..., None]
         pts = (radii / self.anchor_volume)[..., None] * (units @ self.complement_basis.T)
         if center is not None:
             pts = center + pts
@@ -398,14 +395,21 @@ def b_cauchy_tail(seq: SequencePrefix, from_index: int) -> float:
     tail = seq.items[from_index - 1:]
     n = tail.shape[0]
     y = (tail - tail[0]) @ seq.space.complement_basis
-    sq = np.einsum("ij,ij->i", y, y)
+    with np.errstate(over="ignore"):
+        sq = np.add.reduce(y * y, axis=1)
+    # the length rule: out-of-range squares are taken again of y / 2^e, max |y_i| in [1, 2)
+    e = 0 if _LENGTH_MIN ** 2 <= np.maximum.reduce(sq) < 1e307 else math.frexp(float(np.abs(y).max()))[1] - 1
+    if e:
+        y = np.ldexp(y, -e)
+        sq = np.add.reduce(y * y, axis=1)
     rows = max(1, _PAIR_BLOCK_ELEMENTS // n)
     worst_sq = 0.0
     for start in range(0, n, rows):
         block = slice(start, start + rows)
-        dist_sq = sq[block, None] + sq[None, :] - 2.0 * (y[block] @ y.T)
+        dist_sq = sq[block, None] + sq[None, :]
+        dist_sq -= 2.0 * (y[block] @ y.T)  # in place: one (rows, n) temporary fewer
         worst_sq = max(worst_sq, float(dist_sq.max()))
-    return seq.space.anchor_volume * math.sqrt(worst_sq)
+    return seq.space.anchor_volume * (math.sqrt(worst_sq) * 2.0 ** e)
 
 
 def b_limit_estimate(seq: SequencePrefix, candidate) -> float:

@@ -24,7 +24,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .nnorm import AnchoredSpace, as_vector
+from .nnorm import AnchoredSpace, _length, _lengths, as_vector
 
 _CHUNK = 1024
 
@@ -258,25 +258,27 @@ def _e1_split(space: AnchoredSpace) -> str:
     """"span" when e1's part off the anchor span is at most
     ``space.rank_tol``, "orthogonal" when its part in the span is, else
     "oblique"."""
-    if np.linalg.norm(space.complement_basis[0]) <= space.rank_tol:
+    if _length(space.complement_basis[0]) <= space.rank_tol:
         return "span"
-    if np.linalg.norm(space.anchor_basis[0]) <= space.rank_tol:
+    if _length(space.anchor_basis[0]) <= space.rank_tol:
         return "orthogonal"
     return "oblique"
 
 
-def _lengths(rows: np.ndarray) -> np.ndarray:
-    """np.linalg.norm(rows, axis=-1), bit for bit, without its dispatch."""
-    return np.sqrt(np.add.reduce(rows * rows, axis=-1))
+def _leave_span(space: AnchoredSpace, rows: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """(...): is each row (..., d) off the anchor span by more than rank_tol
+    times the length of its entrywise bound?  Both are first divided by the
+    bound's largest entry (5e-324 for a zero bound), so no entry exceeds sqrt(d)."""
+    peaks = bounds.max(axis=-1, keepdims=True, initial=5e-324)
+    off, ref = (rows / peaks) @ space.complement_basis, bounds / peaks
+    return np.sqrt(np.add.reduce(off * off, axis=-1)) > space.rank_tol * np.sqrt(np.add.reduce(ref * ref, axis=-1))
 
 
 def _moved_anchors(space: AnchoredSpace, lin: np.ndarray) -> np.ndarray:
     """(..., n - 1): does L move b off the anchor span, for each L of a stack
-    (..., d, d) and each anchor b?  Yes where the part of L b off the span
-    exceeds ``space.rank_tol`` times the length of |L| |b|, its error bound."""
+    (..., d, d) and each anchor b?  ``_leave_span`` of L b, bounded by |L| |b|."""
     mt = lin.swapaxes(-1, -2)
-    images = space.anchors @ mt @ space.complement_basis
-    return _lengths(images) > space.rank_tol * _lengths(np.abs(space.anchors) @ np.abs(mt))
+    return _leave_span(space, space.anchors @ mt, np.abs(space.anchors) @ np.abs(mt))
 
 
 def _kernel_gate(space: AnchoredSpace, lin: np.ndarray, offset: np.ndarray) -> tuple:
@@ -285,7 +287,7 @@ def _kernel_gate(space: AnchoredSpace, lin: np.ndarray, offset: np.ndarray) -> t
     span exceeds ``space.rank_tol`` |c| and else the first anchor that
     ``_moved_anchors`` finds moved, and whether each map moves the kernel
     (a map that does not gets the row 0, which is no witness)."""
-    leaves = _lengths(offset[..., None, :] @ space.complement_basis) > space.rank_tol * _lengths(offset[..., None, :])
+    leaves = _leave_span(space, offset[..., None, :], np.abs(offset)[..., None, :])
     off = np.concatenate([leaves, _moved_anchors(space, lin)], axis=-1)
     points = np.concatenate([np.zeros((1, space.dim)), space.anchors])
     return points[off.argmax(axis=-1)], off.any(axis=-1)
@@ -466,7 +468,7 @@ def _operator_norms(op: OperatorSpec, space: AnchoredSpace, methods, budget: int
             obj = space.seminorm_batch(pts @ mt)
             if method == "III":
                 den = space.seminorm_batch(pts)
-                keep = den > space.roundoff_floor(np.sqrt(np.einsum("ij,ij->i", pts, pts)))
+                keep = den > space.roundoff_floor(_lengths(pts))
                 obj = obj[keep] / den[keep]
             if obj.size:
                 best[j] = max(best[j], float(np.max(obj)))
@@ -502,7 +504,7 @@ def contraction_constant(
 ) -> ContractionEstimate:
     """Sample ``budget`` point pairs and take the two ratio suprema.  A pair
     counts for a ratio only where its denominator exceeds the space's
-    roundoff floor at |x| + |y| + |Tx| + |Ty|."""
+    roundoff floor at |x| + |y| for alpha, or |x| + |y| + |Tx| + |Ty| for beta."""
     if budget < 1:
         raise ValueError("budget must be >= 1")
     best = [0.0, 0.0]
@@ -517,9 +519,9 @@ def contraction_constant(
         # the four displacement arrays, projected in one call
         diffs = np.concatenate([txs - tys, xs - ys, xs - txs, ys - tys])
         num, den, dx, dy = space.seminorm_batch(diffs).reshape(4, take)
-        ends = np.concatenate([xs, ys, txs, tys])
-        floor = space.roundoff_floor(np.sqrt(np.einsum("ij,ij->i", ends, ends)).reshape(4, take).sum(axis=0))
-        for j, den_j in enumerate((den, dx + dy)):
+        lens = _lengths(np.concatenate([xs, ys, txs, tys])).reshape(4, take)
+        floors = space.roundoff_floor(lens[0] + lens[1]), space.roundoff_floor(lens.sum(axis=0))
+        for j, (den_j, floor) in enumerate(zip((den, dx + dy), floors)):
             keep = np.flatnonzero(den_j > floor)
             if keep.size:
                 ratios = num[keep] / den_j[keep]
@@ -583,7 +585,7 @@ def continuity_probe(
     # sequential form: push one b-convergent sequence x_k -> x0 through T
     rng = np.random.default_rng([_seed_key(seed), 17])
     u = rng.standard_normal(space.complement_dim)
-    u /= max(np.linalg.norm(u), 1e-30)
+    u /= max(_length(u), 1e-30)
     direction = space.complement_basis @ u
     steps = min(max(samples, 8), 40)
     coeffs = rng.standard_normal((steps, space.order - 1))

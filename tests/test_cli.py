@@ -1,6 +1,7 @@
 """CLI tests: exit codes, trace format, determinism, validation diagnostics."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -453,6 +454,24 @@ def test_opnorm_kernel_violator_prints_inf(tmp_path, capsys):
     assert code == 0
     assert captured.out.count("value=inf") == 3
     assert "kernel_preserved=false" in captured.out
+
+
+@pytest.mark.parametrize("s", [1e-170, 1e160])
+def test_opnorm_gates_a_scaled_kernel_violator_to_inf(tmp_path, capsys, s):
+    # the swap e1 <-> e2 moves span(e2) at every scale: at 1e-170 the gate's
+    # plain lengths underflowed and three finite values came out, at 1e160
+    # they overflowed into a RuntimeWarning
+    data = {"dimension": 3, "order": 2, "anchors": [[0.0, 1.0, 0.0]],
+            "operator": {"kind": "affine", "matrix": (s * np.eye(3)[[1, 0, 2]]).tolist()}, "seed": 5}
+    path = tmp_path / "opnorm.json"
+    path.write_text(json.dumps(data))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["opnorm", "--config", str(path)])
+    out = capsys.readouterr().out
+    assert code == 0
+    assert out.count("value=inf\n") == 3
+    assert "kernel_preserved=false\n" in out
 
 
 def test_opnorm_gates_once_and_draws_each_chunk_once(tmp_path, capsys, monkeypatch):

@@ -467,12 +467,44 @@ def test_product_ball_rejects_weak_radii():
         check_product_ball_lemma(sp, zero, zero, r1=1.0, r=0.6, r_prime=0.6, trials=10, seed=0)
 
 
+@pytest.mark.parametrize("center", [np.zeros(2), 0.0, np.zeros((1, 3))])
+def test_product_ball_rejects_a_center_of_the_wrong_shape(center):
+    # a length-2 x0 on dim 3 ended in numpy's broadcast error, and a scalar
+    # was silently taken as the centre
+    sp = canonical_space(3, 2)
+    for x0, y0 in ((center, np.zeros(3)), (np.zeros(3), center)):
+        with pytest.raises(ValueError, match="dimension mismatch|1-D vector"):
+            check_product_ball_lemma(sp, x0, y0, r1=1.0, trials=10, seed=0)
+
+
 def test_banach_reduction_single_problem():
     sp = canonical_space(3, 3)
     op = affine_operator(0.5 * np.eye(3), offset=np.eye(3)[0])
     report = check_banach_reduction(op, sp, np.zeros(3), alpha=0.5, seed=0)
     assert report.failures == 0
     assert report.worst_violation == 0.0
+
+
+@pytest.mark.parametrize("s", [1e155, 1e200, 1e300])
+def test_banach_reduction_from_a_far_start(s, monkeypatch):
+    # the reference's residuals and the exact-point slack were plain lengths:
+    # at |x0| past ~1.3e154 res0 was inf, which left the reference no step
+    # to take, and the slack was inf, so the exact-point check could not fail
+    sp = canonical_space(3, 2)
+    op = affine_operator(0.5 * np.eye(3), offset=np.eye(3)[0])
+    report = check_banach_reduction(op, sp, [s, 0.0, 0.0], alpha=0.5, seed=0)
+    assert report.failures == 0 and report.worst_violation == 0.0
+    make_report = solvers._report
+
+    def halved(*args):
+        report = make_report(*args)
+        report.certified_error *= 0.5
+        return report
+
+    monkeypatch.setattr(solvers, "_report", halved)
+    report = check_banach_reduction(op, sp, [s, 0.0, 0.0], alpha=0.5, seed=0)
+    assert report.failures == 1
+    assert any("below the exact error" in p for p in report.counterexample["problems"])
 
 
 def test_banach_reduction_constant_map():

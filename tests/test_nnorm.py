@@ -316,6 +316,33 @@ def test_cauchy_tail_near_converged_prefix_mpmath_oracle():
     assert b_cauchy_tail(seq, 1) == pytest.approx(oracle, rel=1e-12)
 
 
+def test_cauchy_tail_matches_an_mpmath_oracle_at_extreme_scales():
+    # the squares of y = (x_i - x_1) C underflowed below ~1e-154 (a tail
+    # {0, s e1, s e3} read as constant, 0.0) and overflowed past ~1e154
+    rng = np.random.default_rng(29)
+    d, order, m = 5, 3, 9
+    sp = _random_space(rng, d, order)
+    unit = rng.standard_normal((m, d))
+    eps = np.finfo(float).eps
+    with mpmath.workdps(50):
+        anchors = [[mpmath.mpf(float(v)) for v in b] for b in sp.anchors]
+        for s in 10.0 ** np.arange(-200, 201, 25):
+            items = unit * s
+            # the gaps are scaled by 2^-e exactly, so mpmath's det sees a well-scaled G
+            e = math.frexp(s)[1]
+            worst = mpmath.mpf(0)
+            for i in range(m):
+                for j in range(i + 1, m):
+                    gap = [mpmath.ldexp(mpmath.mpf(float(a)) - mpmath.mpf(float(b)), -e) for a, b in zip(items[j], items[i])]
+                    vs = [gap] + anchors
+                    g = mpmath.matrix([[mpmath.fsum(x * y for x, y in zip(a, b)) for b in vs] for a in vs])
+                    worst = max(worst, mpmath.ldexp(mpmath.sqrt(mpmath.det(g)), e))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                got = b_cauchy_tail(SequencePrefix(space=sp, items=items), 1)
+            assert abs(got - float(worst)) <= 64 * eps * float(worst)
+
+
 def test_cauchy_tail_constant_and_singleton_tails_are_exactly_zero():
     rng = np.random.default_rng(5)
     sp = _random_space(rng, 8, 3)
@@ -691,3 +718,18 @@ def test_ball_points_match_the_inline_formula():
         assert sp.seminorm_batch(bare) == pytest.approx(radii, rel=1e-13)
     zero = sp.ball_points(np.zeros((1, sp.complement_dim)), np.ones(1), np.zeros((1, order - 1)))
     assert np.all(zero == 0.0)
+
+
+def test_ball_points_keep_their_radius_whatever_the_length_of_the_direction():
+    # a plain |dir| was 0 below ~1e-154, which left the point at |dir| times
+    # its radius, and inf past ~1.3e154, which put it at the centre
+    rng = np.random.default_rng(31)
+    sp = AnchoredSpace(dim=5, order=3, anchors=rng.standard_normal((2, 5)))
+    dirs = rng.standard_normal((16, sp.complement_dim))
+    radii = 0.1 + 2.5 * rng.random(16)
+    eps = np.finfo(float).eps
+    for s in 10.0 ** np.arange(-200, 201, 25):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = sp.seminorm_batch(sp.ball_points(s * dirs, radii, np.zeros((16, 2))))
+        assert np.all(np.abs(got - radii) <= 8 * eps * radii)

@@ -1,11 +1,14 @@
 """Operator analysis tests: catalog evaluation, norm estimates, ratio suprema."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nfix import operators
+from nfix.harness import _kernel_preserving_matrices, canonical_space
 from nfix.nnorm import AnchoredSpace
 from nfix.operators import (
     OperatorNormEstimate,
@@ -246,6 +249,50 @@ def test_kernel_gate_is_not_hidden_by_an_entry_that_misses_the_anchors():
     assert np.array_equal(kernel_violation_witness(op, sp), sp.anchors[0])
     for method in ("I", "II", "III"):
         assert operator_norm(op, sp, method, budget=64, seed=0).value == math.inf
+
+
+@pytest.mark.parametrize("s", [1e-250, 1e-170, 1e-160, 1.0, 1e155, 1e250])
+def test_kernel_gate_verdicts_hold_at_extreme_scales(s):
+    # the gate's verdict is homogeneous: the swap e1 <-> e2 and the constant
+    # s e1 leave span(e2) at every scale, and kernel-preserving maps keep it.
+    # Plain lengths of L b underflowed below ~1e-154 (the swap read as
+    # preserving, with finite Lipschitz and Kannan constants) and overflowed
+    # past ~1.3e154 (a RuntimeWarning, or the same wrong verdict)
+    sp = canonical_space(3, 2)
+    swap = affine_operator(s * np.eye(3)[[1, 0, 2]])
+    constant = builtin_operator("constant", value=[s, 0.0, 0.0])
+    preservers = s * _kernel_preserving_matrices(sp, np.random.default_rng(3), 20)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(kernel_violation_witness(swap, sp), sp.anchors[0])
+        assert lipschitz_constant(swap, sp) == kannan_constant(swap, sp) == math.inf
+        assert operator_norm(swap, sp, "II", budget=16, seed=0).value == math.inf
+        assert np.array_equal(kernel_violation_witness(constant, sp), np.zeros(3))
+        assert not operators._kernel_gate(sp, preservers, np.zeros((20, 3)))[1].any()
+        assert all(kernel_preserved(affine_operator(a), sp) for a in preservers)
+
+
+_ENTRY = st.one_of(st.just(0.0), st.floats(1e-3, 1e3), st.floats(-1e3, -1e-3))
+
+
+@settings(max_examples=80, deadline=None)
+@given(entries=st.lists(_ENTRY, min_size=12, max_size=12), keeps=st.booleans(), k=st.integers(-900, 900))
+def test_kernel_gate_verdicts_do_not_change_under_power_of_two_scaling(entries, keeps, k):
+    # 2^k L and 2^k c are exact, and T moves span(e2) exactly when 2^k T does
+    sp = canonical_space(3, 2)
+    lin, offset = np.array(entries[:9]).reshape(3, 3), np.array(entries[9:])
+    if keeps:
+        lin[[0, 2], 1] = 0.0
+        offset[[0, 2]] = 0.0
+    witness, violated = operators._kernel_gate(sp, lin, offset)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scaled_witness, scaled_violated = operators._kernel_gate(sp, np.ldexp(lin, k), np.ldexp(offset, k))
+        assert scaled_violated == violated and np.array_equal(scaled_witness, witness)
+        assert math.isinf(lipschitz_constant(affine_operator(np.ldexp(lin, k)), sp)) == \
+            bool(operators._moved_anchors(sp, lin).any())
+    if keeps:
+        assert not violated
 
 
 def _concatenated_gate(sp, lin, offset):
@@ -742,6 +789,19 @@ def test_contraction_constant_constant_map_is_zero():
     est = contraction_constant(builtin_operator("constant", value=[1.0, 2.0, 3.0]), sp, budget=200, seed=2)
     assert est.alpha_hat == 0.0
     assert est.beta_hat == 0.0
+
+
+@pytest.mark.parametrize("factor", [0.5, 1e13, 1e14, 1e20, 1e155, 1e160])
+def test_contraction_constant_finds_alpha_at_any_lipschitz_scale(factor):
+    # x - y is floored at |x| + |y|, the points that made it; at the four
+    # lengths |x| + |y| + |Tx| + |Ty| no pair counted once the factor passed
+    # ~1e14, and their squared lengths overflowed past ~1e154
+    sp = canonical_space(3, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        est = contraction_constant(affine_operator(factor * np.eye(3)), sp, 1000, 1)
+    assert est.alpha_hat == pytest.approx(factor, rel=1e-12)
+    assert est.witness_pair is not None
 
 
 def test_kannan_constant_scale_quarter_grid_oracle():
