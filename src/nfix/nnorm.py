@@ -38,6 +38,9 @@ _PAIR_BLOCK_ELEMENTS = 1 << 14
 
 _LENGTH_MIN = 1e-140  # below it, the squares of a length may have lost digits to underflow
 
+_NARROW = 8  # numpy's add.reduce sums narrower rows in order, wider ones pairwise
+_TRANSPOSED = 4  # widest rows that broadcast faster transposed (timeit, 1024 rows)
+
 
 def as_vector(x, dim: int | None = None) -> np.ndarray:
     """Coerce to a finite 1-D float64 array, optionally checking its length."""
@@ -97,20 +100,45 @@ def _qr_split(rows: np.ndarray, tol: float, complete: bool = False):
     return q, np.multiply.reduce(diagonal, axis=-1), dependent
 
 
+def _sum_squares(rows: np.ndarray) -> np.ndarray:
+    """``np.add.reduce(rows * rows, axis=-1)``, bit for bit.  numpy adds a row
+    narrower than _NARROW in order, but with an inner loop per row; such rows
+    are summed here column by column, in the same order."""
+    sq = rows * rows
+    if not 1 < sq.shape[-1] < _NARROW:
+        return np.add.reduce(sq, axis=-1)
+    total = sq[..., 0] + sq[..., 1]
+    for j in range(2, sq.shape[-1]):
+        total += sq[..., j]
+    return total
+
+
+def _per_row(ufunc, rows: np.ndarray, factors: np.ndarray) -> np.ndarray:
+    """``ufunc(rows, factors[..., None])`` for rows (..., w), one factor a row, as
+    a new C-contiguous array; up to _TRANSPOSED entries a row, transposed, so
+    numpy's inner loop runs along the rows.  Each element is one rounding."""
+    if rows.shape[-1] > _TRANSPOSED or np.ndim(factors) == 0:
+        return ufunc(rows, factors[..., None])
+    out = np.empty(np.broadcast(rows, factors[..., None]).shape)
+    ufunc(rows.swapaxes(-1, -2), factors[..., None, :], out=out.swapaxes(-1, -2), order="C")
+    return out
+
+
 def _lengths(rows: np.ndarray) -> np.ndarray:
     """|v|_2 of each row v of a stack (..., d) by the length rule: sqrt(v.v) where
     that lies in [_LENGTH_MIN, inf) or v is 0, else |v / max |v_i|| * max |v_i|, so
     no length underflows or overflows (max |v_i| itself where it is inf or NaN)."""
     with np.errstate(over="ignore"):
-        lengths = np.sqrt(np.add.reduce(rows * rows, axis=-1))
-    if not (lengths.min(initial=np.inf) >= _LENGTH_MIN and lengths.max(initial=0.0) < np.inf):
+        lengths = np.sqrt(_sum_squares(rows))
+    if not (np.minimum.reduce(lengths, axis=None, initial=np.inf) >= _LENGTH_MIN
+            and np.maximum.reduce(lengths, axis=None, initial=0.0) < np.inf):
         redo = ((lengths < _LENGTH_MIN) & rows.any(axis=-1)) | ~(lengths < np.inf)
         if redo.any():
             v = rows[redo]
             peaks = np.abs(v).max(axis=-1)
             finite = peaks < np.inf
             u = v / np.where(finite, peaks, 1.0)[:, None]
-            lengths[redo] = np.where(finite, peaks * np.sqrt(np.add.reduce(u * u, axis=-1)), peaks)
+            lengths[redo] = np.where(finite, peaks * np.sqrt(_sum_squares(u)), peaks)
     return lengths
 
 
@@ -268,8 +296,8 @@ class AnchoredSpace:
         combine the anchors into a kernel part, which moves no semi-norm.
         The leading shapes and ``center`` broadcast against each other.
         """
-        units = dirs / np.maximum(_lengths(dirs), 5e-324)[..., None]
-        pts = (radii / self.anchor_volume)[..., None] * (units @ self.complement_basis.T)
+        units = _per_row(np.divide, dirs, np.maximum(_lengths(dirs), 5e-324))
+        pts = _per_row(np.multiply, units @ self.complement_basis.T, radii / self.anchor_volume)
         if center is not None:
             pts = center + pts
         return pts + coeffs @ self.anchors

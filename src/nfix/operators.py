@@ -24,7 +24,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .nnorm import AnchoredSpace, _length, _lengths, as_vector
+from .nnorm import AnchoredSpace, _length, _lengths, _per_row, _sum_squares, as_vector
 
 _CHUNK = 1024
 
@@ -271,14 +271,19 @@ def _leave_span(space: AnchoredSpace, rows: np.ndarray, bounds: np.ndarray) -> n
     bound's largest entry (5e-324 for a zero bound), so no entry exceeds sqrt(d)."""
     peaks = bounds.max(axis=-1, keepdims=True, initial=5e-324)
     off, ref = (rows / peaks) @ space.complement_basis, bounds / peaks
-    return np.sqrt(np.add.reduce(off * off, axis=-1)) > space.rank_tol * np.sqrt(np.add.reduce(ref * ref, axis=-1))
+    return np.sqrt(_sum_squares(off)) > space.rank_tol * np.sqrt(_sum_squares(ref))
 
 
-def _moved_anchors(space: AnchoredSpace, lin: np.ndarray) -> np.ndarray:
+def _moved_anchors(space: AnchoredSpace, lin: np.ndarray, offset: Optional[np.ndarray] = None) -> np.ndarray:
     """(..., n - 1): does L move b off the anchor span, for each L of a stack
-    (..., d, d) and each anchor b?  ``_leave_span`` of L b, bounded by |L| |b|."""
+    (..., d, d) and each anchor b?  ``_leave_span`` of L b, bounded by |L| |b|;
+    with offsets c (..., d), the row c, bounded by |c|, first: (..., n)."""
     mt = lin.swapaxes(-1, -2)
-    return _leave_span(space, space.anchors @ mt, np.abs(space.anchors) @ np.abs(mt))
+    rows, bounds = space.anchors @ mt, np.abs(space.anchors) @ np.abs(mt)
+    if offset is not None:
+        rows = np.concatenate([offset[..., None, :], rows], axis=-2)
+        bounds = np.concatenate([np.abs(offset)[..., None, :], bounds], axis=-2)
+    return _leave_span(space, rows, bounds)
 
 
 def _kernel_gate(space: AnchoredSpace, lin: np.ndarray, offset: np.ndarray) -> tuple:
@@ -287,8 +292,7 @@ def _kernel_gate(space: AnchoredSpace, lin: np.ndarray, offset: np.ndarray) -> t
     span exceeds ``space.rank_tol`` |c| and else the first anchor that
     ``_moved_anchors`` finds moved, and whether each map moves the kernel
     (a map that does not gets the row 0, which is no witness)."""
-    leaves = _leave_span(space, offset[..., None, :], np.abs(offset)[..., None, :])
-    off = np.concatenate([leaves, _moved_anchors(space, lin)], axis=-1)
+    off = _moved_anchors(space, lin, offset)
     points = np.concatenate([np.zeros((1, space.dim)), space.anchors])
     return points[off.argmax(axis=-1)], off.any(axis=-1)
 
@@ -425,7 +429,7 @@ def _probe_point_sets(space: AnchoredSpace, budget: int, seed: int, methods):
     for dirs, radii, coeffs in _probe_chunks(space, budget, seed, stream=7):
         reach = {"I": radii, "II": np.ones_like(radii), "III": 0.5 + 2.5 * radii}
         sets = space.ball_points(dirs, np.stack([reach[m] for m in methods]), coeffs)
-        yield [pts / space.seminorm_batch(pts)[:, None] if m == "II" else pts for m, pts in zip(methods, sets)]
+        yield [_per_row(np.divide, p, space.seminorm_batch(p)) if m == "II" else p for m, p in zip(methods, sets)]
 
 
 def draw_probe_points(space: AnchoredSpace, budget: int, seed: int, method: str = "II") -> np.ndarray:

@@ -538,6 +538,42 @@ def test_reduction_suite_family():
     assert report.worst_violation == 0.0
 
 
+def test_banach_reference_of_many_rows_equals_its_sub_blocks():
+    # the reduction suite iterates all of d = 3 in one lock-step block; each
+    # row is iterated on its own, so the block gives every row the iterates,
+    # bounds and stop step of any smaller block holding it, bit for bit
+    space = canonical_space(3, 2)
+    rng = np.random.default_rng([1, 40])
+    alpha = rng.uniform(0.1, 0.9, 1000)
+    offset, x0 = rng.standard_normal((1000, 3)), rng.standard_normal((1000, 3))
+
+    def reference(rows):
+        a, c = alpha[rows], offset[rows]
+        return harness._banach_reference(space, lambda x: x * a[:, None] + c, a, x0[rows])
+
+    whole = reference(slice(0, 1000))
+    for start in range(0, 1000, 128):
+        block = slice(start, start + 128)
+        part = reference(block)
+        steps = len(part.bounds)
+        assert np.array_equal(part.stop, whole.stop[block]) and np.array_equal(part.cover, whole.cover[block])
+        assert np.array_equal(part.iterates, whole.iterates[:steps + 1, block])
+        assert np.array_equal(part.bounds, whole.bounds[:steps, block])
+    assert len(whole.bounds) == whole.stop.max()
+
+
+def test_reduction_suite_report_does_not_depend_on_the_block_size(monkeypatch):
+    # with every engine bound halved each trial fails, so the reports hold
+    # a worst value and a counterexample, found in one block or in five
+    tail_sum = solvers.ASeq.tail_sum
+    monkeypatch.setattr(solvers.ASeq, "tail_sum", lambda self, q: 0.5 * tail_sum(self, q))
+    reports = [reduction_suite(3, 2, trials=300, seed=3)]
+    monkeypatch.setattr(harness, "REFERENCE_BLOCK_ELEMENTS", 3 * 64)
+    reports.append(reduction_suite(3, 2, trials=300, seed=3))
+    assert reports[0].failures > 0 and reports[0].counterexample["trial"] >= 64
+    assert reports[0] == reports[1]
+
+
 def test_reduction_suite_rejects_an_empty_family():
     with pytest.raises(ValueError):
         reduction_suite(3, 2, trials=0)

@@ -733,3 +733,87 @@ def test_ball_points_keep_their_radius_whatever_the_length_of_the_direction():
             warnings.simplefilter("error")
             got = sp.seminorm_batch(sp.ball_points(s * dirs, radii, np.zeros((16, 2))))
         assert np.all(np.abs(got - radii) <= 8 * eps * radii)
+
+
+# ---------------------------------------------------------------------------
+# short rows: the same bits as numpy's reduction and broadcasts
+# ---------------------------------------------------------------------------
+
+_WIDTHS = list(range(1, 10)) + [16, 61]
+
+
+def _rows_of_many_scales(rng, shape):
+    # entries whose squares differ by up to ~10^8, so a sum taken in
+    # another order rounds differently somewhere in every stack
+    return rng.standard_normal(shape) * 10.0 ** rng.uniform(-2, 2, shape)
+
+
+@pytest.mark.parametrize("width", _WIDTHS)
+def test_lengths_equal_numpy_reduction_bit_for_bit(width):
+    rng = np.random.default_rng([41, width])
+    m = 300
+    for lead in [(), (m,), (3, m)]:
+        rows = _rows_of_many_scales(rng, lead + (width,))
+        want = np.sqrt(np.add.reduce(rows * rows, axis=-1))
+        got = nnorm._lengths(rows)
+        assert got.shape == want.shape and np.array_equal(got, want)
+    # a strided view of wider rows takes the same rule
+    rows = _rows_of_many_scales(rng, (m, 2 * width))[:, ::2]
+    assert np.array_equal(nnorm._lengths(rows), np.sqrt(np.add.reduce(rows * rows, axis=-1)))
+
+
+@pytest.mark.parametrize("width", _WIDTHS)
+@pytest.mark.parametrize("s", [1e160, 1e-160])
+def test_length_rule_at_extreme_scales_is_the_rescaled_length(width, s):
+    # at 1e+-160 every square overflows or underflows, so each row takes the
+    # rule's second form: |v / max |v_i|| * max |v_i|, written out here
+    rng = np.random.default_rng([43, width])
+    rows = s * _rows_of_many_scales(rng, (200, width))
+    peaks = np.abs(rows).max(axis=-1)
+    u = rows / peaks[:, None]
+    want = peaks * np.sqrt(np.add.reduce(u * u, axis=-1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = nnorm._lengths(rows)
+    assert np.array_equal(got, want)
+    assert np.all(np.isfinite(got) & (got > 0.0))
+
+
+def _ball_points_written_out(sp, dirs, radii, coeffs, center=None):
+    """``ball_points`` as a plain numpy expression, for directions whose
+    lengths are in range: every broadcast runs along the last axis."""
+    units = dirs / np.maximum(np.sqrt(np.add.reduce(dirs * dirs, axis=-1)), 5e-324)[..., None]
+    pts = (radii / sp.anchor_volume)[..., None] * (units @ sp.complement_basis.T)
+    if center is not None:
+        pts = center + pts
+    return pts + coeffs @ sp.anchors
+
+
+@pytest.mark.parametrize("dim,order", [(3, 2), (4, 2), (5, 2), (6, 3), (10, 2), (12, 3)])
+def test_ball_points_equal_the_written_out_expression_bit_for_bit(dim, order):
+    # complement widths 2 to 9 and point widths 3 to 12, on both sides of
+    # the widths where the rows are summed and scaled in another layout
+    rng = np.random.default_rng([47, dim, order])
+    sp = AnchoredSpace(dim=dim, order=order, anchors=rng.standard_normal((order - 1, dim)))
+    m, k = 257, sp.complement_dim
+    dirs = _rows_of_many_scales(rng, (m, k))
+    dirs[5] = 0.0  # a zero direction stays zero
+    radii = rng.random(m)
+    coeffs = rng.standard_normal((m, order - 1))
+    center = rng.standard_normal(dim)
+    stacked = np.stack([radii, np.ones(m), 0.5 + 2.5 * radii])
+    for r in (radii, stacked):
+        for c in (None, center):
+            got = sp.ball_points(dirs, r, coeffs, center=c)
+            want = _ball_points_written_out(sp, dirs, r, coeffs, center=c)
+            assert got.flags.c_contiguous and got.shape == want.shape
+            assert np.array_equal(got, want)
+    assert np.array_equal(sp.ball_points(dirs, stacked, np.zeros_like(coeffs))[:, 5], np.zeros((3, dim)))
+    # one point: leading shape ()
+    one = (dirs[0], np.float64(radii[0]), coeffs[0])
+    assert np.array_equal(sp.ball_points(*one, center=center), _ball_points_written_out(sp, *one, center=center))
+    # the bounded suite's broadcast: (operators, base points, samples)
+    d4, r4, c4 = dirs[:256].reshape(16, 1, 16, k), radii[:256].reshape(16, 1, 16), coeffs[:256].reshape(16, 1, 16, -1)
+    x0 = rng.standard_normal((16, 2, 1, dim))
+    got = sp.ball_points(d4, r4, c4, center=x0)
+    assert got.shape == (16, 2, 16, dim) and np.array_equal(got, _ball_points_written_out(sp, d4, r4, c4, center=x0))

@@ -309,7 +309,7 @@ def _concatenated_gate(sp, lin, offset):
 
 
 @pytest.mark.parametrize("dim,order", [(3, 2), (5, 3), (16, 4), (64, 2)])
-def test_single_map_kernel_gate_matches_the_stacked_gate(dim, order):
+def test_single_map_kernel_gate_matches_the_stacked_gate(dim, order, monkeypatch):
     # kernel_violation_witness decides one map as a stack of one, and the
     # exact constants decide its linear part with _moved_anchors; the suites
     # decide stacks with _kernel_gate.  All must give the verdicts and
@@ -353,6 +353,20 @@ def test_single_map_kernel_gate_matches_the_stacked_gate(dim, order):
         assert operators._quotient_map(sp, lin[i])[1] == (not moves[i])
     assert np.array_equal(operators._bound_constants(sp, lin),
                           [lipschitz_constant(affine_operator(a), sp) for a in lin])
+    # the gate takes one _leave_span pass, with the offset row stacked on
+    # the anchor images, and gives the verdicts of a pass for each half;
+    # the exact constants' anchor half is a pass of its own
+    leave_span = operators._leave_span
+    halves = np.concatenate([leave_span(sp, offset[:, None], np.abs(offset)[:, None]),
+                             operators._moved_anchors(sp, lin)], axis=-1)
+    assert np.array_equal(operators._moved_anchors(sp, lin, offset), halves)
+    passes = []
+    monkeypatch.setattr(operators, "_leave_span", lambda sp, rows, bounds: passes.append(rows.shape)
+                        or leave_span(sp, rows, bounds))
+    operators._kernel_gate(sp, lin, offset)
+    kernel_violation_witness(affine_operator(lin[0], offset[0]), sp)
+    operators._quotient_map(sp, lin)
+    assert passes == [(42, order, dim), (order, dim), (42, order - 1, dim)]
 
 
 def test_kernel_violation_witness_offset_is_zero():
