@@ -241,31 +241,25 @@ class AnchoredSpace:
     def roundoff_floor(self, scale):
         """The largest semi-norm value roundoff alone can produce from
         arithmetic on points of Euclidean length ``scale`` (a float or an
-        array); a value at or below it counts as 0."""
+        array).  This is the one zero rule: a semi-norm value counts as 0,
+        its point as in the kernel, only at or below this floor.
+        The rank tolerance decides the rank and span of tuples, never that."""
         return ROUNDOFF * self.anchor_volume * scale
 
     def seminorm(self, x) -> float:
-        """``seminorm_raw``, snapped to exactly 0 when x's distance to the
-        anchor span is at most ``rank_tol`` times its own length."""
+        """||x, b_2, ..., b_n|| in the complement form: (anchor volume) *
+        |C^T x|_2, C the complement basis.  Its error is a few ulps of
+        vol * |x|, however large x's kernel part, so a small distance beside
+        a large kernel component keeps its digits; ``roundoff_floor`` says
+        when a value counts as 0."""
         x = as_vector(x, self.dim)
         with np.errstate(over="ignore"):
-            off, whole = _length(self._complement_rows @ x), _length(x)
-        return 0.0 if off <= self.rank_tol * whole else self.anchor_volume * off
+            return self.anchor_volume * _length(self._complement_rows @ x)
 
-    def seminorm_raw(self, x) -> float:
-        """Semi-norm in the complement form, without the dependence snap.
-
-        ||x, b_2, ..., b_n|| equals (anchor volume) * |C^T x|_2, C the
-        complement basis; its error is a few ulps of vol * |x|, however large
-        x's kernel part.  Residual and displacement arithmetic must use it:
-        the dependence snap would forge zero certificates for a small step
-        beside a large kernel component.
-        """
-        with np.errstate(over="ignore"):
-            return self.projection_kernel()(as_vector(x, self.dim))
+    seminorm_raw = seminorm
 
     def projection_kernel(self) -> Callable[[np.ndarray], float]:
-        """``seminorm_raw`` without its input checks, for hot loops.
+        """``seminorm`` without its input checks, for hot loops.
 
         The returned function expects a 1-D float64 array of length dim and
         validates nothing.  A non-finite coordinate always yields a non-finite
@@ -280,7 +274,7 @@ class AnchoredSpace:
         return raw
 
     def seminorm_batch(self, points: np.ndarray) -> np.ndarray:
-        """``seminorm_raw`` of many row points at once: vol * ``_lengths(P C)``, no snap."""
+        """``seminorm`` of many row points at once: vol * ``_lengths(P C)``."""
         pts = np.asarray(points, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.dim:
             raise ValueError(f"expected shape (m, {self.dim}), got {pts.shape}")
@@ -319,7 +313,8 @@ class AnchoredSpace:
 
 
 def anchored_seminorm(space: AnchoredSpace, x) -> float:
-    """||x, b_2, ..., b_n|| for the space's anchors; zero exactly on their span."""
+    """``space.seminorm(x)``: ||x, b_2, ..., b_n|| for the space's anchors,
+    at most ``roundoff_floor(|x|)`` on their span."""
     return space.seminorm(x)
 
 
@@ -338,8 +333,8 @@ class Ball:
             raise ValueError("radius must be positive")
 
     def contains(self, x) -> bool:
-        """Membership by the unsnapped semi-norm: a large kernel component
-        of x - center cannot hide its distance from the center."""
+        """Membership by the semi-norm of x - center: a large kernel
+        component cannot hide its distance from the center."""
         s = self.space.seminorm_raw(as_vector(x, self.space.dim) - self.center)
         return s <= self.radius if self.closed else s < self.radius
 
@@ -408,11 +403,11 @@ def b_cauchy_tail(seq: SequencePrefix, from_index: int) -> float:
     shrink as ``from_index`` grows for the prefix to look Cauchy.  A singleton
     tail gives 0, and so does a constant one, exactly.
 
-    Distances use the complement form of the semi-norm without the
-    dependence snap, as ``seminorm_raw`` does.  The tail is centred on its
-    first point in the original coordinates and then projected onto the
-    complement of the anchor span, y_i = (x_i - x_1) C; the squared distances
-    are |y_i|^2 + |y_j|^2 - 2 y_i.y_j.  Every |y_i| is at most the tail's
+    Distances use the complement form of the semi-norm, as ``seminorm``
+    does.  The tail is centred on its first point in the original
+    coordinates and then projected onto the complement of the anchor span,
+    y_i = (x_i - x_1) C; the squared distances are |y_i|^2 + |y_j|^2 -
+    2 y_i.y_j.  Every |y_i| is at most the tail's
     diameter, so this Gram form keeps full relative accuracy at the maximum,
     even for a near-converged tail far from the origin.  Rows of i are
     processed in blocks of at most ``_PAIR_BLOCK_ELEMENTS`` pairs.
@@ -444,9 +439,8 @@ def b_limit_estimate(seq: SequencePrefix, candidate) -> float:
     """Semi-norm gap between the last prefix element and a candidate limit.
 
     Finite-prefix proxy for convergence: reported as a residual, never as a
-    boolean claim about the infinite tail.  Measured with ``seminorm_raw``,
-    without the dependence snap, so a gap that is small next to a large
-    kernel component is not forged to 0.
+    boolean claim about the infinite tail.  Measured with ``seminorm``, so
+    a gap that is small next to a large kernel component keeps its value.
     """
     c = as_vector(candidate, seq.space.dim)
     return seq.space.seminorm_raw(seq.items[-1] - c)

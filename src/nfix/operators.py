@@ -297,18 +297,17 @@ def _kernel_gate(space: AnchoredSpace, lin: np.ndarray, offset: np.ndarray) -> t
     return points[off.argmax(axis=-1)], off.any(axis=-1)
 
 
-def _quotient_map(space: AnchoredSpace, lin: np.ndarray) -> tuple:
-    """C^T L C of every linear part L of a stack (..., d, d), and whether
-    L keeps the anchor span."""
+def _quotient_map(space: AnchoredSpace, lin: np.ndarray) -> np.ndarray:
+    """C^T L C of every linear part L of a stack (..., d, d)."""
     c = space.complement_basis
-    return c.T @ lin @ c, ~_moved_anchors(space, lin).any(axis=-1)
+    return c.T @ lin @ c
 
 
 def _bound_constants(space: AnchoredSpace, lin: np.ndarray) -> np.ndarray:
-    """sigma_max(C^T L C) of every linear part L of a stack (..., d, d), or
-    +inf where L moves an anchor off the span."""
-    bar, keeps = _quotient_map(space, lin)
-    return np.where(keeps, np.linalg.svd(bar, compute_uv=False)[..., 0], np.inf)
+    """sigma_max(C^T L C) of every linear part L of a stack (..., d, d): the
+    exact bound constant of each L that keeps the anchor span, which the
+    caller has decided (``_moved_anchors`` or ``_kernel_gate``)."""
+    return np.linalg.svd(_quotient_map(space, lin), compute_uv=False)[..., 0]
 
 
 def lipschitz_constant(op: OperatorSpec, space: AnchoredSpace, center=None, radius=None) -> float:
@@ -326,7 +325,7 @@ def lipschitz_constant(op: OperatorSpec, space: AnchoredSpace, center=None, radi
     """
     lin = op.linear_part(space.dim)
     if lin is not None:
-        return float(_bound_constants(space, lin))
+        return math.inf if _moved_anchors(space, lin).any() else float(_bound_constants(space, lin))
     split = _e1_split(space)
     if split == "span":
         return 1.0
@@ -353,11 +352,11 @@ def kannan_constant(op: OperatorSpec, space: AnchoredSpace) -> float:
     1 / s at x = +-s e1.
     """
     lin = op.linear_part(space.dim)
-    if lin is None:
+    if lin is None or _moved_anchors(space, lin).any():
         return math.inf
-    bar, keeps = _quotient_map(space, lin)
+    bar = _quotient_map(space, lin)
     try:
-        return float(np.linalg.norm(np.linalg.solve(np.eye(len(bar)) - bar, bar), 2)) if keeps else math.inf
+        return float(np.linalg.norm(np.linalg.solve(np.eye(len(bar)) - bar, bar), 2))
     except np.linalg.LinAlgError:
         return math.inf
 

@@ -251,9 +251,8 @@ def _check_finite(x: np.ndarray, step: int):
 
 def _independence(space: AnchoredSpace, point: np.ndarray, certified: float):
     """Is every point within ``certified`` of ``point`` off the kernel?  The
-    unsnapped semi-norm must exceed the certificate plus the space's
-    roundoff floor at |point|, so a large kernel component hides no small
-    gap."""
+    semi-norm must exceed the certificate plus the space's roundoff floor
+    at |point|, so a large kernel component hides no small gap."""
     with np.errstate(over="ignore"):
         ok = space.seminorm_raw(point) > certified + space.roundoff_floor(_length(point))
     return ok, (UNIQUE_MOD_KERNEL if ok else INDEPENDENCE_FAILED)

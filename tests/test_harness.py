@@ -402,7 +402,12 @@ def test_bounded_suites_do_not_depend_on_the_block_size(monkeypatch, planted):
     full = [json.dumps(suite(sp, trials=30, seed=25).to_dict()) for suite, _ in _SUITES_AND_LOOPS]
     monkeypatch.setattr(harness, "SUITE_BLOCK", 7)
     assert [rows for _, rows in harness._blocks(30, 1)] == [7, 7, 7, 7, 2]
+    # the kernel gate decides each block's anchor half once: one _leave_span pass a block
+    leave_span, passes = operators._leave_span, []
+    monkeypatch.setattr(operators, "_leave_span", lambda sp, rows, bounds: passes.append(rows.shape[0])
+                        or leave_span(sp, rows, bounds))
     assert [json.dumps(suite(sp, trials=30, seed=25).to_dict()) for suite, _ in _SUITES_AND_LOOPS] == full
+    assert passes == [7, 7, 7, 7, 2] * 2
     assert [json.dumps(loop(sp, 30, 25).to_dict()) for _, loop in _SUITES_AND_LOOPS] == full
     assert (json.loads(full[1])["failures"] > 0) == planted
 

@@ -118,6 +118,24 @@ def test_anchored_seminorm_vanishes_on_anchor_span():
     assert sp.seminorm([0.0, 7.0, -3.0]) == 0.0
     assert anchored_seminorm(sp, [0.0, 7.0, -3.0]) == 0.0
     assert anchored_seminorm(sp, [5.0, 1.0, 2.0]) == sp.seminorm([5.0, 1.0, 2.0])
+    # in the span of random anchors the complement form reads roundoff, at most the floor
+    rng = np.random.default_rng(31)
+    sp = AnchoredSpace(dim=5, order=3, anchors=rng.standard_normal((2, 5)))
+    for scale in (1e-8, 1.0, 1e8):
+        x = scale * (sp.anchors.T @ rng.standard_normal(2))
+        assert anchored_seminorm(sp, x) <= sp.roundoff_floor(np.linalg.norm(x))
+
+
+@pytest.mark.parametrize("order", [2, 3])
+@pytest.mark.parametrize("kernel", [1e7, 1e9, 1e12])
+def test_a_small_distance_beside_a_large_kernel_part_is_not_read_as_0(order, kernel):
+    # the distance 1e-3 lies below 1e-9 |x|, yet at |x| = 1e7 it is 7000
+    # roundoff floors (1.4e-7); the axis complement reads it in full even
+    # beside a kernel part of 1e12
+    sp = canonical_space(3, order)
+    x = [1e-3, kernel, 0.0]
+    for value in (anchored_seminorm(sp, x), sp.seminorm(x)):
+        assert abs(value - 1e-3) <= 4 * math.ulp(1e-3)
 
 
 def test_anchored_seminorm_scales_with_first_coordinate():
@@ -217,7 +235,7 @@ def test_ball_membership_interior_boundary_and_kernel():
 
 
 def test_ball_contains_sees_a_unit_gap_beside_a_huge_kernel_part():
-    # the snapped semi-norm reads [1, 1e12, 0] as 0; its distance is 1
+    # a kernel part of 1e12 hides no part of the distance 1 of [1, 1e12, 0]
     ball = Ball(space=canonical_space(3, 3), center=np.zeros(3), radius=0.5)
     assert not ball.contains([1.0, 1e12, 0.0])
     assert not ball_membership(ball, [1.0, 1e12, 0.0])
@@ -479,7 +497,6 @@ def test_anchored_seminorm_is_a_seminorm(x, y, alpha):
     sp = space_e23()
     x = np.asarray(x[0])
     y = np.asarray(y[0])
-    assume(alpha * np.max(np.abs(x)) > 1e-6)  # scaled point above the rank snap
     tri = sp.seminorm(x + y)
     assert tri <= sp.seminorm(x) + sp.seminorm(y) + 1e-9
     hom = sp.seminorm(alpha * x)
@@ -525,7 +542,7 @@ def test_raw_seminorm_is_within_a_few_ulps_of_an_mpmath_oracle(dim, order):
     # error stays within 16 ulps of vol * |x| at anchor scales 1e-8 ... 1e8
     # and point scales 1e-200 ... 1e200, where the squares of C^T x under-
     # or overflow, with kernel parts of x up to 1e8 times its part off the
-    # span (far above the snap's 1e-9), and no numpy warning
+    # span, and no numpy warning
     rng = np.random.default_rng([dim, order, 23])
     eps = np.finfo(float).eps
     worst = 0.0
@@ -555,7 +572,8 @@ def test_an_axis_point_off_the_span_keeps_its_seminorm_at_extreme_scales(s):
     x = np.array([s, 0.0, 0.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        assert anchored_seminorm(sp, x) == sp.seminorm_raw(x) == sp.seminorm_batch(np.stack([x, x]))[1] == s
+        assert anchored_seminorm(sp, x) == sp.seminorm(x) == sp.seminorm_raw(x) == \
+            sp.seminorm_batch(np.stack([x, x]))[1] == s
         assert not Ball(space=sp, center=np.zeros(3), radius=0.5 * s, closed=True).contains(x)
 
 
@@ -570,7 +588,7 @@ def test_seminorm_of_a_large_point_beside_unit_anchors():
     assert sp.seminorm([1e12, 1.0, 0.0]) == pytest.approx(1e12, rel=1e-15)
     ball = Ball(space=sp, center=np.zeros(3), radius=1.0)
     assert not ball.contains([1e9, 0.0, 0.0])
-    # the snap still holds on the anchor span at every scale
+    # with axis anchors a point of the anchor span reads exactly 0 at every scale
     assert sp.seminorm([0.0, 1e12, -3.0]) == 0.0
     assert sp.seminorm([2e-12, 0.0, 0.0]) == pytest.approx(2e-12, rel=1e-15)
 
