@@ -412,7 +412,11 @@ def cmd_check(args) -> int:
 
 
 def cmd_opnorm(args) -> int:
-    problem = load_problem(args.config, default_seed=_default_seed(args.seed), need_solver=False)
+    # the seed: --seed, else the problem file's "seed", else NFIX_SEED, else 0
+    seed = _default_seed(args.seed)
+    problem = load_problem(args.config, default_seed=seed, need_solver=False)
+    if args.seed is not None:
+        problem.seed = seed
     op = problem.operator
     if not is_linear(op):
         raise ValidationError("operator: opnorm needs a linear operator (affine with zero offset)")

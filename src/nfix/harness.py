@@ -416,7 +416,7 @@ def check_product_ball_lemma(
         tuples[0, :, 0] = x - x0
         tuples[1, :, 0] = y - y0
         tuples[:, :, 1:] = space.anchors
-        left, right = gram_volumes(tuples, space.rank_tol)
+        left, right = gram_volumes(tuples)
         dist = left + right
         tally.add(dist - (r + r_prime), dist >= r1,
                   lambda i: {"x": x[i].tolist(), "y": y[i].tolist(), "product_distance": float(dist[i]), "r1": r1})

@@ -24,9 +24,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-# Relative threshold for numerical rank decisions.  Chosen to leave
-# headroom between genuine rank deficiency and double-precision roundoff.
-DEFAULT_RANK_TOL = 1e-9
+# Relative threshold for numerical rank decisions (``_qr_split`` alone).
+# Chosen to leave headroom between genuine rank deficiency and roundoff.
+RANK_TOL = 1e-9
 
 # A computed semi-norm value is roundoff, not distance, when it is at most
 # this many ulps of the anchor volume times the Euclidean length of the
@@ -67,14 +67,14 @@ def _as_matrix(vectors) -> np.ndarray:
     return rows
 
 
-def _qr_split(rows: np.ndarray, tol: float, complete: bool = False):
+def _qr_split(rows: np.ndarray, complete: bool = False):
     """One Householder QR per tuple of a stack shaped (..., k, d), k <= d:
     (Q or None, volumes, dependent), the last two shaped (...).  A single
     (k, d) tuple is a stack of shape ().
 
     A tuple is dependent when, with every row scaled to unit length, its
     smallest singular value (that of R with its columns so scaled) is at
-    most ``tol``, whatever the order and lengths of the rows; a zero row
+    most ``RANK_TOL``, whatever the order and lengths of the rows; a zero row
     always is, and the empty tuple, with no singular values, is not.  Each
     column of R is divided by its row's ``_lengths``, which it has exactly,
     so no length underflows or overflows.  A dependent tuple has
@@ -94,7 +94,7 @@ def _qr_split(rows: np.ndarray, tol: float, complete: bool = False):
     # adding ``zero`` turns a zero divisor into 1.0, so a zero row's column stays 0
     unit = r / (lengths + zero)[..., None, :]
     smallest = np.linalg.svd(unit, compute_uv=False)[..., -1:].min(axis=-1, initial=np.inf)
-    dependent = zero.any(axis=-1) | (smallest <= tol)
+    dependent = zero.any(axis=-1) | (smallest <= RANK_TOL)
     # a dependent tuple's |R_ii| become 0 before the product, which cannot overflow then
     diagonal = np.where(dependent[..., None], 0.0, np.abs(r.diagonal(axis1=-2, axis2=-1)))
     return q, np.multiply.reduce(diagonal, axis=-1), dependent
@@ -149,11 +149,11 @@ def _length(v: np.ndarray) -> float:
     return r if _LENGTH_MIN <= r < math.inf else float(_lengths(v[None, :])[0])
 
 
-def is_linearly_dependent(vectors, tol: float = DEFAULT_RANK_TOL) -> bool:
+def is_linearly_dependent(vectors) -> bool:
     """Decide linear dependence from one QR of the tuple.
 
     The tuple is dependent when, with every vector scaled to unit length,
-    its smallest singular value is at most ``tol``: some unit combination of
+    its smallest singular value is at most ``RANK_TOL``: some unit combination of
     the vectors nearly cancels.  The decision is free of the vectors' order
     and of their lengths, so (1e5, 0) and (0, 1e-5) are independent.
     Degenerate inputs (zero vectors, more vectors than coordinates) are
@@ -161,10 +161,10 @@ def is_linearly_dependent(vectors, tol: float = DEFAULT_RANK_TOL) -> bool:
     """
     rows = _as_matrix(vectors)
     k, d = rows.shape
-    return k > d or bool(_qr_split(rows, tol)[2])
+    return k > d or bool(_qr_split(rows)[2])
 
 
-def gram_nnorm(vectors, tol: float = DEFAULT_RANK_TOL) -> float:
+def gram_nnorm(vectors) -> float:
     """Volume of the parallelepiped spanned by ``vectors``.
 
     This is sqrt(det G) with G the Gram matrix of the tuple, computed as
@@ -173,10 +173,10 @@ def gram_nnorm(vectors, tol: float = DEFAULT_RANK_TOL) -> float:
     under ``is_linearly_dependent``'s rule returns exactly 0.0, so
     degeneracy is decidable rather than a roundoff-sized residue.
     """
-    return float(gram_volumes(_as_matrix(vectors), tol))
+    return float(gram_volumes(_as_matrix(vectors)))
 
 
-def gram_volumes(tuples, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
+def gram_volumes(tuples) -> np.ndarray:
     """``gram_nnorm`` of every tuple of a stack shaped (..., k, d), as an
     array shaped (...): the same bits and the same zero verdicts as one
     call per tuple, from stacked factorisations."""
@@ -188,7 +188,7 @@ def gram_volumes(tuples, tol: float = DEFAULT_RANK_TOL) -> np.ndarray:
         raise ValueError(f"norm order {k} exceeds space dimension {d}")
     if not np.isfinite(rows).all():
         raise ValueError("vectors have non-finite coordinates")
-    return _qr_split(rows, tol)[1]
+    return _qr_split(rows)[1]
 
 
 @dataclass(eq=False)
@@ -196,7 +196,7 @@ class AnchoredSpace:
     """R^dim carrying the semi-norm ||x, b_2, ..., b_n|| with fixed anchors.
 
     ``anchors`` holds the n-1 frozen slots as rows; they must be linearly
-    independent under ``rank_tol``.  One complete QR of the anchors gives
+    independent under ``RANK_TOL``.  One complete QR of the anchors gives
     their volume, the independence verdict and the orthonormal split of
     R^dim into the anchor span and its complement: the semi-norm of x is
     (Euclidean length of the complement part of x) * (anchor volume).
@@ -205,7 +205,6 @@ class AnchoredSpace:
     dim: int
     order: int
     anchors: np.ndarray
-    rank_tol: float = DEFAULT_RANK_TOL
     anchor_volume: float = field(init=False)
     anchor_basis: np.ndarray = field(init=False)
     complement_basis: np.ndarray = field(init=False)
@@ -221,9 +220,12 @@ class AnchoredSpace:
             raise ValueError(
                 f"anchors must be {self.order - 1} vectors of length {self.dim}, got shape {anchors.shape}"
             )
-        q, volume, dependent = _qr_split(anchors, self.rank_tol, complete=True)
+        with np.errstate(over="ignore"):  # an overflowing volume is refused below
+            q, volume, dependent = _qr_split(anchors, complete=True)
         if dependent:
             raise ValueError("anchors must be linearly independent")
+        if not sys.float_info.min <= volume < math.inf:
+            raise ValueError(f"anchor volume {volume:.3g} is outside [{sys.float_info.min:.3g}, inf)")
         self.anchor_volume = float(volume)
         self.anchors = anchors
         self.anchors.setflags(write=False)
@@ -242,8 +244,8 @@ class AnchoredSpace:
         """The largest semi-norm value roundoff alone can produce from
         arithmetic on points of Euclidean length ``scale`` (a float or an
         array).  This is the one zero rule: a semi-norm value counts as 0,
-        its point as in the kernel, only at or below this floor.
-        The rank tolerance decides the rank and span of tuples, never that."""
+        its point as in the kernel, only at or below this floor; the kernel
+        gate uses it too.  ``RANK_TOL`` decides ranks of tuples, never that."""
         return ROUNDOFF * self.anchor_volume * scale
 
     def seminorm(self, x) -> float:
@@ -358,7 +360,7 @@ class ProductPoint:
             raise ValueError("product point components must have equal length")
 
 
-def product_nnorm(points: Sequence[ProductPoint], tol: float = DEFAULT_RANK_TOL) -> float:
+def product_nnorm(points: Sequence[ProductPoint]) -> float:
     """n-norm on the doubled space: the sum of the two component volumes.
 
     ||(x_1, y_1), ..., (x_n, y_n)|| = ||x_1, ..., x_n|| + ||y_1, ..., y_n||.
@@ -369,7 +371,7 @@ def product_nnorm(points: Sequence[ProductPoint], tol: float = DEFAULT_RANK_TOL)
     rights = np.vstack([p.right for p in points])
     if lefts.shape[1] != rights.shape[1]:
         raise ValueError("dimension mismatch across product points")
-    left, right = gram_volumes(np.stack([lefts, rights]), tol)
+    left, right = gram_volumes(np.stack([lefts, rights]))
     return float(left + right)
 
 

@@ -19,12 +19,13 @@ what a call of its own gives.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
 import numpy as np
 
-from .nnorm import AnchoredSpace, _length, _lengths, _per_row, _sum_squares, as_vector
+from .nnorm import ROUNDOFF, AnchoredSpace, _length, _lengths, _per_row, _sum_squares, as_vector
 
 _CHUNK = 1024
 
@@ -99,6 +100,13 @@ class OperatorSpec:
         return None if form is None else form[0]
 
 
+def _is_finite_number(v) -> bool:
+    """A float in range, or an integer (not bool) that converts to one."""
+    if isinstance(v, (float, np.floating)):
+        return math.isfinite(v)
+    return isinstance(v, (int, np.integer)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+
+
 def _validate_builtin_params(name, params):
     required, defaults = _BUILTIN_PARAMS[name]
     missing = set(required) - set(params)
@@ -109,6 +117,9 @@ def _validate_builtin_params(name, params):
         raise ValueError(f"builtin {name!r} got unknown params {sorted(unknown)}")
     for key, value in defaults.items():
         params.setdefault(key, value)
+    for key in sorted(params.keys() & {"factor", "angle", "threshold", "height"}):
+        if not _is_finite_number(params[key]):
+            raise ValueError(f"builtin {name!r} param {key!r} must be a finite number, got {params[key]!r}")
     if name == "constant":
         params["value"] = as_vector(params["value"])
     if name == "rotation-scale":
@@ -255,23 +266,23 @@ def kernel_violation_witness(op: OperatorSpec, space: AnchoredSpace) -> Optional
 
 
 def _e1_split(space: AnchoredSpace) -> str:
-    """"span" when e1's part off the anchor span is at most
-    ``space.rank_tol``, "orthogonal" when its part in the span is, else
-    "oblique"."""
-    if _length(space.complement_basis[0]) <= space.rank_tol:
+    """"span" when e1's part off the anchor span is at most ``ROUNDOFF``,
+    the roundoff floor's share of |e1| = 1, "orthogonal" when its part in
+    the span is, else "oblique"."""
+    if _length(space.complement_basis[0]) <= ROUNDOFF:
         return "span"
-    if _length(space.anchor_basis[0]) <= space.rank_tol:
+    if _length(space.anchor_basis[0]) <= ROUNDOFF:
         return "orthogonal"
     return "oblique"
 
 
 def _leave_span(space: AnchoredSpace, rows: np.ndarray, bounds: np.ndarray) -> np.ndarray:
-    """(...): is each row (..., d) off the anchor span by more than rank_tol
-    times the length of its entrywise bound?  Both are first divided by the
-    bound's largest entry (5e-324 for a zero bound), so no entry exceeds sqrt(d)."""
+    """(...): is each row r (..., d) off the anchor span, vol |C^T r| >
+    roundoff_floor(|bound|), bound its entrywise bound?  Both are first divided by
+    the bound's largest entry (5e-324 for a zero bound), so no entry exceeds sqrt(d)."""
     peaks = bounds.max(axis=-1, keepdims=True, initial=5e-324)
     off, ref = (rows / peaks) @ space.complement_basis, bounds / peaks
-    return np.sqrt(_sum_squares(off)) > space.rank_tol * np.sqrt(_sum_squares(ref))
+    return np.sqrt(_sum_squares(off)) > ROUNDOFF * np.sqrt(_sum_squares(ref))
 
 
 def _moved_anchors(space: AnchoredSpace, lin: np.ndarray, offset: Optional[np.ndarray] = None) -> np.ndarray:
@@ -288,10 +299,10 @@ def _moved_anchors(space: AnchoredSpace, lin: np.ndarray, offset: Optional[np.nd
 
 def _kernel_gate(space: AnchoredSpace, lin: np.ndarray, offset: np.ndarray) -> tuple:
     """The kernel gate of T(x) = L x + c for stacks of L (..., d, d) and
-    c (..., d): the witness rows (..., d), 0 where c's part off the anchor
-    span exceeds ``space.rank_tol`` |c| and else the first anchor that
-    ``_moved_anchors`` finds moved, and whether each map moves the kernel
-    (a map that does not gets the row 0, which is no witness)."""
+    c (..., d): the witness rows (..., d), 0 where ``_leave_span`` finds c
+    off the anchor span by more than roundoff at |c| and else the first
+    anchor that ``_moved_anchors`` finds moved, and whether each map moves
+    the kernel (a map that does not gets the row 0, which is no witness)."""
     off = _moved_anchors(space, lin, offset)
     points = np.concatenate([np.zeros((1, space.dim)), space.anchors])
     return points[off.argmax(axis=-1)], off.any(axis=-1)
@@ -315,12 +326,12 @@ def lipschitz_constant(op: OperatorSpec, space: AnchoredSpace, center=None, radi
     ball of ``radius`` around ``center``.
 
     A linear part L gives sigma_max(C^T L C), reached in any ball, or +inf
-    when L moves an anchor off the span.  "saturating" and "step" move x_1
-    alone, by g(t) = T(t e1)_1: 1 with e1 in the span; with e1 orthogonal
-    to it, the largest slope of g over the reach of x_1 (R, or center_1 +-
-    radius / vol), at least 1 if the complement has a second direction:
-    1 / (1 + min |t|)^2 for saturating, and for step 1, or +inf when a
-    nonzero jump lies inside the reach.  Otherwise an anchor move changes
+    when L moves an anchor off the span by more than roundoff.  "saturating"
+    and "step" move x_1 alone, by g(t) = T(t e1)_1: 1 with e1 in the span
+    (``_e1_split``); with e1 orthogonal to it, the largest slope of g over
+    the reach of x_1 (R, or center_1 +- radius / vol), at least 1 if the
+    complement has a second direction: 1 / (1 + min |t|)^2 for saturating,
+    and for step 1, or +inf when a nonzero jump lies inside the reach.  Otherwise an anchor move changes
     T off the span: +inf, unless g is a translation (a step of height 0).
     """
     lin = op.linear_part(space.dim)

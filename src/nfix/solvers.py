@@ -56,8 +56,8 @@ REGIMES = ("picard", "ball", "summable", "kannan", "edelstein")
 UNIQUE_MOD_KERNEL = "kernel_modulo_unique"
 INDEPENDENCE_FAILED = "independence_condition_failed"
 
-# An exact constant, or an orbit's residual ratio, may exceed the declared
-# one by at most this before the solver refuses to certify.
+# An exact constant may exceed the declared one by at most this before the
+# solver refuses to certify (the orbit guard pads by 1e-9 relative + the floor).
 CROSSCHECK_SLACK = 1e-6
 
 

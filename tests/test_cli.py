@@ -299,6 +299,35 @@ def test_solve_false_constant_exits_one(tmp_path, capsys):
     assert "contradicted" in captured.err
 
 
+def test_solve_refuses_a_map_that_moves_the_anchor_span(tmp_path, capsys):
+    # L moves the anchor e2 by 1e-10 e1, inside a rank tolerance of 1e-9:
+    # picard printed converged=true, certified_error=0 and the fixed point
+    # (102, 2.5e11, 2), 100 in the semi-norm from the true one, (2, 0, 2)
+    leak = [[0.5, 1e-10, 0.0], [0.0, 0.5, 0.0], [0.0, 0.0, 0.5]]
+    cfg = picard_problem(tmp_path, order=2, anchors=[[0.0, 1.0, 0.0]], x0=[2.0, 1e12, 2.0],
+                         operator={"kind": "affine", "matrix": leak, "offset": [1.0, 0.0, 1.0]})
+    code = main(["solve", "--config", str(cfg)])
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert code == 1 and captured.out == ""
+    assert len(err) == 1 and err[0].startswith("error: declared alpha = 0.5 is contradicted by the exact alpha = inf")
+
+
+@pytest.mark.parametrize("s", [1e-110, 1e110])
+def test_solve_refuses_anchors_whose_volume_leaves_the_float_range(tmp_path, capsys, s):
+    # volume 0.0 made every semi-norm 0 and certified x0 after 0 steps;
+    # volume inf made seminorm(0) NaN, and 10^6 steps certified nan
+    cfg = picard_problem(tmp_path, dimension=4, order=4, anchors=(s * np.eye(4)[1:]).tolist(),
+                         operator=SCALE_HALF, x0=[1.0, 0.0, 0.0, 5.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["solve", "--config", str(cfg)])
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert code == 1 and captured.out == ""
+    assert len(err) == 1 and err[0].startswith("error: anchors: anchor volume ")
+
+
 @pytest.mark.parametrize("operator,solver", [
     ({"kind": "builtin", "name": "constant", "params": {"value": [1.0, 2.0, 3.0]}},
      {"regime": "kannan", "beta": 0.3}),
@@ -498,6 +527,34 @@ def test_opnorm_gates_once_and_draws_each_chunk_once(tmp_path, capsys, monkeypat
              for m in ("I", "II", "III")]
     assert capsys.readouterr().out == "".join(f"method={e.method} value={cli._fmt(e.value)}\n" for e in alone) + \
         f"budget={cli.OPNORM_BUDGET}\nkernel_preserved=true\n"
+
+
+def test_opnorm_seed_is_the_flag_then_the_file_then_nfix_seed(tmp_path, capsys, monkeypatch):
+    # --seed overrode NFIX_SEED but not the file: with "seed": 5 in the
+    # file, --seed 3 and --seed 4 both printed the estimates of seed 5
+    from nfix import operators
+    cfg = opnorm_config(tmp_path, np.diag([2.0, 1.0, 1.0]).tolist())  # "seed": 5
+    problem = load_problem(str(cfg), need_solver=False)
+
+    def printed(seed):
+        estimates = operators._operator_norms(problem.operator, problem.space, ("I", "II", "III"),
+                                              cli.OPNORM_BUDGET, seed)
+        return "".join(f"method={e.method} value={cli._fmt(e.value)}\n" for e in estimates) + \
+            f"budget={cli.OPNORM_BUDGET}\nkernel_preserved=true\n"
+
+    monkeypatch.setenv("NFIX_SEED", "9")
+    for flag, seed in ((["--seed", "3"], 3), (["--seed", "4"], 4), ([], 5)):
+        assert main(["opnorm", "--config", str(cfg)] + flag) == 0
+        assert capsys.readouterr().out == printed(seed)
+    assert printed(3) != printed(4) != printed(5)
+    data = json.loads(cfg.read_text())
+    del data["seed"]
+    cfg.write_text(json.dumps(data))
+    assert main(["opnorm", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out == printed(9)
+    monkeypatch.delenv("NFIX_SEED")
+    assert main(["opnorm", "--config", str(cfg)]) == 0
+    assert capsys.readouterr().out == printed(0)
 
 
 def test_opnorm_rejects_nonlinear(tmp_path, capsys):

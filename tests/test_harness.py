@@ -49,8 +49,8 @@ def test_axiom_suite_full_order_orthonormal_case():
 
 def test_axiom_suite_catches_planted_square_bug():
     # dropping the square root turns homogeneity into |alpha|^2 scaling
-    def broken(vectors, tol=1e-9):
-        return gram_nnorm(vectors, tol) ** 2
+    def broken(vectors):
+        return gram_nnorm(vectors) ** 2
 
     reports = check_axiom_suite(3, 2, trials=200, seed=11, norm_fn=broken)
     by_id = {r.property_id: r for r in reports}
@@ -75,7 +75,7 @@ def test_axiom_suite_is_reproducible():
 
 def test_axiom_suite_catches_a_norm_that_keeps_dependent_tuples():
     # the product of the lengths: a dependent tuple does not collapse
-    def lengths(vectors, tol=1e-9):
+    def lengths(vectors):
         return float(np.prod(np.linalg.norm(vectors, axis=1)))
 
     n1 = check_axiom_suite(4, 3, trials=200, seed=12, norm_fn=lengths)[0]
@@ -91,10 +91,10 @@ def test_axiom_suite_catches_an_order_dependent_norm():
     # the volume times 1 + 1e-10 * (the first row's index among the rows
     # sorted by first coordinate): unchanged unless a permutation moves the
     # first row, then off by at least 1e-10 relative
-    def order_dependent(vectors, tol=1e-9):
+    def order_dependent(vectors):
         rows = np.asarray(vectors, dtype=float)
         index = int(np.flatnonzero(np.argsort(rows[:, 0]) == 0)[0])
-        return gram_nnorm(rows, tol) * (1.0 + 1e-10 * index)
+        return gram_nnorm(rows) * (1.0 + 1e-10 * index)
 
     n2 = check_axiom_suite(3, 3, trials=300, seed=13, norm_fn=order_dependent)[1]
     assert n2.failures > 0
@@ -450,7 +450,7 @@ def test_product_ball_counterexample_is_the_first_worst_pair(monkeypatch):
     # volumes inflated 3x push pairs out of the product ball; the reported
     # pair must give the reported distance through product_nnorm
     real = harness.gram_volumes
-    monkeypatch.setattr(harness, "gram_volumes", lambda tuples, tol=1e-9: 3.0 * real(tuples, tol))
+    monkeypatch.setattr(harness, "gram_volumes", lambda tuples: 3.0 * real(tuples))
     sp = canonical_space(4, 3)
     x0 = np.array([0.5, 1.0, -2.0, 0.25])
     y0 = np.array([-1.0, 0.0, 3.0, 2.0])

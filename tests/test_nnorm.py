@@ -174,14 +174,30 @@ def test_dependence_scalar_multiple():
     assert is_linearly_dependent([(1.0, 2.0), (2.0, 4.0)])
 
 
+@pytest.mark.parametrize("s,volume", [(1e-110, None), (1e-102, 1e-306), (1e102, 1e306), (1e110, None)])
+def test_anchors_must_have_a_volume_in_the_float_range(s, volume):
+    # three anchors 1e-110 e_i have volume 0.0, and every semi-norm read 0;
+    # at 1e110 the volume is inf, seminorm(0) NaN, with a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if volume is None:
+            with pytest.raises(ValueError, match="anchor volume"):
+                AnchoredSpace(dim=4, order=4, anchors=s * np.eye(4)[1:])
+        else:
+            sp = AnchoredSpace(dim=4, order=4, anchors=s * np.eye(4)[1:])
+            assert sp.anchor_volume == pytest.approx(volume, rel=1e-14)
+            assert sp.seminorm(np.zeros(4)) == 0.0
+
+
 def test_dependence_tiny_perturbation_below_tolerance():
     # oracle: with unit rows the smallest singular value is ~7e-16, below
     # the threshold 1e-9, so numerical rank is 1
-    assert is_linearly_dependent([(1.0, 0.0), (1.0, 1e-15)], tol=1e-9)
+    assert nnorm.RANK_TOL == 1e-9
+    assert is_linearly_dependent([(1.0, 0.0), (1.0, 1e-15)])
 
 
 def test_dependence_perturbation_above_tolerance():
-    assert not is_linearly_dependent([(1.0, 0.0), (1.0, 2e-9)], tol=1e-9)
+    assert not is_linearly_dependent([(1.0, 0.0), (1.0, 2e-9)])
 
 
 def test_dependence_degenerate_inputs():
@@ -651,10 +667,10 @@ def test_stacked_qr_split_matches_single_tuples(d):
         stack[7, 0] *= 1e155
         stack[7, -1] *= 1e-170
         for complete in (False, True):
-            q, volumes, dependent = nnorm._qr_split(stack, 1e-9, complete=complete)
+            q, volumes, dependent = nnorm._qr_split(stack, complete=complete)
             assert volumes.shape == dependent.shape == (9,)
             for i, rows in enumerate(stack):
-                q1, volume, dep = nnorm._qr_split(rows, 1e-9, complete=complete)
+                q1, volume, dep = nnorm._qr_split(rows, complete=complete)
                 assert volumes[i].tobytes() == np.float64(volume).tobytes()
                 assert dependent[i] == dep
                 assert volume == gram_nnorm(rows)

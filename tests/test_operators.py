@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nfix import operators
-from nfix.harness import _kernel_preserving_matrices, canonical_space
+from nfix.harness import _kernel_preserving_matrices, canonical_space, random_kernel_preserving_operator
 from nfix.nnorm import AnchoredSpace
 from nfix.operators import (
     OperatorNormEstimate,
@@ -101,6 +101,24 @@ def test_rotation_axes_must_be_integers(axis):
     # int() used to truncate 1.7 to 1 and rotate the (0, 1) plane
     with pytest.raises(ValueError, match="'axis2' must be an integer"):
         builtin_operator("rotation-scale", axis1=0, axis2=axis, angle=1.0)
+
+
+@pytest.mark.parametrize("name,params", [
+    ("scale", {"factor": math.nan}),  # lipschitz_constant raised LinAlgError, kernel_preserved said True
+    ("scale", {"factor": math.inf}),  # a RuntimeWarning
+    ("scale", {"factor": "0.5"}),
+    ("scale", {"factor": True}),
+    ("scale", {"factor": 10 ** 400}),
+    ("rotation-scale", {"axis1": 0, "axis2": 1, "angle": math.nan}),  # LinAlgError
+    ("rotation-scale", {"axis1": 0, "axis2": 1, "angle": 1.0, "factor": -math.inf}),
+    ("step", {"threshold": math.nan}),  # the identity
+    ("step", {"height": None}),
+])
+def test_builtin_params_must_be_finite_numbers(name, params):
+    # the CLI refuses these; the library took them, where affine_operator
+    # refuses a non-finite matrix
+    with pytest.raises(ValueError, match="must be a finite number"):
+        builtin_operator(name, **params)
 
 
 @pytest.mark.parametrize("d", [3, 16, 64])
@@ -297,13 +315,13 @@ def test_kernel_gate_verdicts_do_not_change_under_power_of_two_scaling(entries, 
 
 def _concatenated_gate(sp, lin, offset):
     """The gate's rule written out: the first of the rows [c, L b_1, ...,
-    L b_{n-1}] whose part off the span exceeds rank_tol times |c|, or the
+    L b_{n-1}] whose part off the span exceeds 64 eps times |c|, or the
     length of |L| |b|, gives the witness (0, or that b)."""
     mt = lin.swapaxes(-1, -2)
     images = np.concatenate([offset[..., None, :], sp.anchors @ mt], axis=-2)
     scales = np.concatenate([np.linalg.norm(offset, axis=-1)[..., None],
                              np.linalg.norm(np.abs(sp.anchors) @ np.abs(mt), axis=-1)], axis=-1)
-    off = np.linalg.norm(images @ sp.complement_basis, axis=-1) > sp.rank_tol * scales
+    off = np.linalg.norm(images @ sp.complement_basis, axis=-1) > 64 * np.finfo(float).eps * scales
     points = np.concatenate([np.zeros((1, sp.dim)), sp.anchors])
     return points[off.argmax(axis=-1)], off.any(axis=-1)
 
@@ -367,6 +385,31 @@ def test_single_map_kernel_gate_matches_the_stacked_gate(dim, order, monkeypatch
     kernel_violation_witness(affine_operator(lin[0], offset[0]), sp)
     lipschitz_constant(affine_operator(lin[0]), sp)
     assert passes == [(42, order, dim), (order, dim), (order - 1, dim)]
+
+
+@pytest.mark.parametrize("dim,order", [(3, 2), (5, 3), (8, 4), (16, 3), (64, 4)])
+def test_the_default_family_in_a_random_frame_is_never_gated(dim, order):
+    # the gate counts an anchor image off the span above 64 eps of its bound
+    # length; maps that keep the span in a random frame leave it by roundoff,
+    # at most ~7 eps of that length at these sizes
+    for seed in range(4):
+        rng = np.random.default_rng([dim, order, seed])
+        sp = AnchoredSpace(dim=dim, order=order, anchors=rng.standard_normal((order - 1, dim)))
+        lin = _kernel_preserving_matrices(sp, rng, 100)
+        assert not operators._kernel_gate(sp, lin, np.zeros((100, dim)))[1].any()
+        op = random_kernel_preserving_operator(sp, rng)
+        assert kernel_preserved(op, sp) and math.isfinite(lipschitz_constant(op, sp))
+
+
+def test_e1_a_little_off_the_span_moves_the_kernel_of_the_nonlinear_builtins():
+    # e1 is 1e-12 off span(e1 + 1e-12 e2): with a rank tolerance of 1e-9 the
+    # split put e1 in the span, and saturating passed with constant 1
+    sp = AnchoredSpace(dim=3, order=2, anchors=[[1.0, 1e-12, 0.0]])
+    op = builtin_operator("saturating")
+    w = kernel_violation_witness(op, sp)
+    assert w is not None and not kernel_preserved(op, sp)
+    assert lipschitz_constant(op, sp) == kannan_constant(op, sp) == math.inf
+    assert sp.seminorm(apply(op, w)) > 100.0 * sp.roundoff_floor(np.linalg.norm(apply(op, w)))
 
 
 def test_kernel_violation_witness_offset_is_zero():

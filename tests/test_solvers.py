@@ -2,6 +2,7 @@
 
 import math
 import warnings
+from fractions import Fraction
 from itertools import accumulate
 
 import numpy as np
@@ -9,7 +10,16 @@ import pytest
 
 from nfix.harness import canonical_space
 from nfix.nnorm import AnchoredSpace
-from nfix.operators import affine_operator, apply, apply_batch, builtin_operator, contraction_constant, kannan_constant
+from nfix.operators import (
+    affine_operator,
+    apply,
+    apply_batch,
+    builtin_operator,
+    contraction_constant,
+    kannan_constant,
+    kernel_preserved,
+    lipschitz_constant,
+)
 from nfix.solvers import (
     ConstantMismatchError,
     ContainmentError,
@@ -186,6 +196,74 @@ def test_small_anchors_cannot_forge_a_certificate():
     with pytest.raises(ConstantMismatchError) as err:
         picard_solve(builtin_operator("scale", factor=0.95), sp, np.array([1.0, 0.0, 0.0]), cfg)
     assert err.value.found == pytest.approx(0.95, rel=1e-15)
+
+
+# regime -> (the factor f of L = f I + m e1 e2^T, the declared constants)
+LEAK_REGIMES = {
+    "picard": (0.5, {"alpha": 0.5}),
+    "ball": (0.5, {"alpha": 0.5, "radius": 1e8}),
+    "summable": (0.5, {"a_seq": geometric_sequence(0.5)}),
+    "kannan": (0.3, {"beta": 0.45}),
+}
+
+
+def _leak(factor, move, kernel):
+    """T(x) = L x + (1, 0, 1), L = factor I + move e1 e2^T, which moves the
+    anchor e2 of canonical_space(3, 2) by ``move`` e1, and the start
+    (2, kernel, 2), whose kernel part the move turns into a distance."""
+    lin = factor * np.eye(3)
+    lin[0, 1] = move
+    return affine_operator(lin, offset=[1.0, 0.0, 1.0]), np.array([2.0, kernel, 2.0])
+
+
+def _exact_error(op, x):
+    """|x_1 - x*_1, x_3 - x*_3|, the semi-norm error of x in canonical_space(3, 2),
+    and |x*|, with the fixed point x* of the upper triangular map exact in
+    fractions; the error is rounded once, at the end."""
+    lin = [[Fraction(v) for v in row] for row in op.matrix]
+    star = [Fraction(0)] * 3
+    for i in reversed(range(3)):  # back substitution of (I - L) x* = c
+        star[i] = (Fraction(op.offset[i]) + sum(lin[i][j] * star[j] for j in range(i + 1, 3))) / (1 - lin[i][i])
+    err_sq = sum((Fraction(x[i]) - star[i]) ** 2 for i in (0, 2))
+    return math.sqrt(err_sq), math.sqrt(sum(v * v for v in star))
+
+
+@pytest.mark.parametrize("move", [1e-10, 1e-12, 1e-13])
+@pytest.mark.parametrize("kernel", [1e10, 1e12, 1e15])
+def test_a_map_that_moves_the_span_above_roundoff_is_refused(move, kernel):
+    # a move of the anchor by 1e-10 e1 was inside a rank tolerance of 1e-9:
+    # the gate passed L, the exact constant read sigma_max(C^T L C) = f, and
+    # picard certified 0 for a true error of move * kernel (100 at 1e-10,
+    # 1e12), however far above the roundoff floor
+    sp = canonical_space(3, 2)
+    for regime, (factor, constants) in LEAK_REGIMES.items():
+        op, x0 = _leak(factor, move, kernel)
+        assert not kernel_preserved(affine_operator(op.matrix), sp)
+        assert lipschitz_constant(op, sp) == kannan_constant(op, sp) == math.inf
+        with pytest.raises(ConstantMismatchError) as err:
+            solve(op, sp, x0, SolverConfig(regime=regime, tol=1e-10, **constants))
+        assert err.value.found == math.inf
+    # with the cross-check off, the certificate is fiction
+    op, x0 = _leak(0.5, move, kernel)
+    report = picard_solve(op, sp, x0, SolverConfig(regime="picard", alpha=0.5, tol=1e-10, crosscheck_pairs=0))
+    true_error, star_len = _exact_error(op, report.fixed_point)
+    assert report.converged and report.certified_error == 0.0
+    assert true_error == pytest.approx(move * kernel, rel=1e-6)
+    assert true_error > 10.0 * sp.roundoff_floor(np.linalg.norm(report.fixed_point) + star_len)
+
+
+def test_a_move_below_roundoff_keeps_certificates_within_the_floor():
+    # a move of 1e-15 is under the gate's 64 eps, so the map passes as one
+    # that keeps the span; what it leaks into the semi-norm (10 here) stays
+    # under the roundoff floor at |x| + |x*|, which every certificate may miss by
+    sp = canonical_space(3, 2)
+    for regime, (factor, constants) in LEAK_REGIMES.items():
+        op, x0 = _leak(factor, 1e-15, 1e16)
+        assert kernel_preserved(affine_operator(op.matrix), sp)
+        report = solve(op, sp, x0, SolverConfig(regime=regime, tol=1e-10, **constants))
+        assert report.converged
+        true_error, star_len = _exact_error(op, report.fixed_point)
+        assert true_error <= report.certified_error + sp.roundoff_floor(np.linalg.norm(report.fixed_point) + star_len)
 
 
 # (operator, regime constants, outcome at every anchor scale): the outcome
