@@ -80,13 +80,15 @@ def random_kernel_preserving_operator(space: AnchoredSpace, rng) -> OperatorSpec
     return affine_operator(_kernel_preserving_matrices(space, rng, 1)[0])
 
 
-def _blocks(trials: int, width: int):
+def _blocks(trials: int, width: int, elements: int = _SUITE_BLOCK_ELEMENTS) -> list:
     """(start, rows) spans covering ``trials`` trials in order, each at most
     SUITE_BLOCK rows and, for trials of ``width`` coordinates, at most
-    _SUITE_BLOCK_ELEMENTS coordinates."""
-    step = max(1, min(SUITE_BLOCK, _SUITE_BLOCK_ELEMENTS // width))
-    for start in range(0, trials, step):
-        yield start, min(step, trials - start)
+    ``elements`` coordinates.  Every suite takes these before it draws, so a
+    count below 1, which would pass having checked nothing, is refused here."""
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    step = max(1, min(SUITE_BLOCK, elements // width))
+    return [(start, min(step, trials - start)) for start in range(0, trials, step)]
 
 
 def _redrawn(rows: int, draw: Callable, accept: Callable) -> np.ndarray:
@@ -167,12 +169,10 @@ def check_axiom_suite(
     The default is the Gram volume norm, decided for a block of trials in
     one stacked call.
     """
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     if not (2 <= order <= dim):
         raise ValueError("need 2 <= order <= dim")
     reports = []
-    blocks = list(_blocks(trials, 3 * order * dim))  # N4 stacks three tuples a trial
+    blocks = _blocks(trials, 3 * order * dim)  # N4 stacks three tuples a trial
 
     # N1: degenerate tuples collapse to zero, independent tuples do not
     rng = np.random.default_rng([seed, 1])
@@ -250,17 +250,19 @@ def check_axiom_suite(
 # bounded <-> continuous
 # ---------------------------------------------------------------------------
 
-def _suite_forms(space: AnchoredSpace, rng, trials: int, ops) -> tuple:
-    """The stacks (L, c) of a bounded suite's operators T(x) = L x + c: the
-    default family of ``trials`` matrices drawn from ``rng``, or ``ops``."""
+def _suite_forms(space: AnchoredSpace, rng, trials: int, ops, width: int) -> tuple:
+    """The stacks (L, c) of a bounded suite's operators T(x) = L x + c, the
+    default family of ``trials`` matrices drawn from ``rng`` or ``ops``, and
+    their ``_blocks`` for ``width`` coordinates an operator."""
     d = space.dim
+    blocks = _blocks(trials if ops is None else len(ops), width)
     if ops is None:
-        return _kernel_preserving_matrices(space, rng, trials), np.zeros((trials, d))
+        return _kernel_preserving_matrices(space, rng, trials), np.zeros((trials, d)), blocks
     forms = [_affine_form(op, d) for op in ops]
     if None in forms:
         raise ValueError(f"the bounded suites need operators with an affine form, not {ops[forms.index(None)].name!r}")
     return (np.array([f[0] for f in forms], dtype=float).reshape(-1, d, d),
-            np.array([f[1] for f in forms], dtype=float).reshape(-1, d))
+            np.array([f[1] for f in forms], dtype=float).reshape(-1, d), blocks)
 
 
 def check_bounded_iff_continuous(
@@ -281,10 +283,10 @@ def check_bounded_iff_continuous(
     draws eps, x0 and ``draw_ball`` rows from the suite's own generator.
     """
     rng = np.random.default_rng([seed, 10])
-    lin, offset = _suite_forms(space, rng, trials, ops)
     d, s = space.dim, PROBE_SAMPLES
+    lin, offset, blocks = _suite_forms(space, rng, trials, ops, 2 * s * d)
     tally = _Tally()
-    for start, rows in _blocks(len(lin), 2 * s * d):
+    for start, rows in blocks:
         lin_b, off_b = lin[start:start + rows], offset[start:start + rows]
         witness, violated = _kernel_gate(space, lin_b, off_b)
         m = np.where(violated, 0.0, _bound_constants(space, lin_b))
@@ -341,10 +343,10 @@ def check_bounded_sets(
     a block of operators is decided at once: each draws its radius and
     ``sample_ball``'s points in turn, and the images are one stacked pass."""
     rng = np.random.default_rng([seed, 20])
-    lin, offset = _suite_forms(space, rng, trials, ops)
     d, s = space.dim, BOUNDED_SET_POINTS
+    lin, offset, blocks = _suite_forms(space, rng, trials, ops, s * d)
     tally = _Tally()
-    for start, rows in _blocks(len(lin), s * d):
+    for start, rows in blocks:
         lin_b, off_b = lin[start:start + rows], offset[start:start + rows]
         witness, violated = _kernel_gate(space, lin_b, off_b)
         m = np.where(violated, 0.0, _bound_constants(space, lin_b))
@@ -564,14 +566,10 @@ def reduction_suite(dim: int, order: int, trials: int = 1000, seed: int = 0) -> 
     """check_banach_reduction over a family of random affine contractions
     alpha * I + c, as many in lock step at a time as REFERENCE_BLOCK_ELEMENTS
     coordinates allow: all 1000 at d = 3, 128 at d = 64."""
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
     space = canonical_space(dim, order)
     rng = np.random.default_rng([seed, 40])
     tally = _Tally()
-    block = max(1, REFERENCE_BLOCK_ELEMENTS // dim)
-    for start in range(0, trials, block):
-        rows = min(block, trials - start)
+    for start, rows in _blocks(trials, dim, REFERENCE_BLOCK_ELEMENTS):
         alpha = np.empty(rows)
         offset = np.empty((rows, dim))
         x0 = np.empty((rows, dim))

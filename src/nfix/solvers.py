@@ -36,8 +36,9 @@ Declared constants are trusted for the certificate but cross-checked
 before iterating against the operator's exact constants: alpha (picard,
 ball on its admission ball, and a_1 of summable) against
 ``lipschitz_constant``, Kannan's beta against ``kannan_constant``.  One
-exceeding the declared value aborts loudly, because every bound above would
-be fiction.  Nothing in a solve is sampled or seeded.
+exceeding the declared value by more than a roundoff pad, which the orbit
+guard grants too, aborts loudly: every bound above would be fiction.
+Nothing in a solve is sampled or seeded.
 """
 
 from __future__ import annotations
@@ -48,17 +49,13 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .nnorm import AnchoredSpace, _length, as_vector
+from .nnorm import ROUNDOFF, AnchoredSpace, _length, as_vector
 from .operators import OperatorSpec, kannan_constant, lipschitz_constant
 
 REGIMES = ("picard", "ball", "summable", "kannan", "edelstein")
 
 UNIQUE_MOD_KERNEL = "kernel_modulo_unique"
 INDEPENDENCE_FAILED = "independence_condition_failed"
-
-# An exact constant may exceed the declared one by at most this before the
-# solver refuses to certify (the orbit guard pads by 1e-9 relative + the floor).
-CROSSCHECK_SLACK = 1e-6
 
 
 class SolverInputError(ValueError):
@@ -81,15 +78,16 @@ class ConstantMismatchError(SolverInputError):
     """A found contraction constant exceeds the declared one.
 
     ``found`` is the operator's exact constant (+inf when none is finite),
-    or the residual ratio of the orbit step that broke the declared
-    recursion."""
+    or, given the orbit ``step`` that broke the declared recursion, that
+    step's residual ratio."""
 
-    def __init__(self, name: str, declared: float, found: float):
+    def __init__(self, name: str, declared: float, found: float, step: Optional[int] = None):
         self.name = name
         self.declared = declared
         self.found = found
+        source = f"the exact {name}" if step is None else f"the residual ratio of orbit step {step}"
         super().__init__(
-            f"declared {name} = {declared:.17g} is contradicted by the exact {name} = {found:.17g}; "
+            f"declared {name} = {declared:.17g} is contradicted by {source} = {found:.17g}; "
             f"certificates would be fiction"
         )
 
@@ -258,13 +256,15 @@ def _independence(space: AnchoredSpace, point: np.ndarray, certified: float):
     return ok, (UNIQUE_MOD_KERNEL if ok else INDEPENDENCE_FAILED)
 
 
-def _crosscheck(op, space, cfg, x0):
+def _crosscheck(op, space, cfg, x0, pad: float):
     """Refuse a declared rate that the operator's exact constant exceeds by
-    more than ``CROSSCHECK_SLACK``: Kannan's beta against
-    ``kannan_constant``, a contraction constant (alpha of picard and ball,
-    a_1 of summable) against ``lipschitz_constant``, for the ball regime
-    over the admission ball, where a locally valid alpha must dominate every
-    displacement ratio."""
+    more than ``pad``, the roundoff of the arithmetic behind it (``_solve``
+    sizes it): Kannan's beta against ``kannan_constant``, alpha (picard, and
+    ball over its admission ball, where a local alpha must dominate every
+    displacement ratio) and a_1 of summable against ``lipschitz_constant``.
+    A passing alpha may fall short of the exact one by the pad, so step k's
+    certificate understates by at most a factor of about (1 + pad / alpha)^k
+    (1 + pad / (1 - alpha)), i.e. 1 + pad / (1 - alpha) while k * pad / alpha is small."""
     if cfg.crosscheck_pairs < 1:
         return
     if cfg.regime == "kannan":
@@ -274,7 +274,7 @@ def _crosscheck(op, space, cfg, x0):
     else:
         seq, name = _bound_model(cfg)
         declared, found = seq.term(1), lipschitz_constant(op, space)
-    if found > declared + CROSSCHECK_SLACK:
+    if found > declared + pad:
         raise ConstantMismatchError(name, declared, found)
 
 
@@ -323,26 +323,31 @@ def _solve(regime: str, op: OperatorSpec, space: AnchoredSpace, x0, cfg: SolverC
         # x0 is fixed modulo the kernel
         return _report(regime, space, cfg, x0, 0, trace, 0.0, res0, iterates, max_disp, ball_trace)
 
-    if seq is not None:
-        _crosscheck(op, space, cfg, x0)
-
     isfinite = math.isfinite
     floor = space.roundoff_floor
     append = trace.append
     row = TraceRow
     tol, max_iter = cfg.tol, cfg.max_iter
-    if seq is not None:
-        tail_sum = seq.tail_sum
-        rate = seq.term(1)
-        guard = rate * (1.0 + 1e-9)
-        apost_factor = tail_sum(1)
     best = x0
     x_prev = x0
     x_next = x1
     certified = math.inf
     prev_res = math.inf  # no residual before step 1, so the orbit guard cannot fire there
     k = 0
-    with np.errstate(invalid="ignore", over="ignore"):
+    with np.errstate(invalid="ignore", over="ignore"):  # the pad's sum may overflow too
+        if seq is not None:
+            tail_sum = seq.tail_sum
+            rate = seq.term(1)
+            # roundoff pad of the declared rate d (beta for Kannan): ROUNDOFF * (w^T |L| w + d), w = |C| 1,
+            # for a map with a linear part L (w^T |L| w sums the terms that make C^T L C), else ROUNDOFF * d
+            declared = cfg.beta if cfg.regime == "kannan" else rate
+            lin = op.linear_part(space.dim)
+            w = np.abs(space.complement_basis).sum(axis=1)
+            pad = ROUNDOFF * (declared if lin is None else w @ np.abs(lin) @ w + declared)
+            _crosscheck(op, space, cfg, x0, pad)
+            # the orbit may beat the rate by the pad too, carried to r = beta / (1 - beta) for Kannan
+            guard = rate + (pad / (1.0 - cfg.beta) ** 2 if cfg.regime == "kannan" else pad)
+            apost_factor = tail_sum(1)
         while k < max_iter:
             k += 1
             if k > 1:
@@ -375,12 +380,11 @@ def _solve(regime: str, op: OperatorSpec, space: AnchoredSpace, x0, cfg: SolverC
                     best = x_prev
             else:
                 # the orbit is the sharpest sample of the constant: a
-                # residual breaking the declared recursion by more than
-                # its roundoff floor proves the constant false
+                # residual breaking the padded recursion by more than its
+                # roundoff floor proves the constant false
                 limit = guard * prev_res
                 if res_k > limit and res_k > limit + floor(max(_length(x_prev), _length(x_next))):
-                    raise ConstantMismatchError(f"{guard_name} (orbit residual recursion, step {k})",
-                                                rate, res_k / prev_res)
+                    raise ConstantMismatchError(guard_name, rate, res_k / prev_res, step=k)
                 prev_res = res_k
                 # the step's certificate: the smaller of the two envelopes
                 apriori = tail_sum(k) * res0

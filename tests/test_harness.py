@@ -584,6 +584,29 @@ def test_reduction_suite_rejects_an_empty_family():
         reduction_suite(3, 2, trials=0)
 
 
+_TRIAL_SUITES = {
+    "axioms": lambda **kw: check_axiom_suite(3, 2, **kw),
+    "bounded": lambda **kw: check_bounded_iff_continuous(canonical_space(3, 2), **kw),
+    "bounded-sets": lambda **kw: check_bounded_sets(canonical_space(3, 2), **kw),
+    "product-ball": lambda **kw: check_product_ball_lemma(canonical_space(3, 2), np.zeros(3), np.zeros(3), 1.0, **kw),
+    "reduction": lambda **kw: reduction_suite(3, 2, **kw),
+    "ratio": lambda **kw: check_contractive_ratio(builtin_operator("saturating"), canonical_space(3, 3),
+                                                  np.eye(3)[0], **kw),
+}
+
+
+@pytest.mark.parametrize("trials", [0, -5])
+@pytest.mark.parametrize("suite", sorted(_TRIAL_SUITES))
+def test_every_suite_refuses_a_trial_count_below_1(suite, trials):
+    # product-ball and ratio returned failures=0 for 0 and -5 trials, the
+    # bounded suites passed at 0 and hit numpy's "negative dimensions" at -5
+    with pytest.raises(ValueError, match=f"trials must be >= 1, got {trials}"):
+        _TRIAL_SUITES[suite](trials=trials, seed=1)
+    if suite.startswith("bounded"):
+        with pytest.raises(ValueError, match="trials must be >= 1, got 0"):
+            _TRIAL_SUITES[suite](ops=[])
+
+
 def test_reduction_suite_catches_a_halved_tail(monkeypatch):
     # every bound the engine reports is half the truth; picard and summable
     # share the engine, so comparing the two could not see it, but Banach's

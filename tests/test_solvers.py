@@ -5,6 +5,7 @@ import warnings
 from fractions import Fraction
 from itertools import accumulate
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -166,7 +167,48 @@ def test_picard_orbit_refutes_false_constant():
     cfg = SolverConfig(regime="picard", alpha=0.9, crosscheck_pairs=0, max_iter=10 ** 6)
     with pytest.raises(ConstantMismatchError) as err:
         picard_solve(op, sp, np.array([1.0, 0.0, 0.0]), cfg)
-    assert "step 2" in err.value.name
+    # the message names what the orbit measured: a residual ratio, not an exact constant
+    assert (err.value.name, err.value.declared, err.value.found) == ("alpha", 0.9, 3.0)
+    assert "contradicted by the residual ratio of orbit step 2 = 3;" in str(err.value)
+    assert "exact" not in str(err.value)
+
+
+@pytest.mark.parametrize("j", [20, 24])
+@pytest.mark.parametrize("tol", [1e-6, 1e-8, 1e-10])
+def test_an_alpha_below_the_exact_one_by_more_than_roundoff_is_refused(j, tol):
+    # L = diag(1 - 2^-j, 1, 0.5) fixes x* = 0 modulo the anchor e2.  An
+    # absolute slack of 1e-6 let alpha = exact - 0.9e-6 pass, and from
+    # (e_s, 0, e_w) a converged solve certified up to 3.72 times less than
+    # its exact error: a certificate multiplies a slack on alpha by 1 / (1 - alpha)
+    sp = canonical_space(3, 2)
+    exact = 1.0 - 2.0 ** -j
+    op = affine_operator(np.diag([exact, 1.0, 0.5]))
+    fiction = 0.0
+    for e_s in (0.5 * tol, tol, 1.5 * tol, 1.9 * tol):
+        for e_w in np.logspace(-6, 2, 9):
+            x0 = np.array([e_s, 0.0, e_w])
+            with pytest.raises(ConstantMismatchError) as err:
+                picard_solve(op, sp, x0, SolverConfig(regime="picard", alpha=exact - 0.9e-6, tol=tol))
+            assert err.value.found == exact
+            # the orbit guard alone cannot see it: the weak axis contracts at 0.5
+            report = picard_solve(op, sp, x0, SolverConfig(regime="picard", alpha=exact - 0.9e-6, tol=tol,
+                                                            crosscheck_pairs=0))
+            x = [Fraction(v) for v in report.fixed_point]
+            if report.converged:
+                fiction = max(fiction, math.sqrt(x[0] ** 2 + x[2] ** 2) / report.certified_error)
+    assert fiction > 1.0
+
+
+@pytest.mark.parametrize("s", [1e8, 3e13, 1e160])
+def test_a_large_span_block_does_not_widen_the_roundoff_pad(s):
+    # diag(0.9, s, 0.9) keeps the anchor e2, and no term of C^T L C = 0.9 I
+    # touches s.  A pad sized by |L|_F reached 0.43 at s = 3e13, and
+    # alpha = 0.5 certified 6.6e-11 for an exact error of 0.049
+    op = affine_operator(np.diag([0.9, s, 0.9]))
+    for regime, constants in (("picard", {"alpha": 0.5}), ("kannan", {"beta": 0.45})):
+        with pytest.raises(ConstantMismatchError) as err:
+            solve(op, canonical_space(3, 2), np.array([1.0, 0.0, 1.0]), SolverConfig(regime=regime, **constants))
+        assert err.value.found == pytest.approx(0.9 if regime == "picard" else 9.0, rel=1e-15)
 
 
 def test_false_alpha_at_d64_is_refused_on_every_seed():
@@ -390,6 +432,62 @@ def test_picard_orbit_guard_is_scale_aware(seed):
     star = offset / 0.05  # exact fixed point of 0.95 x + b
     slack = 64 * np.finfo(float).eps * sp.anchor_volume * np.linalg.norm(star)
     assert sp.seminorm_raw(report.fixed_point - star) <= report.certified_error + slack
+
+
+def _random_frame(d, seed):
+    """A Haar random orthogonal (d, d) matrix and the space anchored at its
+    first two columns."""
+    q, r = np.linalg.qr(np.random.default_rng([seed, d]).standard_normal((d, d)))
+    q = q * np.sign(np.diag(r))
+    return q, AnchoredSpace(dim=d, order=3, anchors=q[:, :2].T)
+
+
+@pytest.mark.parametrize("d", [3, 16, 64])
+def test_rates_near_1_in_random_frames_are_accepted(d):
+    # alpha I in a random frame: the computed sigma_max(C^T L C) and the
+    # orbit's residual ratios exceed alpha by ulps, which the roundoff pad
+    # must absorb however small 1 - alpha is
+    for seed in range(5):
+        q, sp = _random_frame(d, seed)
+        x0 = q[:, 2:] @ np.random.default_rng(seed).standard_normal(d - 2)
+        for gap in (2.0 ** -10, 2.0 ** -20, 2.0 ** -30, 2.0 ** -40):
+            alpha = 1.0 - gap
+            op = affine_operator(alpha * np.eye(d))
+            for constants in ({"regime": "picard", "alpha": alpha},
+                              {"regime": "ball", "alpha": alpha, "radius": 2.0 * sp.seminorm(x0)},
+                              {"regime": "summable", "a_seq": geometric_sequence(alpha)}):
+                report = solve(op, sp, x0, SolverConfig(tol=1e-10, max_iter=5, **constants))
+                assert report.iterations == 5
+
+
+@pytest.mark.parametrize("d,seeds", [(3, 10), (16, 4), (64, 2)])
+def test_honest_maps_in_random_frames_certify_the_exact_error(d, seeds):
+    # L keeps the anchor span: in the frame q it is [[0.5 I, K], [0, alpha U]]
+    # with U orthogonal, so its exact alpha is the declared one.  The fixed
+    # point of the float map is solved in 40 digits; every certificate must
+    # hold up to the roundoff floor at |x| + |x*|
+    for seed in range(seeds):
+        q, sp = _random_frame(d, seed)
+        rng = np.random.default_rng(seed)
+        alpha = float(rng.uniform(0.3, 0.95))
+        u = np.linalg.qr(rng.standard_normal((d - 2, d - 2)))[0]
+        block = np.zeros((d, d))
+        block[:2, :2] = 0.5 * np.eye(2)
+        block[:2, 2:] = rng.standard_normal((2, d - 2))
+        block[2:, 2:] = alpha * u
+        lin, offset = q @ block @ q.T, rng.standard_normal(d)
+        with mpmath.workdps(40):
+            star = mpmath.lu_solve(mpmath.eye(d) - mpmath.matrix(lin.tolist()), mpmath.matrix(offset.tolist()))
+            star = np.array([float(v) for v in star])
+        for constants in ({"regime": "picard", "alpha": alpha},
+                          {"regime": "ball", "alpha": alpha, "radius": 1e3},
+                          {"regime": "summable", "a_seq": geometric_sequence(alpha)}):
+            report = solve(affine_operator(lin, offset), sp, rng.standard_normal(d),
+                           SolverConfig(tol=1e-10, **constants))
+            assert report.converged
+            error = sp.seminorm_raw(report.fixed_point - star)
+            slack = sp.roundoff_floor(np.linalg.norm(report.fixed_point) + np.linalg.norm(star))
+            assert error <= report.certified_error + slack
 
 
 def test_nonfinite_iterate_aborts_with_step():
@@ -751,6 +849,11 @@ def test_kannan_rejects_bad_beta_and_false_constant():
     with pytest.raises(ConstantMismatchError):
         kannan_solve(builtin_operator("scale", factor=0.45), sp, np.ones(3),
                      SolverConfig(regime="kannan", beta=0.49))
+    # scale 0.3 has beta = 3/7 exactly: 5e-7 short of it is far beyond roundoff
+    with pytest.raises(ConstantMismatchError) as err:
+        kannan_solve(builtin_operator("scale", factor=0.3), canonical_space(3, 2), np.array([1.0, 0.0, 2.0]),
+                     SolverConfig(regime="kannan", beta=3.0 / 7.0 - 5e-7))
+    assert err.value.found == pytest.approx(3.0 / 7.0, rel=1e-15)
 
 
 @pytest.mark.parametrize("d", [16, 64])
