@@ -255,6 +255,8 @@ def _suite_forms(space: AnchoredSpace, rng, trials: int, ops, width: int) -> tup
     default family of ``trials`` matrices drawn from ``rng`` or ``ops``, and
     their ``_blocks`` for ``width`` coordinates an operator."""
     d = space.dim
+    if ops is not None and not ops:
+        raise ValueError("ops must not be empty")
     blocks = _blocks(trials if ops is None else len(ops), width)
     if ops is None:
         return _kernel_preserving_matrices(space, rng, trials), np.zeros((trials, d)), blocks

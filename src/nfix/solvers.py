@@ -36,9 +36,8 @@ Declared constants are trusted for the certificate but cross-checked
 before iterating against the operator's exact constants: alpha (picard,
 ball on its admission ball, and a_1 of summable) against
 ``lipschitz_constant``, Kannan's beta against ``kannan_constant``.  One
-exceeding the declared value by more than a roundoff pad, which the orbit
-guard grants too, aborts loudly: every bound above would be fiction.
-Nothing in a solve is sampled or seeded.
+exceeding the declared value by more than a roundoff pad aborts loudly:
+every bound above would be fiction.  Nothing in a solve is sampled or seeded.
 """
 
 from __future__ import annotations
@@ -77,9 +76,8 @@ class PreconditionError(SolverInputError):
 class ConstantMismatchError(SolverInputError):
     """A found contraction constant exceeds the declared one.
 
-    ``found`` is the operator's exact constant (+inf when none is finite),
-    or, given the orbit ``step`` that broke the declared recursion, that
-    step's residual ratio."""
+    ``found`` is the operator's exact constant (+inf when none is finite)
+    or the residual ratio of the orbit ``step`` that broke the recursion."""
 
     def __init__(self, name: str, declared: float, found: float, step: Optional[int] = None):
         self.name = name
@@ -256,25 +254,22 @@ def _independence(space: AnchoredSpace, point: np.ndarray, certified: float):
     return ok, (UNIQUE_MOD_KERNEL if ok else INDEPENDENCE_FAILED)
 
 
-def _crosscheck(op, space, cfg, x0, pad: float):
+def _crosscheck(op, space, cfg, x0, declared: float, pad: float):
     """Refuse a declared rate that the operator's exact constant exceeds by
-    more than ``pad``, the roundoff of the arithmetic behind it (``_solve``
-    sizes it): Kannan's beta against ``kannan_constant``, alpha (picard, and
-    ball over its admission ball, where a local alpha must dominate every
-    displacement ratio) and a_1 of summable against ``lipschitz_constant``.
-    A passing alpha may fall short of the exact one by the pad, so step k's
-    certificate understates by at most a factor of about (1 + pad / alpha)^k
-    (1 + pad / (1 - alpha)), i.e. 1 + pad / (1 - alpha) while k * pad / alpha is small."""
+    more than ``pad``, the roundoff of the arithmetic behind it: Kannan's
+    beta against ``kannan_constant``, alpha (picard, and ball over its
+    admission ball, where it must dominate every displacement ratio) and a_1
+    of summable against ``lipschitz_constant``.  A passing alpha may fall
+    short by the pad, so certificates understate by about 1 + pad / (1 - alpha)."""
     if cfg.crosscheck_pairs < 1:
         return
     if cfg.regime == "kannan":
-        name, declared, found = "beta", cfg.beta, kannan_constant(op, space)
+        name, found = "beta", kannan_constant(op, space)
     elif cfg.regime == "ball":
-        name, declared, found = "alpha (on the ball)", cfg.alpha, lipschitz_constant(op, space, x0, cfg.radius)
+        name, found = "alpha (on the ball)", lipschitz_constant(op, space, x0, cfg.radius)
     else:
-        seq, name = _bound_model(cfg)
-        declared, found = seq.term(1), lipschitz_constant(op, space)
-    if found > declared + pad:
+        name, found = _bound_model(cfg)[1], lipschitz_constant(op, space)
+    if not found <= declared + pad:  # an infinite or NaN constant too
         raise ConstantMismatchError(name, declared, found)
 
 
@@ -334,18 +329,17 @@ def _solve(regime: str, op: OperatorSpec, space: AnchoredSpace, x0, cfg: SolverC
     certified = math.inf
     prev_res = math.inf  # no residual before step 1, so the orbit guard cannot fire there
     k = 0
-    with np.errstate(invalid="ignore", over="ignore"):  # the pad's sum may overflow too
+    with np.errstate(invalid="ignore", over="ignore"):  # the pad may overflow too
         if seq is not None:
             tail_sum = seq.tail_sum
             rate = seq.term(1)
-            # roundoff pad of the declared rate d (beta for Kannan): ROUNDOFF * (w^T |L| w + d), w = |C| 1,
-            # for a map with a linear part L (w^T |L| w sums the terms that make C^T L C), else ROUNDOFF * d
+            # roundoff pad of the declared rate d (beta for Kannan; its guard takes it to r = beta / (1 - beta)):
+            # ROUNDOFF * (|M|_F + d), M = |C|^T |L| |C| for a linear part L, else ROUNDOFF * d; none if it overflows
             declared = cfg.beta if cfg.regime == "kannan" else rate
-            lin = op.linear_part(space.dim)
-            w = np.abs(space.complement_basis).sum(axis=1)
-            pad = ROUNDOFF * (declared if lin is None else w @ np.abs(lin) @ w + declared)
-            _crosscheck(op, space, cfg, x0, pad)
-            # the orbit may beat the rate by the pad too, carried to r = beta / (1 - beta) for Kannan
+            lin, c = op.linear_part(space.dim), np.abs(space.complement_basis)
+            pad = ROUNDOFF * (declared if lin is None else float(np.linalg.norm(c.T @ np.abs(lin) @ c)) + declared)
+            pad = pad if pad < math.inf else 0.0
+            _crosscheck(op, space, cfg, x0, declared, pad)
             guard = rate + (pad / (1.0 - cfg.beta) ** 2 if cfg.regime == "kannan" else pad)
             apost_factor = tail_sum(1)
         while k < max_iter:
@@ -381,9 +375,11 @@ def _solve(regime: str, op: OperatorSpec, space: AnchoredSpace, x0, cfg: SolverC
             else:
                 # the orbit is the sharpest sample of the constant: a
                 # residual breaking the padded recursion by more than its
-                # roundoff floor proves the constant false
+                # roundoff floor at max(|x_prev|, |x_next|) proves the
+                # constant false (each length taken only if still needed)
                 limit = guard * prev_res
-                if res_k > limit and res_k > limit + floor(max(_length(x_prev), _length(x_next))):
+                if (res_k > limit and res_k > limit + floor(_length(x_prev))
+                        and res_k > limit + floor(_length(x_next))):
                     raise ConstantMismatchError(guard_name, rate, res_k / prev_res, step=k)
                 prev_res = res_k
                 # the step's certificate: the smaller of the two envelopes

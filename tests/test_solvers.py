@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from nfix.harness import canonical_space
-from nfix.nnorm import AnchoredSpace
+from nfix.nnorm import ROUNDOFF, AnchoredSpace
 from nfix.operators import (
     affine_operator,
     apply,
@@ -294,6 +294,21 @@ def test_a_map_that_moves_the_span_above_roundoff_is_refused(move, kernel):
     assert true_error > 10.0 * sp.roundoff_floor(np.linalg.norm(report.fixed_point) + star_len)
 
 
+@pytest.mark.parametrize("regime", sorted(LEAK_REGIMES))
+def test_a_leak_whose_roundoff_pad_overflows_is_refused(regime):
+    # the leak of 1e-10 beside an axis scaled by 1e308, which x0 leaves at 0,
+    # so every iterate stays finite while |C|^T |L| |C| overflows: a pad of
+    # inf waved every rate through and switched the orbit guard off, and
+    # picard certified 0 for a true error of 100
+    factor, constants = LEAK_REGIMES[regime]
+    lin = np.diag([factor, factor, 1e308])
+    lin[0, 1], lin[0, 2] = 1e-10, 1e308
+    with pytest.raises(ConstantMismatchError) as err:
+        solve(affine_operator(lin, offset=[1.0, 0.0, 0.0]), canonical_space(3, 2), np.array([2.0, 1e12, 0.0]),
+              SolverConfig(regime=regime, tol=1e-10, **constants))
+    assert err.value.found == math.inf
+
+
 def test_a_move_below_roundoff_keeps_certificates_within_the_floor():
     # a move of 1e-15 is under the gate's 64 eps, so the map passes as one
     # that keeps the span; what it leaks into the semi-norm (10 here) stays
@@ -443,10 +458,12 @@ def _random_frame(d, seed):
 
 
 @pytest.mark.parametrize("d", [3, 16, 64])
-def test_rates_near_1_in_random_frames_are_accepted(d):
+def test_rates_near_1_in_random_frames_are_held_to_the_roundoff_pad(d):
     # alpha I in a random frame: the computed sigma_max(C^T L C) and the
     # orbit's residual ratios exceed alpha by ulps, which the roundoff pad
-    # must absorb however small 1 - alpha is
+    # must absorb however small 1 - alpha is; 100 ROUNDOFF |C^T L C| below
+    # alpha is beyond it (a pad of ROUNDOFF w^T |L| w, w = |C| 1, let it
+    # pass at d = 64, where that sum grows as d^2)
     for seed in range(5):
         q, sp = _random_frame(d, seed)
         x0 = q[:, 2:] @ np.random.default_rng(seed).standard_normal(d - 2)
@@ -458,6 +475,26 @@ def test_rates_near_1_in_random_frames_are_accepted(d):
                               {"regime": "summable", "a_seq": geometric_sequence(alpha)}):
                 report = solve(op, sp, x0, SolverConfig(tol=1e-10, max_iter=5, **constants))
                 assert report.iterations == 5
+            short = alpha - 100 * ROUNDOFF * alpha
+            with pytest.raises(ConstantMismatchError) as err:
+                solve(op, sp, x0, SolverConfig(regime="picard", alpha=short, tol=1e-10))
+            assert err.value.found == pytest.approx(alpha, abs=ROUNDOFF)
+
+
+def test_the_orbit_guard_grants_the_pad_the_crosscheck_grants():
+    # alpha I at d = 64 in a random frame has |M|_F ~ 9.3 alpha, so alpha
+    # declared 6 ROUNDOFF alpha short passes the cross-check; from a start
+    # in the complement the residuals then break the bare declared recursion
+    # by 6 (1 - alpha) floors at |x_prev|, which the guard's pad must grant
+    for seed in range(3):
+        q, sp = _random_frame(64, seed)
+        x0 = q[:, 2:] @ np.random.default_rng(seed).standard_normal(62)
+        for alpha in (0.3, 0.5, 0.7):
+            short = alpha - 6 * ROUNDOFF * alpha
+            for constants in ({"regime": "picard", "alpha": short},
+                              {"regime": "ball", "alpha": short, "radius": 2.0 * sp.seminorm(x0)},
+                              {"regime": "summable", "a_seq": geometric_sequence(short)}):
+                assert solve(affine_operator(alpha * np.eye(64)), sp, x0, SolverConfig(tol=1e-10, **constants)).converged
 
 
 @pytest.mark.parametrize("d,seeds", [(3, 10), (16, 4), (64, 2)])
