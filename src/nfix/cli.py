@@ -285,7 +285,8 @@ def problem_to_dict(problem: Problem) -> dict:
         out["operator"] = {"kind": "builtin", "name": op.name, "params": params}
     if problem.solver is not None:
         cfg = problem.solver
-        sol = {"regime": cfg.regime, "tol": cfg.tol, "max_iter": cfg.max_iter}
+        sol = {"regime": cfg.regime, "tol": cfg.tol, "max_iter": cfg.max_iter,
+               "crosscheck_pairs": cfg.crosscheck_pairs}
         for key in ("alpha", "beta", "radius"):
             if getattr(cfg, key) is not None:
                 sol[key] = getattr(cfg, key)

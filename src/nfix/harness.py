@@ -20,8 +20,9 @@ from .operators import (
     _affine_form,
     _bound_constants,
     _kernel_gate,
+    _quotient_map,
+    _seed_key,
     affine_operator,
-    apply,
     apply_batch,
 )
 from .solvers import SolverConfig, edelstein_solve, explicit_sequence, summable_solve
@@ -83,7 +84,8 @@ def random_kernel_preserving_operator(space: AnchoredSpace, rng) -> OperatorSpec
 def _blocks(trials: int, width: int, elements: int = _SUITE_BLOCK_ELEMENTS) -> list:
     """(start, rows) spans covering ``trials`` trials in order, each at most
     SUITE_BLOCK rows and, for trials of ``width`` coordinates, at most
-    ``elements`` coordinates.  Every suite takes these before it draws, so a
+    ``elements`` coordinates.  Every suite takes these before it draws (the
+    bounded suites through their gated-block pass, ``_gated_blocks``), so a
     count below 1, which would pass having checked nothing, is refused here."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
@@ -171,6 +173,7 @@ def check_axiom_suite(
     """
     if not (2 <= order <= dim):
         raise ValueError("need 2 <= order <= dim")
+    seed = _seed_key(seed)
     reports = []
     blocks = _blocks(trials, 3 * order * dim)  # N4 stacks three tuples a trial
 
@@ -192,11 +195,8 @@ def check_axiom_suite(
         excess = got - 1e-9 * scale
         tally.add(excess, excess > 0, lambda i: {"case": "dependent tuple not collapsed",
                                                  "tuple": dependent[i].tolist(), "value": float(got[i])})
-        collapsed = np.flatnonzero(~(val > 0.0))
-        tally.failures += collapsed.size
-        if tally.ce is None and collapsed.size:
-            i = collapsed[0]
-            tally.ce = {"case": "independent tuple collapsed", "tuple": indep[i].tolist(), "value": float(val[i])}
+        tally.add(np.full(rows, np.nan), ~(val > 0.0), lambda i: {"case": "independent tuple collapsed",
+                                                                  "tuple": indep[i].tolist(), "value": float(val[i])})
     reports.append(tally.report("axioms.N1", trials, seed))
 
     # N2: permutation invariance, relative 1e-12
@@ -250,21 +250,28 @@ def check_axiom_suite(
 # bounded <-> continuous
 # ---------------------------------------------------------------------------
 
-def _suite_forms(space: AnchoredSpace, rng, trials: int, ops, width: int) -> tuple:
-    """The stacks (L, c) of a bounded suite's operators T(x) = L x + c, the
-    default family of ``trials`` matrices drawn from ``rng`` or ``ops``, and
-    their ``_blocks`` for ``width`` coordinates an operator."""
+def _gated_blocks(space: AnchoredSpace, rng, trials: int, ops, width: int):
+    """The gated-block pass of the bounded suites.  Their operators
+    T(x) = L x + c are the default family of ``trials`` matrices drawn from
+    ``rng``, or ``ops``; each ``_blocks`` span of them, for ``width``
+    coordinates an operator, comes as (start, L, c, witness, violated, M):
+    the kernel gate's witness rows and verdicts, and the exact bound
+    constant M, 0 for a kernel violator."""
     d = space.dim
     if ops is not None and not ops:
         raise ValueError("ops must not be empty")
     blocks = _blocks(trials if ops is None else len(ops), width)
     if ops is None:
-        return _kernel_preserving_matrices(space, rng, trials), np.zeros((trials, d)), blocks
-    forms = [_affine_form(op, d) for op in ops]
-    if None in forms:
+        lin, offset = _kernel_preserving_matrices(space, rng, trials), np.zeros((trials, d))
+    elif None in (forms := [_affine_form(op, d) for op in ops]):
         raise ValueError(f"the bounded suites need operators with an affine form, not {ops[forms.index(None)].name!r}")
-    return (np.array([f[0] for f in forms], dtype=float).reshape(-1, d, d),
-            np.array([f[1] for f in forms], dtype=float).reshape(-1, d), blocks)
+    else:
+        lin, offset = (np.array(part, dtype=float) for part in zip(*forms))
+    for start, rows in blocks:
+        lin_b, off_b = lin[start:start + rows], offset[start:start + rows]
+        witness, violated = _kernel_gate(space, lin_b, off_b)
+        m = np.where(violated, 0.0, _bound_constants(space, lin_b))
+        yield start, lin_b, off_b, witness, violated, m
 
 
 def check_bounded_iff_continuous(
@@ -280,18 +287,18 @@ def check_bounded_iff_continuous(
     An operator that moves the kernel out of itself violates the family
     precondition: the suite flags it as a failure and records the
     constructed divergent-image sequence as the counterexample.  The
-    operators (the default family, or ``ops`` with an affine form) are
-    decided a block at a time, the kernel gate and M as stacked arrays; each
-    draws eps, x0 and ``draw_ball`` rows from the suite's own generator.
+    operators (the default family, or ``ops`` with an affine form) come a
+    block at a time from the gated-block pass ``_gated_blocks``; each
+    operator that keeps the kernel draws eps, x0 and ``draw_ball`` rows from
+    the suite's own generator.
     """
+    seed = _seed_key(seed)
     rng = np.random.default_rng([seed, 10])
     d, s = space.dim, PROBE_SAMPLES
-    lin, offset, blocks = _suite_forms(space, rng, trials, ops, 2 * s * d)
+    u = space.complement_basis[:, 0]
     tally = _Tally()
-    for start, rows in blocks:
-        lin_b, off_b = lin[start:start + rows], offset[start:start + rows]
-        witness, violated = _kernel_gate(space, lin_b, off_b)
-        m = np.where(violated, 0.0, _bound_constants(space, lin_b))
+    for start, lin, off, witness, violated, m in _gated_blocks(space, rng, trials, ops, 2 * s * d):
+        rows = len(lin)
         eps, delta, radii, x0 = np.zeros(rows), np.zeros(rows), np.zeros((rows, s)), np.zeros((rows, 2, d))
         dirs, coeffs = np.zeros((rows, s, space.complement_dim)), np.zeros((rows, s, space.order - 1))
         for i in np.flatnonzero(~violated):
@@ -301,18 +308,16 @@ def check_bounded_iff_continuous(
             dirs[i], radii[i], coeffs[i] = space.draw_ball(rng, s, delta[i])
         # (operator, base point, sample): both base points share the draw
         pts = space.ball_points(dirs[:, None], radii[:, None], coeffs[:, None], center=x0[:, :, None])
-        lt = lin_b.swapaxes(-1, -2)[:, None]
-        tx0 = x0[:, :, None] @ lt + off_b[:, None, None]
-        imgs = space.seminorm_batch((pts @ lt + off_b[:, None, None] - tx0).reshape(-1, d)).reshape(rows, 2, s)
+        lt = lin.swapaxes(-1, -2)[:, None]
+        tx0 = x0[:, :, None] @ lt + off[:, None, None]
+        imgs = space.seminorm_batch((pts @ lt + off[:, None, None] - tx0).reshape(-1, d)).reshape(rows, 2, s)
         reach = imgs.max(axis=-1)
         failed = (reach >= eps[:, None]) & ~violated[:, None]
         values = np.where(failed, reach - eps[:, None], np.nan)
         violations = {}
         for i in np.flatnonzero(violated):
-            op = affine_operator(lin_b[i], off_b[i])
-            u = space.complement_basis[:, 0]
-            t_limit = apply(op, np.zeros(d))
-            residuals = [space.seminorm_raw(apply(op, witness[i] + u / k) - t_limit) for k in range(1, 17)]
+            t_limit = np.zeros(d) @ lin[i].T + off[i]
+            residuals = [space.seminorm_raw((witness[i] + u / k) @ lin[i].T + off[i] - t_limit) for k in range(1, 17)]
             failed[i, 0], values[i, 0] = True, min(residuals[8:])
             violations[i] = {
                 "operator_index": start + int(i),
@@ -329,7 +334,7 @@ def check_bounded_iff_continuous(
                     "witness": pts[i, b, np.argmax(imgs[i, b])].tolist(), "epsilon": float(eps[i]),
                     "delta": float(delta[i]), "image_distance": float(reach[i, b])}
         tally.add(values.ravel(), failed.ravel(), probe_failure)
-    return tally.report("bounded_iff_continuous", len(lin), seed)
+    return tally.report("bounded_iff_continuous", start + rows, seed)  # the last block ends at the operator count
 
 
 def check_bounded_sets(
@@ -342,28 +347,27 @@ def check_bounded_sets(
     most R land within M * R (+1e-9) of the origin, M the exact bound
     constant (``lipschitz_constant``).  Kernel violators are flagged with
     their unbounded-ratio witness.  As in ``check_bounded_iff_continuous``,
-    a block of operators is decided at once: each draws its radius and
-    ``sample_ball``'s points in turn, and the images are one stacked pass."""
+    the operators come a block at a time from the gated-block pass
+    ``_gated_blocks``: each draws its radius and ``sample_ball``'s points in
+    turn, and the images are one stacked pass."""
+    seed = _seed_key(seed)
     rng = np.random.default_rng([seed, 20])
     d, s = space.dim, BOUNDED_SET_POINTS
-    lin, offset, blocks = _suite_forms(space, rng, trials, ops, s * d)
     tally = _Tally()
-    for start, rows in blocks:
-        lin_b, off_b = lin[start:start + rows], offset[start:start + rows]
-        witness, violated = _kernel_gate(space, lin_b, off_b)
-        m = np.where(violated, 0.0, _bound_constants(space, lin_b))
+    for start, lin, off, witness, violated, m in _gated_blocks(space, rng, trials, ops, s * d):
+        rows = len(lin)
         radius, radii = np.zeros(rows), np.zeros((rows, s))
         dirs, coeffs = np.zeros((rows, s, space.complement_dim)), np.zeros((rows, s, space.order - 1))
         for i in np.flatnonzero(~violated):
             radius[i] = rng.uniform(0.5, 3.0)
             dirs[i], radii[i], coeffs[i] = space.draw_ball(rng, s, radius[i])
         pts = space.ball_points(dirs, radii, coeffs)
-        imgs = space.seminorm_batch((pts @ lin_b.swapaxes(-1, -2) + off_b[:, None]).reshape(-1, d)).reshape(rows, s)
+        imgs = space.seminorm_batch((pts @ lin.swapaxes(-1, -2) + off[:, None]).reshape(-1, d)).reshape(rows, s)
         bound = m * radius
         values = imgs.max(axis=1) - (bound + 1e-9)
         failed = (values > 0) | violated
         for i in np.flatnonzero(violated):
-            values[i] = space.seminorm_raw(apply(affine_operator(lin_b[i], off_b[i]), witness[i]))
+            values[i] = space.seminorm_raw(witness[i] @ lin[i].T + off[i])
 
         def escape(i):
             if violated[i]:
@@ -374,7 +378,7 @@ def check_bounded_sets(
             return {"operator_index": start + i, "reason": "image escaped the bounded set", "point": pts[i, j].tolist(),
                     "image_seminorm": float(imgs[i, j]), "bound": float(bound[i])}
         tally.add(values, failed, escape)
-    return tally.report("bounded_sets", len(lin), seed)
+    return tally.report("bounded_sets", start + rows, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -408,6 +412,7 @@ def check_product_ball_lemma(
     if not (r + r_prime < r1):
         raise ValueError(f"need r + r' < r1, got {r} + {r_prime} >= {r1}")
     x0, y0 = as_vector(x0, space.dim), as_vector(y0, space.dim)
+    seed = _seed_key(seed)
     rng = np.random.default_rng([seed, 30])
     order, dim = space.order, space.dim
     tally = _Tally()
@@ -549,13 +554,13 @@ def check_banach_reduction(op, space: AnchoredSpace, x0, alpha: float, seed: int
     point.  That point is unique modulo the anchor span, where I - L may be
     singular, so it is taken as C z with (I - C^T L C) z = C^T T(0)."""
     x0 = as_vector(x0, space.dim)[None, :]
-    lin = op.linear_part(space.dim)
+    seed = _seed_key(seed)
+    form = _affine_form(op, space.dim)
     xstar = None
-    if lin is not None:
-        c = space.complement_basis
-        t0 = apply(op, np.zeros(space.dim))
+    if form is not None:
+        c, (lin, t0) = space.complement_basis, form
         try:
-            xstar = (c @ np.linalg.solve(np.eye(space.complement_dim) - c.T @ lin @ c, c.T @ t0))[None, :]
+            xstar = (c @ np.linalg.solve(np.eye(space.complement_dim) - _quotient_map(space, lin), c.T @ t0))[None, :]
         except np.linalg.LinAlgError:
             pass  # no unique fixed point modulo the span: the engine refuses alpha
     [(worst, problems)] = _reduction_rows(space, [op], lambda x: apply_batch(op, x),
@@ -569,6 +574,7 @@ def reduction_suite(dim: int, order: int, trials: int = 1000, seed: int = 0) -> 
     alpha * I + c, as many in lock step at a time as REFERENCE_BLOCK_ELEMENTS
     coordinates allow: all 1000 at d = 3, 128 at d = 64."""
     space = canonical_space(dim, order)
+    seed = _seed_key(seed)
     rng = np.random.default_rng([seed, 40])
     tally = _Tally()
     for start, rows in _blocks(trials, dim, REFERENCE_BLOCK_ELEMENTS):
@@ -606,8 +612,8 @@ def check_contractive_ratio(
     its iteration trace.  worst_violation reports the largest ratio seen;
     a value within 1e-9 of 1 is flagged (an isometry, not a contractive
     map)."""
+    x0, seed = as_vector(x0, space.dim), _seed_key(seed)
     rng = np.random.default_rng([seed, 50])
-    x0 = np.asarray(x0, dtype=float)
     tally = _Tally()
     for start, rows in _blocks(trials, 2 * space.dim):
         p, q = (rng.standard_normal((rows, 2, space.dim)) * 1.5).swapaxes(0, 1)
@@ -617,21 +623,13 @@ def check_contractive_ratio(
         f = space.seminorm_batch(apply_batch(op, p) - apply_batch(op, q)) / den
         tally.add(f, f >= 1.0 - RATIO_FLAG_TOL, lambda i: {"trial": start + int(keep[i]), "p": p[i].tolist(),
                                                            "q": q[i].tolist(), "ratio": float(f[i])})
-    failures, worst, ce = tally.failures, tally.worst, tally.ce
 
     cfg = SolverConfig(regime="edelstein", tol=tol, max_iter=max_iter)
     report = edelstein_solve(op, space, x0, cfg)
     window = [f for _, f in report.ratios[-32:]]
     if window:
         terminal = max(window)
-        worst = max(worst, terminal)
-        if terminal >= 1.0 - RATIO_FLAG_TOL:
-            failures += 1
-            if ce is None or terminal >= worst:
-                ce = {
-                    "case": "terminal window of the iteration trace",
-                    "max_ratio": terminal,
-                    "iterations": report.iterations,
-                    "converged": report.converged,
-                }
-    return PropertyReport("contractive_ratio", trials, failures, worst, ce, seed)
+        tally.add(np.array([terminal]), np.array([terminal >= 1.0 - RATIO_FLAG_TOL]),
+                  lambda _: {"case": "terminal window of the iteration trace", "max_ratio": terminal,
+                             "iterations": report.iterations, "converged": report.converged})
+    return tally.report("contractive_ratio", trials, seed)

@@ -259,6 +259,8 @@ HUGE = 10 ** 400  # a JSON integer beyond the float range
     ("solver.alpha", {"solver": {"regime": "picard", "alpha": None}}),
     ("solver.a_seq.terms", {"solver": {"regime": "summable",
                                        "a_seq": {"kind": "explicit", "terms": [0.5, "x"]}}}),
+    ("solver.a_seq.kind", {"solver": {"regime": "summable", "a_seq": {"kind": "harmonic"}}}),
+    ("solver.a_seq", {"solver": {"regime": "summable", "a_seq": {"kind": "geometric", "ratio": 1.5}}}),
     ("operator.params.factor", {"operator": {"kind": "builtin", "name": "scale",
                                              "params": {"factor": "big"}}}),
     ("solver.max_iter", {"solver": {"regime": "picard", "alpha": 0.5, "max_iter": 2.7}}),
@@ -284,6 +286,19 @@ def test_validation_names_the_mistyped_field(tmp_path, capsys, field, overrides)
     err = capsys.readouterr().err.splitlines()
     assert code == 1
     assert len(err) == 1 and err[0].startswith(f"error: {field}: ")
+
+
+def test_parse_problem_without_a_needed_solver_still_checks_the_one_given(tmp_path):
+    data = json.loads(picard_problem(tmp_path).read_text())
+    problem = parse_problem(data, need_solver=False)
+    assert problem.solver.alpha == 0.5 and problem.x0.tolist() == [0.0, 0.0, 0.0]
+    bare = {k: v for k, v in data.items() if k not in ("solver", "x0")}
+    assert parse_problem(bare, need_solver=False).solver is None
+    assert parse_problem({**bare, "x0": [1, 2, 3]}, need_solver=False).x0.tolist() == [1.0, 2.0, 3.0]
+    with pytest.raises(ValidationError, match="^solver: alpha must lie"):
+        parse_problem({**bare, "solver": {"regime": "picard"}}, need_solver=False)
+    with pytest.raises(ValidationError, match="^x0: "):
+        parse_problem({**bare, "x0": [1.0, 2.0]}, need_solver=False)
 
 
 def test_solve_false_constant_exits_one(tmp_path, capsys):
@@ -350,8 +365,10 @@ def test_problem_round_trip_of_builtins_and_solver_constants(tmp_path, operator,
 
 
 def test_problem_round_trip(tmp_path):
-    cfg = picard_problem(tmp_path)
+    # "crosscheck_pairs": 0 came back as the default 64, which runs the cross-check
+    cfg = picard_problem(tmp_path, solver={"regime": "picard", "alpha": 0.5, "tol": 1e-10, "crosscheck_pairs": 0})
     problem = load_problem(str(cfg))
+    assert problem_to_dict(problem)["solver"]["crosscheck_pairs"] == 0
     rebuilt = parse_problem(problem_to_dict(problem))
     assert np.array_equal(rebuilt.space.anchors, problem.space.anchors)
     assert rebuilt.space.dim == problem.space.dim
@@ -361,6 +378,7 @@ def test_problem_round_trip(tmp_path):
     assert rebuilt.solver.regime == problem.solver.regime
     assert rebuilt.solver.alpha == problem.solver.alpha
     assert rebuilt.solver.tol == problem.solver.tol
+    assert rebuilt.solver.crosscheck_pairs == 0
     assert np.array_equal(rebuilt.x0, problem.x0)
     assert rebuilt.seed == problem.seed
     # serialization is a fixed point of parse -> serialize

@@ -87,6 +87,19 @@ def test_axiom_suite_catches_a_norm_that_keeps_dependent_tuples():
     assert n1.worst_violation == pytest.approx(ce["value"] * (1.0 - 1e-9), rel=1e-12)
 
 
+def test_axiom_suite_catches_a_norm_that_collapses_independent_tuples():
+    # 0 for every full-rank tuple, the volume otherwise: no dependent tuple
+    # fails, every independent one does, and its value 0 is never the worst
+    def collapsing(vectors):
+        return 0.0 if np.linalg.matrix_rank(vectors) == len(vectors) else gram_nnorm(vectors)
+
+    n1 = check_axiom_suite(4, 3, trials=50, seed=15, norm_fn=collapsing)[0]
+    assert (n1.failures, n1.worst_violation) == (50, 0.0)
+    ce = n1.counterexample
+    assert ce["case"] == "independent tuple collapsed" and ce["value"] == 0.0
+    assert np.linalg.matrix_rank(ce["tuple"]) == 3 and gram_nnorm(ce["tuple"]) > 0.1
+
+
 def test_axiom_suite_catches_an_order_dependent_norm():
     # the volume times 1 + 1e-10 * (the first row's index among the rows
     # sorted by first coordinate): unchanged unless a permutation moves the
@@ -543,6 +556,20 @@ def test_reduction_suite_family():
     assert report.worst_violation == 0.0
 
 
+def test_reduction_rows_name_iterates_that_leave_the_reference():
+    # the reference steps 0.5 x + c with its first coordinate moved by 1e-6:
+    # every reference iterate after x0 is 1e-6 to 2e-6 off the solver's
+    sp = canonical_space(3, 2)
+    alpha, offset, x0 = np.array([0.5]), np.array([[1.0, -2.0, 0.5]]), np.array([[0.3, -1.0, 2.0]])
+    op = affine_operator(0.5 * np.eye(3), offset=offset[0])
+    honest = harness._reduction_rows(sp, [op], lambda x: 0.5 * x + offset, alpha, x0, offset / 0.5)
+    assert honest == [(0.0, [])]
+    planted = lambda x: 0.5 * x + offset + [1e-6, 0.0, 0.0]  # noqa: E731
+    [(worst, problems)] = harness._reduction_rows(sp, [op], planted, alpha, x0, offset / 0.5)
+    [gap] = [float(p.split()[-1]) for p in problems if p.startswith("iterates diverge by ")]
+    assert 1e-6 <= gap <= 2e-6 and worst >= gap
+
+
 def test_banach_reference_of_many_rows_equals_its_sub_blocks():
     # the reduction suite iterates all of d = 3 in one lock-step block; each
     # row is iterated on its own, so the block gives every row the iterates,
@@ -605,6 +632,37 @@ def test_every_suite_refuses_a_trial_count_below_1(suite, trials):
     if suite.startswith("bounded"):
         with pytest.raises(ValueError, match="ops must not be empty"):
             _TRIAL_SUITES[suite](ops=[], trials=200)
+
+
+_SEEDED_SUITES = {
+    **_TRIAL_SUITES,
+    "banach-reduction": lambda trials, seed: check_banach_reduction(
+        affine_operator(0.5 * np.eye(3), offset=np.eye(3)[0]), canonical_space(3, 2), np.zeros(3), 0.5, seed=seed),
+}
+
+
+@pytest.mark.parametrize("suite", sorted(_SEEDED_SUITES))
+def test_every_suite_takes_a_nonnegative_integer_seed(suite):
+    # a bool ran seed 1 and a string ran as given, each reported as given;
+    # a numpy integer ran, but its report did not serialize
+    run = _SEEDED_SUITES[suite]
+    for seed in (True, "3", 1.5, -1):
+        with pytest.raises(ValueError, match="seed must be a nonnegative integer"):
+            run(trials=20, seed=seed)
+
+    def dumped(seed):
+        reports = run(trials=20, seed=seed)
+        return json.dumps([r.to_dict() for r in (reports if isinstance(reports, list) else [reports])])
+    assert dumped(np.int64(3)) == dumped(3)
+    assert all(r["seed"] == 3 for r in json.loads(dumped(np.int64(3))))
+
+
+def test_contractive_ratio_refuses_a_wrong_length_x0_before_it_draws(monkeypatch):
+    sampled = []
+    monkeypatch.setattr(harness, "apply_batch", lambda op, pts: sampled.append(pts) or apply_batch(op, pts))
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        check_contractive_ratio(builtin_operator("saturating"), canonical_space(3, 3), np.zeros(2), trials=20)
+    assert sampled == []
 
 
 def test_reduction_suite_catches_a_halved_tail(monkeypatch):

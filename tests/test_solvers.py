@@ -817,6 +817,19 @@ def test_summable_validation():
         SolverConfig(regime="summable").validate()
 
 
+@pytest.mark.parametrize("fields,message", [
+    ({"tol": 0.0}, "tol must be a positive real"),
+    ({"tol": math.inf}, "tol must be a positive real"),
+    ({"max_iter": 0}, "max_iter must be >= 1"),
+    ({"crosscheck_pairs": -1}, "crosscheck_pairs must be >= 0"),
+    ({"regime": "ball"}, "ball regime needs a positive radius"),
+    ({"regime": "ball", "radius": 0.0}, "ball regime needs a positive radius"),
+])
+def test_solver_config_refuses_each_bad_setting(fields, message):
+    with pytest.raises(SolverInputError, match=message):
+        SolverConfig(**{"regime": "picard", "alpha": 0.5, **fields}).validate()
+
+
 # ---------------------------------------------------------------------------
 # kannan
 # ---------------------------------------------------------------------------
