@@ -176,42 +176,35 @@ def _parse_operator(data, dim: int) -> OperatorSpec:
     raise ValidationError("operator.kind: must be 'affine' or 'builtin'")
 
 
-def _parse_a_seq(data) -> ASeq:
-    _require(isinstance(data, dict), "solver.a_seq", "expected an object")
+def _parse_a_seq(data, field: str) -> ASeq:
+    _require(isinstance(data, dict), field, "expected an object")
     kind = data.get("kind")
     try:
         if kind == "geometric":
-            _require("ratio" in data, "solver.a_seq.ratio", "required for geometric kind")
-            return geometric_sequence(_get_number(data["ratio"], "solver.a_seq.ratio"))
+            _require("ratio" in data, f"{field}.ratio", "required for geometric kind")
+            return geometric_sequence(_get_number(data["ratio"], f"{field}.ratio"))
         if kind == "explicit":
-            _require(isinstance(data.get("terms"), list), "solver.a_seq.terms", "expected an array")
-            return explicit_sequence(_get_vector(data["terms"], "solver.a_seq.terms").tolist(),
-                                     tail=_get_number(data.get("tail", 0.0), "solver.a_seq.tail"))
+            _require(isinstance(data.get("terms"), list), f"{field}.terms", "expected an array")
+            return explicit_sequence(_get_vector(data["terms"], f"{field}.terms").tolist(),
+                                     tail=_get_number(data.get("tail", 0.0), f"{field}.tail"))
     except SolverInputError as e:
-        raise ValidationError(f"solver.a_seq: {e}") from e
-    raise ValidationError("solver.a_seq.kind: must be 'geometric' or 'explicit'")
+        raise ValidationError(f"{field}: {e}") from e
+    raise ValidationError(f"{field}.kind: must be 'geometric' or 'explicit'")
 
 
 def _parse_solver(data) -> SolverConfig:
+    """The solver object as a validated config.  Only the fields the file
+    gives reach ``SolverConfig``, each type-checked in the order listed, so
+    an absent one takes the config's own default."""
     _require(isinstance(data, dict), "solver", "expected an object")
-    allowed = {"regime", "alpha", "beta", "radius", "a_seq", "tol", "max_iter", "crosscheck_pairs"}
-    unknown = set(data) - allowed
+    fields = {"tol": _get_number, "max_iter": _get_int, "alpha": _get_number, "beta": _get_number,
+              "radius": _get_number, "a_seq": _parse_a_seq, "crosscheck_pairs": _get_int}
+    unknown = set(data) - {"regime", *fields}
     _require(not unknown, "solver", f"unknown fields {sorted(unknown)}")
     _require("regime" in data, "solver.regime", "required")
-    kwargs = {
-        "regime": data["regime"],
-        "tol": _get_number(data.get("tol", 1e-10), "solver.tol"),
-        "max_iter": _get_int(data.get("max_iter", 10 ** 6), "solver.max_iter"),
-    }
-    for key in ("alpha", "beta", "radius"):
-        if key in data:
-            kwargs[key] = _get_number(data[key], f"solver.{key}")
-    if "a_seq" in data:
-        kwargs["a_seq"] = _parse_a_seq(data["a_seq"])
-    if "crosscheck_pairs" in data:
-        kwargs["crosscheck_pairs"] = _get_int(data["crosscheck_pairs"], "solver.crosscheck_pairs")
+    kwargs = {key: parse(data[key], f"solver.{key}") for key, parse in fields.items() if key in data}
     try:
-        return SolverConfig(**kwargs).validate()
+        return SolverConfig(regime=data["regime"], **kwargs).validate()
     except SolverInputError as e:
         raise ValidationError(f"solver: {e}") from e
 
@@ -246,17 +239,11 @@ def parse_problem(data: dict, default_seed: int = 0, need_solver: bool = True) -
     seed = data.get("seed", default_seed)
     _require(type(seed) is int and seed >= 0, "seed", "expected a nonnegative integer")
 
-    solver = None
-    x0 = None
     if need_solver:
-        _require("solver" in data, "solver", "required field missing")
-        _require("x0" in data, "x0", "required field missing")
-        solver = _parse_solver(data["solver"])
-        x0 = _get_vector(data["x0"], "x0", dim)
-    elif "solver" in data:
-        solver = _parse_solver(data["solver"])
-    if x0 is None and "x0" in data:
-        x0 = _get_vector(data["x0"], "x0", dim)
+        for required in ("solver", "x0"):
+            _require(required in data, required, "required field missing")
+    solver = _parse_solver(data["solver"]) if "solver" in data else None
+    x0 = _get_vector(data["x0"], "x0", dim) if "x0" in data else None
 
     return Problem(space=space, operator=op, solver=solver, x0=x0, seed=seed)
 
@@ -356,8 +343,7 @@ def cmd_solve(args) -> int:
         cfg.tol = args.tol
     if args.max_iter is not None:
         cfg.max_iter = args.max_iter
-    cfg.validate()
-    try:
+    try:  # solve validates the overridden config first
         report = solve(problem.operator, problem.space, problem.x0, cfg)
     except (NonFiniteIterateError, ContainmentError) as e:
         print(f"error: {e}", file=sys.stderr)

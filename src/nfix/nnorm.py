@@ -367,10 +367,10 @@ def product_nnorm(points: Sequence[ProductPoint]) -> float:
     """
     if len(points) < 1:
         raise ValueError("need at least one product point")
+    if len({p.left.size for p in points} | {p.right.size for p in points}) > 1:
+        raise ValueError("dimension mismatch across product points")
     lefts = np.vstack([p.left for p in points])
     rights = np.vstack([p.right for p in points])
-    if lefts.shape[1] != rights.shape[1]:
-        raise ValueError("dimension mismatch across product points")
     left, right = gram_volumes(np.stack([lefts, rights]))
     return float(left + right)
 

@@ -254,13 +254,15 @@ def _independence(space: AnchoredSpace, point: np.ndarray, certified: float):
     return ok, (UNIQUE_MOD_KERNEL if ok else INDEPENDENCE_FAILED)
 
 
-def _crosscheck(op, space, cfg, x0, declared: float, pad: float):
+def _crosscheck(op, space, cfg, x0, name: str, declared: float, pad: float):
     """Refuse a declared rate that the operator's exact constant exceeds by
     more than ``pad``, the roundoff of the arithmetic behind it: Kannan's
     beta against ``kannan_constant``, alpha (picard, and ball over its
     admission ball, where it must dominate every displacement ratio) and a_1
-    of summable against ``lipschitz_constant``.  A passing alpha may fall
-    short by the pad, so certificates understate by about 1 + pad / (1 - alpha)."""
+    of summable against ``lipschitz_constant``.  ``name``, the guarded rate's
+    name from ``_bound_model``, names a refused picard or summable rate.  A
+    passing alpha may fall short by the pad, so certificates understate by
+    about 1 + pad / (1 - alpha)."""
     if cfg.crosscheck_pairs < 1:
         return
     if cfg.regime == "kannan":
@@ -268,7 +270,7 @@ def _crosscheck(op, space, cfg, x0, declared: float, pad: float):
     elif cfg.regime == "ball":
         name, found = "alpha (on the ball)", lipschitz_constant(op, space, x0, cfg.radius)
     else:
-        name, found = _bound_model(cfg)[1], lipschitz_constant(op, space)
+        found = lipschitz_constant(op, space)
     if not found <= declared + pad:  # an infinite or NaN constant too
         raise ConstantMismatchError(name, declared, found)
 
@@ -302,7 +304,6 @@ def _solve(regime: str, op: OperatorSpec, space: AnchoredSpace, x0, cfg: SolverC
         x1 = step(x0)
         diff = x0 - x1
         res0 = dist(diff)
-        x0_len = _length(x0)
     if not math.isfinite(res0):
         _check_finite(diff, 1)
     if ball:
@@ -313,10 +314,9 @@ def _solve(regime: str, op: OperatorSpec, space: AnchoredSpace, x0, cfg: SolverC
     trace = []
     iterates = [x0] if cfg.keep_iterates else None
     ball_trace = [] if ball else None
-    max_disp = 0.0 if ball else None
     if res0 == 0.0:
         # x0 is fixed modulo the kernel
-        return _report(regime, space, cfg, x0, 0, trace, 0.0, res0, iterates, max_disp, ball_trace)
+        return _report(regime, space, cfg, x0, 0, trace, 0.0, res0, iterates, ball_trace)
 
     isfinite = math.isfinite
     floor = space.roundoff_floor
@@ -328,6 +328,7 @@ def _solve(regime: str, op: OperatorSpec, space: AnchoredSpace, x0, cfg: SolverC
     x_next = x1
     certified = math.inf
     prev_res = math.inf  # no residual before step 1, so the orbit guard cannot fire there
+    res_k = res0  # step 1's residual, taken and checked above
     k = 0
     with np.errstate(invalid="ignore", over="ignore"):  # the pad may overflow too
         if seq is not None:
@@ -339,19 +340,19 @@ def _solve(regime: str, op: OperatorSpec, space: AnchoredSpace, x0, cfg: SolverC
             lin, c = op.linear_part(space.dim), np.abs(space.complement_basis)
             pad = ROUNDOFF * (declared if lin is None else float(np.linalg.norm(c.T @ np.abs(lin) @ c)) + declared)
             pad = pad if pad < math.inf else 0.0
-            _crosscheck(op, space, cfg, x0, declared, pad)
+            _crosscheck(op, space, cfg, x0, guard_name, declared, pad)
             guard = rate + (pad / (1.0 - cfg.beta) ** 2 if cfg.regime == "kannan" else pad)
             apost_factor = tail_sum(1)
         while k < max_iter:
             k += 1
             if k > 1:
                 x_next = step(x_prev)
-            diff = x_next - x_prev
-            res_k = dist(diff)
-            if not isfinite(res_k):
-                # x_next has a NaN/inf coordinate, or x_next - x_prev
-                # overflowed; either leaves a non-finite diff
-                _check_finite(diff, k)
+                diff = x_next - x_prev
+                res_k = dist(diff)
+                if not isfinite(res_k):
+                    # x_next has a NaN/inf coordinate, or x_next - x_prev
+                    # overflowed; either leaves a non-finite diff
+                    _check_finite(diff, k)
             if ball:
                 # the ball theorem's own diagnostic comes first: an escaping
                 # iterate names the violated induction bound directly
@@ -361,9 +362,7 @@ def _solve(regime: str, op: OperatorSpec, space: AnchoredSpace, x0, cfg: SolverC
                     _check_finite(diff, k)
                 bound = (1.0 - cfg.alpha ** k) * cfg.radius
                 ball_trace.append((k, disp, bound))
-                if disp > max_disp:
-                    max_disp = disp
-                if disp > bound and disp > bound + floor(x0_len + _length(x_next)):
+                if disp > bound and disp > bound + floor(_length(x0) + _length(x_next)):
                     raise ContainmentError(k, disp, bound)
             if seq is None:
                 # no envelope: the certificate is the smallest residual
@@ -394,10 +393,10 @@ def _solve(regime: str, op: OperatorSpec, space: AnchoredSpace, x0, cfg: SolverC
             if certified <= tol:
                 break
             x_prev = x_next
-    return _report(regime, space, cfg, best, k, trace, certified, res0, iterates, max_disp, ball_trace)
+    return _report(regime, space, cfg, best, k, trace, certified, res0, iterates, ball_trace)
 
 
-def _report(regime, space, cfg, point, k, trace, certified, res0, iterates, max_disp, ball_trace):
+def _report(regime, space, cfg, point, k, trace, certified, res0, iterates, ball_trace):
     converged = certified <= cfg.tol
     ratios = None
     message = ""
@@ -423,7 +422,7 @@ def _report(regime, space, cfg, point, k, trace, certified, res0, iterates, max_
         uniqueness_note=note,
         independence_ok=ok,
         residual0=res0,
-        max_displacement=max_disp,
+        max_displacement=None if ball_trace is None else max((d for _, d, _ in ball_trace), default=0.0),
         ball_trace=ball_trace,
         ratios=ratios,
         iterates=iterates,

@@ -8,6 +8,7 @@ import pytest
 
 from nfix import cli
 from nfix.cli import ValidationError, load_problem, main, parse_problem, problem_to_dict
+from nfix.solvers import SolverConfig
 
 
 def picard_problem(tmp_path, **overrides):
@@ -611,3 +612,44 @@ def test_env_seed_used_as_default(tmp_path, capsys, monkeypatch):
     assert all(r["seed"] == 99 for r in reports)
     monkeypatch.setenv("NFIX_SEED", "not-a-number")
     assert main(["check", "axioms", "--trials", "50"]) == 1
+
+
+@pytest.mark.parametrize("make_config, message", [
+    (lambda tmp_path: picard_problem(tmp_path, operator={"kind": "linear"}),
+     lambda path: "operator.kind: must be 'affine' or 'builtin'"),
+    (lambda tmp_path: tmp_path / "missing.json",
+     lambda path: f"config: cannot read {path}: [Errno 2] No such file or directory: '{path}'"),
+], ids=["unknown-operator-kind", "unreadable-config"])
+def test_cli_refuses_a_bad_problem_with_one_field_diagnostic(tmp_path, capsys, make_config, message):
+    path = str(make_config(tmp_path))
+    assert main(["solve", "--config", path]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message(path)}\n"
+
+
+def test_a_solver_without_tol_or_max_iter_takes_the_config_defaults(tmp_path):
+    # the defaults live in SolverConfig alone; the file parser restates none
+    default = SolverConfig(regime="picard", alpha=0.5)
+    problem = load_problem(str(picard_problem(tmp_path, solver={"regime": "picard", "alpha": 0.5})))
+    cfg = problem.solver
+    assert (cfg.tol, cfg.max_iter, cfg.crosscheck_pairs) == (default.tol, default.max_iter, default.crosscheck_pairs)
+    assert type(cfg.tol) is float and type(cfg.max_iter) is int
+    written = problem_to_dict(problem)["solver"]
+    assert (written["tol"], written["max_iter"]) == (default.tol, default.max_iter)
+    assert problem_to_dict(parse_problem(problem_to_dict(problem))) == problem_to_dict(problem)
+
+
+@pytest.mark.parametrize("override, message", [
+    (["--tol", "-1"], "tol must be a positive real"),
+    (["--tol", "nan"], "tol must be a positive real"),
+    (["--tol", "inf"], "tol must be a positive real"),
+    (["--max-iter", "0"], "max_iter must be >= 1"),
+], ids=["tol-negative", "tol-nan", "tol-inf", "max-iter-0"])
+def test_solve_refuses_a_bad_override_through_the_engine(tmp_path, capsys, override, message):
+    out = tmp_path / "trace.csv"
+    code = main(["solve", "--config", str(picard_problem(tmp_path)), "--out", str(out), *override])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == "" and captured.err == f"error: {message}\n"
+    assert not out.exists()

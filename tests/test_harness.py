@@ -779,3 +779,18 @@ def test_bounded_suites_flag_a_kernel_violator_with_a_small_image():
         assert report.failures == 1
         assert report.worst_violation > 0.0
         assert report.counterexample["witness"] == [0.0, 1e-3, 0.0]
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: check_axiom_suite(3, 1, trials=1), "need 2 <= order <= dim"),
+    (lambda: check_axiom_suite(3, 4, trials=1), "need 2 <= order <= dim"),
+    (lambda: check_product_ball_lemma(canonical_space(3, 2), np.zeros(3), np.zeros(3), r1=1.0, r=0.0, trials=1),
+     "component radii must be positive"),
+    (lambda: check_product_ball_lemma(canonical_space(3, 2), np.zeros(3), np.zeros(3), r1=1.0, r_prime=-0.1,
+                                      trials=1),
+     "component radii must be positive"),
+], ids=["order-1", "order-above-dim", "radius-0", "radius-negative"])
+def test_harness_refuses_bad_suite_arguments_with_its_own_message(call, message):
+    with pytest.raises(ValueError) as excinfo:
+        call()
+    assert str(excinfo.value) == message

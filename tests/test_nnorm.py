@@ -851,3 +851,28 @@ def test_ball_points_equal_the_written_out_expression_bit_for_bit(dim, order):
     x0 = rng.standard_normal((16, 2, 1, dim))
     got = sp.ball_points(d4, r4, c4, center=x0)
     assert got.shape == (16, 2, 16, dim) and np.array_equal(got, _ball_points_written_out(sp, d4, r4, c4, center=x0))
+
+
+_E2 = AnchoredSpace(dim=3, order=2, anchors=[[0.0, 1.0, 0.0]])
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: as_vector([]), "vector must have length >= 1"),
+    (lambda: nnorm._as_matrix(np.zeros((2, 2, 2))), "expected a sequence of equal-length vectors"),
+    (lambda: AnchoredSpace(dim=0, order=2, anchors=[[1.0]]), "dim must be a positive integer"),
+    (lambda: AnchoredSpace(dim=3, order=2, anchors=np.eye(3)[1:]),
+     "anchors must be 1 vectors of length 3, got shape (2, 3)"),
+    (lambda: _E2.seminorm_batch(np.zeros(3)), "expected shape (m, 3), got (3,)"),
+    (lambda: Ball(_E2, np.zeros(3), 0.0), "radius must be positive"),
+    (lambda: ProductPoint([1.0, 2.0], [1.0, 2.0, 3.0]), "product point components must have equal length"),
+    (lambda: product_nnorm([]), "need at least one product point"),
+    (lambda: product_nnorm([ProductPoint([1.0, 0.0], [0.0, 1.0]), ProductPoint([1.0, 0.0, 0.0], [0.0, 1.0, 0.0])]),
+     "dimension mismatch across product points"),
+    (lambda: SequencePrefix(_E2, np.zeros((0, 3))), "sequence prefix must be nonempty"),
+    (lambda: SequencePrefix(_E2, np.zeros((2, 2))), "sequence items must have length 3, got 2"),
+], ids=["empty-vector", "3d-matrix", "dim-0", "anchor-shape", "batch-shape", "ball-radius-0",
+        "product-point-lengths", "product-empty", "product-mixed-dims", "prefix-empty", "prefix-item-length"])
+def test_nnorm_refuses_bad_input_with_its_own_message(call, message):
+    with pytest.raises(ValueError) as excinfo:
+        call()
+    assert str(excinfo.value) == message

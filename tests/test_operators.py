@@ -1047,3 +1047,32 @@ def test_is_linear_flag():
     assert is_linear(affine_operator(np.eye(2)))
     assert not is_linear(affine_operator(np.eye(2), offset=[0.0, 1.0]))
     assert not is_linear(builtin_operator("scale", factor=1.0))
+
+
+_HALF = builtin_operator("scale", factor=0.5)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: affine_operator(np.zeros((2, 3))), "affine matrix must be square, got shape (2, 3)"),
+    (lambda: affine_operator([[math.nan]]), "affine matrix has non-finite entries"),
+    (lambda: operators.OperatorSpec(kind="linear"), "operator kind must be 'affine' or 'builtin', got 'linear'"),
+    (lambda: builtin_operator("scale"), "builtin 'scale' missing params ['factor']"),
+    (lambda: builtin_operator("rotation-scale", axis1=1, axis2=1, angle=0.1),
+     "rotation-scale needs two distinct nonnegative axes"),
+    (lambda: builtin_operator("rotation-scale", axis1=-1, axis2=0, angle=0.1),
+     "rotation-scale needs two distinct nonnegative axes"),
+    (lambda: compose(_HALF, affine_operator(np.eye(2))), "compose supports affine operators only"),
+    (lambda: compose(affine_operator(np.eye(2)), affine_operator(np.eye(3))), "dimension mismatch in composition"),
+    (lambda: apply_batch(_HALF, np.zeros(3)), "apply_batch expects a 2-D array of row points"),
+    (lambda: contraction_constant(_HALF, space_e23(), budget=0), "budget must be >= 1"),
+    (lambda: continuity_probe(_HALF, space_e23(), np.zeros(3), 0.1, 0.1, samples=0), "samples must be >= 1"),
+    (lambda: continuity_probe(_HALF, space_e23(), np.zeros(3), 0.0, 0.1, samples=8),
+     "epsilon and candidate_delta must be positive"),
+    (lambda: continuity_probe(_HALF, space_e23(), np.zeros(3), 0.1, -1.0, samples=8),
+     "epsilon and candidate_delta must be positive"),
+], ids=["non-square", "non-finite", "unknown-kind", "missing-params", "equal-axes", "negative-axis",
+        "compose-builtin", "compose-dims", "batch-1d", "budget-0", "samples-0", "epsilon-0", "delta-negative"])
+def test_operators_refuse_bad_input_with_their_own_message(call, message):
+    with pytest.raises(ValueError) as excinfo:
+        call()
+    assert str(excinfo.value) == message

@@ -22,6 +22,7 @@ from nfix.operators import (
     lipschitz_constant,
 )
 from nfix.solvers import (
+    ASeq,
     ConstantMismatchError,
     ContainmentError,
     NonFiniteIterateError,
@@ -1075,3 +1076,68 @@ def test_independence_needs_the_whole_certificate_ball_off_the_kernel():
         assert 0.0 < sp.seminorm(report.fixed_point) <= report.certified_error
         assert not report.independence_ok
         assert report.uniqueness_note == "independence_condition_failed"
+
+
+@pytest.mark.parametrize("kind", ["harmonic", None])
+def test_a_seq_refuses_an_unknown_kind_with_its_own_message(kind):
+    with pytest.raises(SolverInputError) as excinfo:
+        ASeq(kind=kind, ratio=0.5)
+    assert str(excinfo.value) == f"a_seq kind must be 'geometric' or 'explicit', got {kind!r}"
+
+
+def _random_frame_contraction(d):
+    """An affine map in a random orthonormal frame whose first vector is the
+    anchor: rates 0.1-0.3 on every axis, so alpha 0.5 and Kannan's beta 0.45
+    both hold, and a random offset."""
+    rng = np.random.default_rng([25, d])
+    q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+    lin = q @ np.diag(rng.uniform(0.1, 0.3, d)) @ q.T
+    space = AnchoredSpace(dim=d, order=2, anchors=q[:, :1].T)
+    return space, affine_operator(lin, offset=rng.standard_normal(d)), rng
+
+
+_ENGINE_CONFIGS = {
+    "picard": dict(alpha=0.5),
+    "ball": dict(alpha=0.5, radius=1e202),
+    "summable": dict(a_seq=geometric_sequence(0.5)),
+    "kannan": dict(beta=0.45),
+}
+
+
+@pytest.mark.parametrize("d", [3, 16, 64])
+@pytest.mark.parametrize("far", [False, True], ids=["unit-start", "start-1e200"])
+@pytest.mark.parametrize("regime", sorted(_ENGINE_CONFIGS))
+def test_step_one_residual_is_the_starting_residual_bit_for_bit(regime, far, d):
+    space, op, rng = _random_frame_contraction(d)
+    x0 = rng.standard_normal(d) * (1e200 if far else 1.0)
+    report = solve(op, space, x0, SolverConfig(regime=regime, **_ENGINE_CONFIGS[regime]))
+    assert report.iterations >= 1 and math.isfinite(report.residual0)
+    assert report.trace[0].residual == report.residual0
+    if regime == "ball":
+        assert report.max_displacement == max(disp for _, disp, _ in report.ball_trace)
+        assert report.ball_trace[0][1] > 0.0
+
+
+def test_ball_max_displacement_is_zero_on_an_immediate_return():
+    # x0 in the anchor span: x0 - Tx0 is a kernel point, so res0 = 0
+    space = AnchoredSpace(dim=3, order=2, anchors=[[0.0, 1.0, 0.0]])
+    cfg = SolverConfig(regime="ball", alpha=0.5, radius=1.0)
+    report = ball_solve(builtin_operator("scale", factor=0.5), space, [0.0, 3.0, 0.0], cfg)
+    assert report.iterations == 0 and report.ball_trace == []
+    assert report.max_displacement == 0.0 and type(report.max_displacement) is float
+
+
+@pytest.mark.parametrize("pairs", [64, 0], ids=["exact-cross-check", "orbit-guard"])
+@pytest.mark.parametrize("regime, factor, given, names", [
+    ("picard", 0.9, dict(alpha=0.5), ("alpha", "alpha")),
+    ("ball", 0.9, dict(alpha=0.5, radius=100.0), ("alpha (on the ball)", "alpha")),
+    ("summable", 0.9, dict(a_seq=geometric_sequence(0.5)), ("a_1", "a_1")),
+    ("kannan", 0.9, dict(beta=0.2), ("beta", "beta-rate")),
+])
+def test_each_regime_names_the_constant_it_refuses(regime, factor, given, names, pairs):
+    space = AnchoredSpace(dim=3, order=2, anchors=[[0.0, 1.0, 0.0]])
+    cfg = SolverConfig(regime=regime, crosscheck_pairs=pairs, **given)
+    with pytest.raises(ConstantMismatchError) as excinfo:
+        solve(builtin_operator("scale", factor=factor), space, [1.0, 0.0, 2.0], cfg)
+    assert excinfo.value.name == names[pairs == 0]
+    assert str(excinfo.value).startswith(f"declared {names[pairs == 0]} = ")
