@@ -33,8 +33,9 @@ RANK_TOL = 1e-9
 # arithmetic behind it (``AnchoredSpace.roundoff_floor``).
 ROUNDOFF = 64 * sys.float_info.epsilon
 
-# Most pairs one block of squared distances in b_cauchy_tail may hold.
-_PAIR_BLOCK_ELEMENTS = 1 << 14
+# Most elements one block array may hold: pairs of squared distances in
+# b_cauchy_tail, probe coordinates (rows x d) in the operator probes.
+_BLOCK_ELEMENTS = 1 << 14
 
 _LENGTH_MIN = 1e-140  # below it, the squares of a length may have lost digits to underflow
 
@@ -113,14 +114,18 @@ def _sum_squares(rows: np.ndarray) -> np.ndarray:
     return total
 
 
-def _per_row(ufunc, rows: np.ndarray, factors: np.ndarray) -> np.ndarray:
-    """``ufunc(rows, factors[..., None])`` for rows (..., w), one factor a row, as
-    a new C-contiguous array; up to _TRANSPOSED entries a row, transposed, so
-    numpy's inner loop runs along the rows.  Each element is one rounding."""
-    if rows.shape[-1] > _TRANSPOSED or np.ndim(factors) == 0:
-        return ufunc(rows, factors[..., None])
-    out = np.empty(np.broadcast(rows, factors[..., None]).shape)
-    ufunc(rows.swapaxes(-1, -2), factors[..., None, :], out=out.swapaxes(-1, -2), order="C")
+def _along_points(ufunc, a, b) -> np.ndarray:
+    """``ufunc(a, b)`` for operands that broadcast to a stack of points
+    (..., w), such as one factor a point (..., 1) or one point for all (w,),
+    as a new C-contiguous array; up to _TRANSPOSED entries a point,
+    transposed, so numpy's inner loop runs along the points rather than the
+    w entries of each.  Each element is one rounding."""
+    shape = np.broadcast(a, b).shape
+    if len(shape) < 2 or shape[-1] > _TRANSPOSED:
+        return ufunc(a, b)
+    out = np.empty(shape)
+    a, b = (x[:, None] if x.ndim == 1 else x.swapaxes(-1, -2) for x in (np.asarray(a), np.asarray(b)))
+    ufunc(a, b, out=out.swapaxes(-1, -2), order="C")
     return out
 
 
@@ -290,13 +295,16 @@ class AnchoredSpace:
         ``radii`` (...) the semi-norm distances of the points from
         ``center`` (the origin when None).  ``coeffs`` (..., order - 1)
         combine the anchors into a kernel part, which moves no semi-norm.
-        The leading shapes and ``center`` broadcast against each other.
+        The leading shapes of ``dirs`` and ``radii`` and ``center`` broadcast
+        against each other, and that of ``coeffs`` into theirs: the kernel
+        part is added in place, with no second array of the points' size.
         """
-        units = _per_row(np.divide, dirs, np.maximum(_lengths(dirs), 5e-324))
-        pts = _per_row(np.multiply, units @ self.complement_basis.T, radii / self.anchor_volume)
+        units = _along_points(np.divide, dirs, np.maximum(_lengths(dirs), 5e-324)[..., None])
+        pts = _along_points(np.multiply, units @ self.complement_basis.T, (radii / self.anchor_volume)[..., None])
         if center is not None:
-            pts = center + pts
-        return pts + coeffs @ self.anchors
+            pts = _along_points(np.add, center, pts)
+        pts += coeffs @ self.anchors
+        return pts
 
     def draw_ball(self, rng: np.random.Generator, rows: int, radius) -> tuple:
         """What ``sample_ball`` draws from ``rng``, in its order: ``rows``
@@ -383,9 +391,11 @@ class SequencePrefix:
     items: np.ndarray
 
     def __post_init__(self):
-        items = _as_matrix(self.items)
-        if items.shape[0] < 1:
+        items = np.asarray(self.items, dtype=float)
+        # checked before ``_as_matrix``, which reads any 1-D array, [] too, as one item
+        if items.shape[:1] == (0,):
             raise ValueError("sequence prefix must be nonempty")
+        items = _as_matrix(items)
         if items.shape[1] != self.space.dim:
             raise ValueError(
                 f"sequence items must have length {self.space.dim}, got {items.shape[1]}"
@@ -412,7 +422,7 @@ def b_cauchy_tail(seq: SequencePrefix, from_index: int) -> float:
     2 y_i.y_j.  Every |y_i| is at most the tail's
     diameter, so this Gram form keeps full relative accuracy at the maximum,
     even for a near-converged tail far from the origin.  Rows of i are
-    processed in blocks of at most ``_PAIR_BLOCK_ELEMENTS`` pairs.
+    processed in blocks of at most ``_BLOCK_ELEMENTS`` pairs.
     """
     m = len(seq)
     if not (1 <= from_index <= m):
@@ -427,7 +437,7 @@ def b_cauchy_tail(seq: SequencePrefix, from_index: int) -> float:
     if e:
         y = np.ldexp(y, -e)
         sq = np.add.reduce(y * y, axis=1)
-    rows = max(1, _PAIR_BLOCK_ELEMENTS // n)
+    rows = max(1, _BLOCK_ELEMENTS // n)
     worst_sq = 0.0
     for start in range(0, n, rows):
         block = slice(start, start + rows)

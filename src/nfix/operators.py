@@ -25,7 +25,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .nnorm import ROUNDOFF, AnchoredSpace, _length, _lengths, _per_row, _sum_squares, as_vector
+from .nnorm import ROUNDOFF, _BLOCK_ELEMENTS, AnchoredSpace, _along_points, _length, _lengths, _sum_squares, as_vector
 
 _CHUNK = 1024
 
@@ -388,7 +388,9 @@ class OperatorNormEstimate:
 
     ``value`` is the exact maximum of the method's objective over the seeded
     sample (or +inf when the kernel gate fails); it never decreases when the
-    budget grows, because samples accumulate chunk by chunk.
+    budget grows, because samples accumulate chunk by chunk.  The objective
+    is evaluated in blocks of whole chunks (``_probe_blocks``), each value
+    bit for bit what the chunk alone gives.
     """
 
     value: float
@@ -402,19 +404,42 @@ def _keyed_chunks(budget: int, seed: int, stream: int):
 
     Chunk i is drawn from its own generator keyed by (seed, stream, i) and
     a partial last chunk takes a prefix of the full draw, so the first k
-    samples are the same for every budget >= k.
+    samples are the same for every budget >= k.  The probes draw chunk by
+    chunk but compute on blocks of whole chunks (``_probe_blocks``).
     """
     key = _seed_key(seed)
     for i, start in enumerate(range(0, budget, _CHUNK)):
         yield np.random.default_rng([key, stream, i]), min(_CHUNK, budget - start)
 
 
-def _probe_chunks(space: AnchoredSpace, budget: int, seed: int, stream: int):
+def _probe_blocks(space: AnchoredSpace, budget: int, seed: int, stream: int):
     """Yield ``draw_ball``'s (complement directions, radii in [0, 1),
-    anchor coefficients), chunk by chunk of ``_keyed_chunks``."""
+    anchor coefficients) in blocks of whole chunks of ``_keyed_chunks``.
+
+    Each chunk is drawn on its own, ``draw_ball(rng, _CHUNK, 1.0)`` cut to
+    its rows, and consecutive chunks are joined into blocks of at most
+    ``_BLOCK_ELEMENTS`` coordinates (rows x d), one chunk at least: 5 at
+    d = 3, 4 at d = 4, 3 at d = 5, 2 at d = 6-8, one from d = 9 on.  Each
+    row keeps the bits of its chunk computed alone: the ufuncs and
+    reductions act row by row, and at d = 3-8 each of the probes' products
+    gave every row of a block its chunk's bits, for every complement width
+    and every last chunk (numpy 2.4, OpenBLAS 0.3.31), except a last chunk
+    of one row, which numpy multiplies on its vector path with other bits;
+    so that chunk, at a budget of 1 mod 1024 above 1, is a block of its own.
+    """
+    per_block = max(1, _BLOCK_ELEMENTS // (_CHUNK * space.dim))
+    block = []
     for rng, take in _keyed_chunks(budget, seed, stream):
-        dirs, radii, coeffs = space.draw_ball(rng, _CHUNK, 1.0)
-        yield dirs[:take], radii[:take], coeffs[:take]
+        if len(block) == per_block or (take == 1 and block):
+            yield _joined(block)
+            block = []
+        block.append([a[:take] for a in space.draw_ball(rng, _CHUNK, 1.0)])
+    yield _joined(block)
+
+
+def _joined(block: list) -> tuple:
+    """The chunks' draws of a block, each kind in one array."""
+    return tuple(parts[0] if len(parts) == 1 else np.concatenate(parts) for parts in zip(*block))
 
 
 def _check_probe_args(methods, budget: int, seed: int) -> None:
@@ -427,8 +452,8 @@ def _check_probe_args(methods, budget: int, seed: int) -> None:
 
 
 def _probe_point_sets(space: AnchoredSpace, budget: int, seed: int, methods):
-    """Yield, chunk by chunk, the sample points of each of operator_norm's
-    ``methods``, all placed from the chunk's one draw.
+    """Yield, block by block of ``_probe_blocks``, the sample points of each
+    of operator_norm's ``methods``, all placed from the block's one draw.
 
     "I" scales unit directions to semi-norm radius in [0, 1), "II" normalizes
     them to semi-norm 1, "III" scales them to radius in [0.5, 3); each point
@@ -436,10 +461,11 @@ def _probe_point_sets(space: AnchoredSpace, budget: int, seed: int, methods):
     places every method's points from a stack of radii, each point bit for
     bit where a call of its own places it.
     """
-    for dirs, radii, coeffs in _probe_chunks(space, budget, seed, stream=7):
+    for dirs, radii, coeffs in _probe_blocks(space, budget, seed, stream=7):
         reach = {"I": radii, "II": np.ones_like(radii), "III": 0.5 + 2.5 * radii}
         sets = space.ball_points(dirs, np.stack([reach[m] for m in methods]), coeffs)
-        yield [_per_row(np.divide, p, space.seminorm_batch(p)) if m == "II" else p for m, p in zip(methods, sets)]
+        yield [_along_points(np.divide, p, space.seminorm_batch(p)[:, None]) if m == "II" else p
+               for m, p in zip(methods, sets)]
 
 
 def draw_probe_points(space: AnchoredSpace, budget: int, seed: int, method: str = "II") -> np.ndarray:
@@ -467,7 +493,8 @@ def operator_norm(
 
 def _operator_norms(op: OperatorSpec, space: AnchoredSpace, methods, budget: int, seed: int) -> list:
     """``operator_norm`` of each of ``methods`` from one gate and one draw
-    per chunk, with a running maximum per formula."""
+    per chunk, with a running maximum per formula over the blocks of
+    ``_probe_point_sets``."""
     _check_probe_args(methods, budget, seed)
     if not is_linear(op):
         raise ValueError("operator_norm requires a linear operator (affine with zero offset)")
@@ -587,7 +614,7 @@ def continuity_probe(
 
     worst = 0.0
     witness = None
-    for dirs, radii, coeffs in _probe_chunks(space, samples, seed, stream=13):
+    for dirs, radii, coeffs in _probe_blocks(space, samples, seed, stream=13):
         pts = space.ball_points(dirs, radii * candidate_delta, coeffs, center=x0)
         imgs = space.seminorm_batch(apply_batch(op, pts) - tx0)
         i = int(np.argmax(imgs))

@@ -329,6 +329,7 @@ def _solve(regime: str, op: OperatorSpec, space: AnchoredSpace, x0, cfg: SolverC
     certified = math.inf
     prev_res = math.inf  # no residual before step 1, so the orbit guard cannot fire there
     res_k = res0  # step 1's residual, taken and checked above
+    disp = res0  # and step 1's displacement from x0: x1 - x0 negates x0 - x1, exactly
     k = 0
     with np.errstate(invalid="ignore", over="ignore"):  # the pad may overflow too
         if seq is not None:
@@ -353,13 +354,14 @@ def _solve(regime: str, op: OperatorSpec, space: AnchoredSpace, x0, cfg: SolverC
                     # x_next has a NaN/inf coordinate, or x_next - x_prev
                     # overflowed; either leaves a non-finite diff
                     _check_finite(diff, k)
+                if ball:
+                    diff = x_next - x0
+                    disp = dist(diff)
+                    if not isfinite(disp):
+                        _check_finite(diff, k)
             if ball:
                 # the ball theorem's own diagnostic comes first: an escaping
                 # iterate names the violated induction bound directly
-                diff = x_next - x0
-                disp = dist(diff)
-                if not isfinite(disp):
-                    _check_finite(diff, k)
                 bound = (1.0 - cfg.alpha ** k) * cfg.radius
                 ball_trace.append((k, disp, bound))
                 if disp > bound and disp > bound + floor(_length(x0) + _length(x_next)):

@@ -321,7 +321,7 @@ def test_cauchy_tail_random_prefixes_match_exhaustive_loop():
         n = m - start + 1
         if m == 300:
             # the tail's rows of i span at least two blocks of pairs
-            assert nnorm._PAIR_BLOCK_ELEMENTS // n < n
+            assert nnorm._BLOCK_ELEMENTS // n < n
         assert b_cauchy_tail(seq, start) == pytest.approx(_exhaustive_tail(seq, start), rel=1e-12)
         assert b_cauchy_tail(seq, m - 1) == pytest.approx(_exhaustive_tail(seq, m - 1), rel=1e-12)
 
@@ -382,7 +382,7 @@ def test_cauchy_tail_constant_and_singleton_tails_are_exactly_zero():
     sp = _random_space(rng, 8, 3)
     point = rng.standard_normal(8) * 1e3
     seq = SequencePrefix(space=sp, items=np.tile(point, (200, 1)))
-    assert nnorm._PAIR_BLOCK_ELEMENTS // 200 < 200
+    assert nnorm._BLOCK_ELEMENTS // 200 < 200
     assert b_cauchy_tail(seq, 1) == 0.0
     moving = SequencePrefix(space=sp, items=rng.standard_normal((30, 8)))
     assert b_cauchy_tail(moving, 30) == 0.0
@@ -853,6 +853,25 @@ def test_ball_points_equal_the_written_out_expression_bit_for_bit(dim, order):
     assert got.shape == (16, 2, 16, dim) and np.array_equal(got, _ball_points_written_out(sp, d4, r4, c4, center=x0))
 
 
+@pytest.mark.parametrize("dim", [3, 8])
+def test_ball_points_add_the_center_bit_for_bit_along_the_samples(dim):
+    # the bounded suite's broadcast, (operators, 2 base points, 64 samples),
+    # and the continuity probe's, one center for a block of rows: the
+    # center's addition runs along the samples at d = 3 and along the
+    # entries of each point at d = 8, each element one addition either way
+    rng = np.random.default_rng([48, dim])
+    sp = AnchoredSpace(dim=dim, order=2, anchors=rng.standard_normal((1, dim)))
+    rows = (1 << 18) // (2 * 64 * dim)  # operators in one of the suite's blocks: 682 at d = 3
+    for center, pts in ((rng.standard_normal((rows, 2, 1, dim)), rng.standard_normal((rows, 1, 64, dim))),
+                        (rng.standard_normal(dim), rng.standard_normal((5120, dim)))):
+        got = nnorm._along_points(np.add, center, pts)
+        assert got.flags.c_contiguous and np.array_equal(got, center + pts)
+    dirs, radii = rng.standard_normal((rows, 1, 64, sp.complement_dim)), rng.random((rows, 1, 64))
+    coeffs, x0 = rng.standard_normal((rows, 1, 64, 1)), rng.standard_normal((rows, 2, 1, dim))
+    got = sp.ball_points(dirs, radii, coeffs, center=x0)
+    assert got.shape == (rows, 2, 64, dim) and np.array_equal(got, _ball_points_written_out(sp, dirs, radii, coeffs, x0))
+
+
 _E2 = AnchoredSpace(dim=3, order=2, anchors=[[0.0, 1.0, 0.0]])
 
 
@@ -869,9 +888,13 @@ _E2 = AnchoredSpace(dim=3, order=2, anchors=[[0.0, 1.0, 0.0]])
     (lambda: product_nnorm([ProductPoint([1.0, 0.0], [0.0, 1.0]), ProductPoint([1.0, 0.0, 0.0], [0.0, 1.0, 0.0])]),
      "dimension mismatch across product points"),
     (lambda: SequencePrefix(_E2, np.zeros((0, 3))), "sequence prefix must be nonempty"),
+    (lambda: SequencePrefix(_E2, np.empty((0, 5))), "sequence prefix must be nonempty"),
+    (lambda: SequencePrefix(_E2, []), "sequence prefix must be nonempty"),
+    (lambda: SequencePrefix(_E2, [[]]), "sequence items must have length 3, got 0"),
     (lambda: SequencePrefix(_E2, np.zeros((2, 2))), "sequence items must have length 3, got 2"),
 ], ids=["empty-vector", "3d-matrix", "dim-0", "anchor-shape", "batch-shape", "ball-radius-0",
-        "product-point-lengths", "product-empty", "product-mixed-dims", "prefix-empty", "prefix-item-length"])
+        "product-point-lengths", "product-empty", "product-mixed-dims", "prefix-empty", "prefix-empty-wide",
+        "prefix-empty-list", "prefix-one-empty-item", "prefix-item-length"])
 def test_nnorm_refuses_bad_input_with_its_own_message(call, message):
     with pytest.raises(ValueError) as excinfo:
         call()

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nfix import operators
+from nfix import nnorm, operators
 from nfix.harness import _kernel_preserving_matrices, canonical_space, random_kernel_preserving_operator
 from nfix.nnorm import AnchoredSpace
 from nfix.operators import (
@@ -761,9 +761,10 @@ def test_one_pass_gives_each_formula_the_value_of_its_own_call(d, budget):
 @pytest.mark.parametrize("method", ["I", "II", "III"])
 def test_operator_norm_is_the_maximum_over_its_probe_points(d, budget, method):
     # the objective of each formula, evaluated through the public apply_batch
-    # and seminorm_batch on draw_probe_points' rows; a product's last bit
-    # can depend on how many rows it takes, so the rows go in the
-    # estimator's chunks of operators._CHUNK
+    # and seminorm_batch on draw_probe_points' rows, in chunks of
+    # operators._CHUNK: a product of 2 to 10240 rows gives each row the bits
+    # it gets in the estimator's blocks of whole chunks, and a one-row
+    # product, which may not, is a block of its own there as here
     sp, op = _pass_case(d)
     pts = draw_probe_points(sp, budget, seed=d, method=method)
     assert pts.shape == (budget, d)
@@ -776,6 +777,98 @@ def test_operator_norm_is_the_maximum_over_its_probe_points(d, budget, method):
             obj = obj[keep] / den[keep]
         best = max(best, float(obj.max(initial=0.0)))
     assert operator_norm(op, sp, method, budget, seed=d).value == best
+
+
+def _chunk_draws(space, budget, seed, stream):
+    """The probes' draws chunk by chunk, each computed on its own: one
+    draw_ball(rng, 1024, 1.0) on the generator keyed [seed, stream, i],
+    cut to the chunk's rows."""
+    for i, start in enumerate(range(0, budget, 1024)):
+        dirs, radii, coeffs = space.draw_ball(np.random.default_rng([seed, stream, i]), 1024, 1.0)
+        take = min(1024, budget - start)
+        yield dirs[:take], radii[:take], coeffs[:take]
+
+
+def _chunkwise_point_sets(space, budget, seed):
+    """Formulas I, II and III's probe points, chunk by chunk."""
+    for dirs, radii, coeffs in _chunk_draws(space, budget, seed, 7):
+        one, two, three = space.ball_points(dirs, np.stack([radii, np.ones_like(radii), 0.5 + 2.5 * radii]), coeffs)
+        yield one, two / space.seminorm_batch(two)[:, None], three
+
+
+def _chunkwise_norms(op, space, budget, seed):
+    """The three formulas' maxima, a chunk at a time."""
+    best = [0.0, 0.0, 0.0]
+    for sets in _chunkwise_point_sets(space, budget, seed):
+        for j, pts in enumerate(sets):
+            obj = space.seminorm_batch(pts @ op.matrix.T)
+            if j == 2:
+                den = space.seminorm_batch(pts)
+                keep = den > space.roundoff_floor(nnorm._lengths(pts))
+                obj = obj[keep] / den[keep]
+            best[j] = max(best[j], float(obj.max(initial=0.0)))
+    return best
+
+
+def _chunkwise_continuity(op, space, x0, delta, samples, seed):
+    """continuity_probe's largest image distance and its first witness, a
+    chunk at a time."""
+    tx0, worst, witness = apply(op, x0), 0.0, None
+    for dirs, radii, coeffs in _chunk_draws(space, samples, seed, 13):
+        pts = space.ball_points(dirs, radii * delta, coeffs, center=x0)
+        imgs = space.seminorm_batch(apply_batch(op, pts) - tx0)
+        i = int(np.argmax(imgs))
+        if imgs[i] > worst:
+            worst, witness = float(imgs[i]), pts[i]
+    return worst, witness
+
+
+_BLOCK_BUDGETS = (1, 2, 1023, 1024, 1025, 2049, 5000, 10_000)
+
+
+@pytest.mark.parametrize("scale", [1e-8, 1.0, 1e8])
+@pytest.mark.parametrize("d", [3, 4, 5, 8, 16, 64])
+def test_blocks_of_chunks_give_the_bits_of_a_chunk_by_chunk_pass(d, scale):
+    # every estimate, probe point and continuity verdict of the blocked
+    # probes, bit for bit what each chunk computed alone gives, in random
+    # frames with anchors of length ``scale``.  Up to d = 8, where a block
+    # joins chunks, order d leaves a complement of width 1 (products of one
+    # output column); budgets of 1 mod 1024 end in a one-row chunk.  With
+    # anchors of length 1e8 and order d, formula II's points can have a
+    # semi-norm of exactly 0 in both passes alike, so the division may warn
+    for order in sorted({2, 3, d} if d <= 8 else {2, 3}):
+        rng = np.random.default_rng([26, d, order, 8 + int(math.log10(scale))])
+        q, _ = np.linalg.qr(rng.standard_normal((d, d)))
+        sp = AnchoredSpace(dim=d, order=order, anchors=scale * q[:, : order - 1].T)
+        op, _ = random_preserver(sp, rng)
+        shifted = affine_operator(op.matrix, rng.standard_normal(d))
+        x0 = rng.standard_normal(d)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            for budget in _BLOCK_BUDGETS:
+                want = _chunkwise_norms(op, sp, budget, seed=d)
+                assert [e.value for e in operators._operator_norms(op, sp, ("I", "II", "III"), budget, seed=d)] == want
+                assert [operator_norm(op, sp, m, budget, seed=d).value for m in ("I", "II", "III")] == want
+                sets = [np.vstack(s) for s in zip(*_chunkwise_point_sets(sp, budget, seed=d))]
+                for method, pts in zip(("I", "II", "III"), sets):
+                    assert np.array_equal(draw_probe_points(sp, budget, seed=d, method=method), pts)
+                worst, witness = _chunkwise_continuity(shifted, sp, x0, 0.5, budget, seed=d)
+                probe = continuity_probe(shifted, sp, x0, 1e-300, 0.5, budget, seed=d)
+                assert probe.max_image_distance == worst and np.array_equal(probe.witness, witness)
+
+
+@pytest.mark.parametrize("d, rows", [
+    (3, [[1024], [1024, 1], [5120, 4880], [2048, 1]]),
+    (4, [[1024], [1024, 1], [4096, 4096, 1808], [2048, 1]]),
+    (5, [[1024], [1024, 1], [3072, 3072, 3072, 784], [2048, 1]]),
+    (8, [[1024], [1024, 1], [2048] * 4 + [1808], [2048, 1]]),
+    (16, [[1024], [1024, 1], [1024] * 9 + [784], [1024, 1024, 1]]),
+])
+def test_probe_blocks_join_whole_chunks_up_to_the_block_size(d, rows):
+    # as many whole 1024-row chunks a block as fit in nnorm._BLOCK_ELEMENTS
+    # coordinates, at least one; a last chunk of one row is a block of its own
+    sp = AnchoredSpace(dim=d, order=2, anchors=np.eye(d)[1:2])
+    for budget, want in zip((1024, 1025, 10_000, 2049), rows):
+        assert [len(radii) for _, radii, _ in operators._probe_blocks(sp, budget, 0, 7)] == want
 
 
 def test_one_pass_gates_a_violator_once_for_every_formula():

@@ -1118,6 +1118,31 @@ def test_step_one_residual_is_the_starting_residual_bit_for_bit(regime, far, d):
         assert report.ball_trace[0][1] > 0.0
 
 
+@pytest.mark.parametrize("d", [3, 16, 64])
+@pytest.mark.parametrize("far", [False, True], ids=["unit-start", "start-1e200"])
+def test_ball_step_one_displacement_is_the_starting_residual(far, d, monkeypatch):
+    # step 1's displacement from x0 is res0 (x1 - x0 negates x0 - x1,
+    # exactly), so the engine takes one distance for res0 and then one
+    # residual and one displacement a step from step 2 on
+    space, op, rng = _random_frame_contraction(d)
+    x0 = rng.standard_normal(d) * (1e200 if far else 1.0)
+    kernel, calls = space.projection_kernel, []
+
+    def counted_kernel():
+        raw = kernel()
+
+        def dist(x):
+            calls.append(x)
+            return raw(x)
+        return dist
+    monkeypatch.setattr(space, "projection_kernel", counted_kernel)
+    report = ball_solve(op, space, x0, SolverConfig(regime="ball", **_ENGINE_CONFIGS["ball"]))
+    assert report.iterations >= 2
+    with np.errstate(over="ignore"):  # as the engine calls the kernel
+        assert report.ball_trace[0][1] == report.residual0 == kernel()(apply(op, x0) - x0)
+    assert len(calls) == 2 * report.iterations - 1
+
+
 def test_ball_max_displacement_is_zero_on_an_immediate_return():
     # x0 in the anchor span: x0 - Tx0 is a kernel point, so res0 = 0
     space = AnchoredSpace(dim=3, order=2, anchors=[[0.0, 1.0, 0.0]])
