@@ -41,6 +41,7 @@ from .harness import (
 from .nnorm import AnchoredSpace
 from .operators import (
     OperatorSpec,
+    _affine_form,
     _operator_norms,
     affine_operator,
     builtin_operator,
@@ -169,7 +170,7 @@ def _parse_operator(data, dim: int) -> OperatorSpec:
         params = {key: _get_param(key, value, dim) for key, value in params.items()}
         try:
             op = builtin_operator(name, **params)
-            op.compile(dim)  # checks the params against the dimension
+            _affine_form(op, dim)  # checks the params against the dimension
         except ValueError as e:
             raise ValidationError(f"operator: {e}") from e
         return op

@@ -19,6 +19,7 @@ from .operators import (
     OperatorSpec,
     _affine_form,
     _bound_constants,
+    _compile,
     _kernel_gate,
     _quotient_map,
     _seed_key,
@@ -555,16 +556,15 @@ def check_banach_reduction(op, space: AnchoredSpace, x0, alpha: float, seed: int
     singular, so it is taken as C z with (I - C^T L C) z = C^T T(0)."""
     x0 = as_vector(x0, space.dim)[None, :]
     seed = _seed_key(seed)
-    form = _affine_form(op, space.dim)
+    f = _compile(op, space)
     xstar = None
-    if form is not None:
-        c, (lin, t0) = space.complement_basis, form
+    if f.lin is not None:
+        c, lin, t0 = space.complement_basis, f.lin, f.offset
         try:
             xstar = (c @ np.linalg.solve(np.eye(space.complement_dim) - _quotient_map(space, lin), c.T @ t0))[None, :]
         except np.linalg.LinAlgError:
             pass  # no unique fixed point modulo the span: the engine refuses alpha
-    [(worst, problems)] = _reduction_rows(space, [op], lambda x: apply_batch(op, x),
-                                          np.array([alpha], dtype=float), x0, xstar)
+    [(worst, problems)] = _reduction_rows(space, [op], f.step, np.array([alpha], dtype=float), x0, xstar)
     ce = {"alpha": alpha, "x0": x0[0].tolist(), "problems": problems} if problems else None
     return PropertyReport("banach_reduction", 1, 1 if problems else 0, worst, ce, seed)
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -78,26 +78,6 @@ class OperatorSpec:
             _validate_builtin_params(self.name, self.params)
         else:
             raise ValueError(f"operator kind must be 'affine' or 'builtin', got {self.kind!r}")
-
-    def compile(self, dim: int) -> Callable[[np.ndarray], np.ndarray]:
-        """Single-point evaluator ``step(x)`` for ``dim``-dimensional inputs.
-
-        Dimension and parameter checks run here, once; the transposed linear
-        part of an operator with an affine form is built here too, so its
-        step is one product, ``x @ L^T + c``.  ``step`` validates nothing: it
-        expects a finite 1-D float64 array of length ``dim`` and returns a
-        new array, exactly what ``apply_batch`` computes for a one-row batch.
-        """
-        return _row_map(self, dim)
-
-    def linear_part(self, dim: int) -> Optional[np.ndarray]:
-        """The (dim, dim) matrix L with T(x) - T(y) = L (x - y), or None.
-
-        The L of ``_affine_form``; "saturating" and "step" are not affine
-        and give None.
-        """
-        form = _affine_form(self, dim)
-        return None if form is None else form[0]
 
 
 def _is_finite_number(v) -> bool:
@@ -196,10 +176,9 @@ def _e1_map(op: OperatorSpec) -> Callable[[np.ndarray], np.ndarray]:
     return lambda t: np.where(t >= thr, t + h, t)
 
 
-def _row_map(op: OperatorSpec, d: int) -> Callable[[np.ndarray], np.ndarray]:
-    """The operator as a map on (..., d) arrays of row points, one point
-    included, checked for dimension ``d`` once, with all it needs prebuilt."""
-    form = _affine_form(op, d)
+def _row_map(op: OperatorSpec, form: Optional[tuple]) -> Callable[[np.ndarray], np.ndarray]:
+    """The operator as a map on (..., d) arrays of row points, one point included,
+    from its ``_affine_form``: ``pts @ L^T + c`` with L^T prebuilt, or g of x_1."""
     if form is not None:
         mt, offset = form[0].T, form[1]
         return lambda pts: pts @ mt + offset
@@ -212,10 +191,26 @@ def _row_map(op: OperatorSpec, d: int) -> Callable[[np.ndarray], np.ndarray]:
     return move_e1
 
 
+class _Compiled(NamedTuple):
+    """An operator built for a space: ``step``, its unchecked ``_row_map``, whose every call returns a new
+    array with ``apply_batch``'s bits, and the form T(x) = lin x + offset (None for "saturating", "step")."""
+
+    op: OperatorSpec
+    step: Callable[[np.ndarray], np.ndarray]
+    lin: Optional[np.ndarray]
+    offset: Optional[np.ndarray]
+
+
+def _compile(op: OperatorSpec, space: AnchoredSpace) -> _Compiled:
+    """``op`` built for ``space`` from one ``_affine_form`` call, which checks its dimension."""
+    form = _affine_form(op, space.dim)
+    return _Compiled(op, _row_map(op, form), *(form or (None, None)))
+
+
 def apply(op: OperatorSpec, x) -> np.ndarray:
     """Evaluate the operator at one point."""
     x = as_vector(x)
-    return op.compile(x.size)(x)
+    return _row_map(op, _affine_form(op, x.size))(x)
 
 
 def apply_batch(op: OperatorSpec, points: np.ndarray) -> np.ndarray:
@@ -223,7 +218,7 @@ def apply_batch(op: OperatorSpec, points: np.ndarray) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2:
         raise ValueError("apply_batch expects a 2-D array of row points")
-    return _row_map(op, pts.shape[1])(pts)
+    return _row_map(op, _affine_form(op, pts.shape[1]))(pts)
 
 
 # ---------------------------------------------------------------------------
@@ -333,18 +328,29 @@ def lipschitz_constant(op: OperatorSpec, space: AnchoredSpace, center=None, radi
     complement has a second direction: 1 / (1 + min |t|)^2 for saturating,
     and for step 1, or +inf when a nonzero jump lies inside the reach.  Otherwise an anchor move changes
     T off the span: +inf, unless g is a translation (a step of height 0).
+    A radius needs a center, and must be > 0.
     """
-    lin = op.linear_part(space.dim)
-    if lin is not None:
-        return math.inf if _moved_anchors(space, lin).any() else float(_bound_constants(space, lin))
+    if radius is not None and center is None:
+        raise ValueError("a radius needs a center")
+    if center is not None:
+        center = as_vector(center, space.dim)
+    if radius is not None and not radius > 0:
+        raise ValueError(f"radius must be > 0, got {radius!r}")
+    return _lipschitz(_compile(op, space), space, center, radius)
+
+
+def _lipschitz(f: _Compiled, space: AnchoredSpace, center, radius) -> float:
+    """``lipschitz_constant`` of a compiled operator; a ``radius`` > 0 comes with a 1-D ``center``."""
+    if f.lin is not None:
+        return math.inf if _moved_anchors(space, f.lin).any() else float(_bound_constants(space, f.lin))
     split = _e1_split(space)
     if split == "span":
         return 1.0
     lo, hi = -math.inf, math.inf
     if split == "orthogonal" and radius is not None:
         lo, hi = center[0] - radius / space.anchor_volume, center[0] + radius / space.anchor_volume
-    if op.name == "step":
-        return math.inf if op.params["height"] != 0 and lo < op.params["threshold"] <= hi else 1.0
+    if f.op.name == "step":
+        return math.inf if f.op.params["height"] != 0 and lo < f.op.params["threshold"] <= hi else 1.0
     if split == "oblique":
         return math.inf
     slope = 1.0 / (1.0 + (0.0 if lo <= 0.0 <= hi else min(abs(lo), abs(hi)))) ** 2
@@ -362,10 +368,13 @@ def kannan_constant(op: OperatorSpec, space: AnchoredSpace) -> float:
     modulo the span, or (saturating, span = e1's complement) has the ratio
     1 / s at x = +-s e1.
     """
-    lin = op.linear_part(space.dim)
-    if lin is None or _moved_anchors(space, lin).any():
+    return _kannan(_compile(op, space), space)
+
+
+def _kannan(f: _Compiled, space: AnchoredSpace) -> float:
+    if f.lin is None or _moved_anchors(space, f.lin).any():
         return math.inf
-    bar = _quotient_map(space, lin)
+    bar = _quotient_map(space, f.lin)
     try:
         return float(np.linalg.norm(np.linalg.solve(np.eye(len(bar)) - bar, bar), 2))
     except np.linalg.LinAlgError:

@@ -26,11 +26,13 @@ of the returned point.  All distances are semi-norm distances, so
 uniqueness claims hold modulo the anchor span; the independence of
 {x*, anchors} is checked after the fact and reported, never enforced.
 
-The engine compiles the operator and the semi-norm once per solve and
-validates nothing per step.  Finiteness is checked lazily: a non-finite
-coordinate in an iterate, or an overflowing displacement between finite
-ones, always makes the step's residual NaN or inf, so the displacement is
-checked only then, and either is refused at the step that produced it.
+The engine compiles the operator (``_compile``: one affine form that the
+step, the roundoff pad and the exact cross-check all read) and the
+semi-norm once per solve, and validates nothing per step.  Finiteness is
+checked lazily: a non-finite coordinate in an iterate, or an overflowing
+displacement between finite ones, always makes the step's residual NaN or
+inf, so the displacement is checked only then, and either is refused at
+the step that produced it.
 
 Declared constants are trusted for the certificate but cross-checked
 before iterating against the operator's exact constants: alpha (picard,
@@ -49,7 +51,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .nnorm import ROUNDOFF, AnchoredSpace, _length, as_vector
-from .operators import OperatorSpec, kannan_constant, lipschitz_constant
+from .operators import OperatorSpec, _compile, _kannan, _lipschitz
 
 REGIMES = ("picard", "ball", "summable", "kannan", "edelstein")
 
@@ -187,10 +189,12 @@ class SolverConfig:
             raise SolverInputError(f"regime must be one of {REGIMES}, got {self.regime!r}")
         if not (self.tol > 0 and math.isfinite(self.tol)):
             raise SolverInputError("tol must be a positive real")
-        if self.max_iter < 1:
-            raise SolverInputError("max_iter must be >= 1")
-        if self.crosscheck_pairs < 0:
-            raise SolverInputError("crosscheck_pairs must be >= 0")
+        for name, least in (("max_iter", 1), ("crosscheck_pairs", 0)):
+            count = getattr(self, name)
+            if isinstance(count, bool) or not isinstance(count, (int, np.integer)):
+                raise SolverInputError(f"{name} must be an integer, got {count!r}")
+            if count < least:
+                raise SolverInputError(f"{name} must be >= {least}")
         if self.regime in ("picard", "ball"):
             if self.alpha is None or not (0.0 < self.alpha < 1.0):
                 raise SolverInputError("alpha must lie in the open interval (0, 1)")
@@ -254,23 +258,24 @@ def _independence(space: AnchoredSpace, point: np.ndarray, certified: float):
     return ok, (UNIQUE_MOD_KERNEL if ok else INDEPENDENCE_FAILED)
 
 
-def _crosscheck(op, space, cfg, x0, name: str, declared: float, pad: float):
-    """Refuse a declared rate that the operator's exact constant exceeds by
-    more than ``pad``, the roundoff of the arithmetic behind it: Kannan's
-    beta against ``kannan_constant``, alpha (picard, and ball over its
-    admission ball, where it must dominate every displacement ratio) and a_1
-    of summable against ``lipschitz_constant``.  ``name``, the guarded rate's
-    name from ``_bound_model``, names a refused picard or summable rate.  A
-    passing alpha may fall short by the pad, so certificates understate by
-    about 1 + pad / (1 - alpha)."""
+def _crosscheck(f, space, cfg, x0, name: str, declared: float, pad: float):
+    """Refuse a declared rate that the exact constant of the compiled
+    operator ``f``, read from it with no second build, exceeds by more than
+    ``pad``, the roundoff of the arithmetic behind it: Kannan's beta against
+    ``kannan_constant``, alpha (picard, and ball over its admission ball,
+    where it must dominate every displacement ratio) and a_1 of summable
+    against ``lipschitz_constant``.  ``name``, the guarded rate's name from
+    ``_bound_model``, names a refused picard or summable rate.  A passing
+    alpha may fall short by the pad, so certificates understate by about
+    1 + pad / (1 - alpha)."""
     if cfg.crosscheck_pairs < 1:
         return
     if cfg.regime == "kannan":
-        name, found = "beta", kannan_constant(op, space)
+        name, found = "beta", _kannan(f, space)
     elif cfg.regime == "ball":
-        name, found = "alpha (on the ball)", lipschitz_constant(op, space, x0, cfg.radius)
+        name, found = "alpha (on the ball)", _lipschitz(f, space, x0, cfg.radius)
     else:
-        found = lipschitz_constant(op, space)
+        found = _lipschitz(f, space, None, None)
     if not found <= declared + pad:  # an infinite or NaN constant too
         raise ConstantMismatchError(name, declared, found)
 
@@ -295,7 +300,8 @@ def _solve(regime: str, op: OperatorSpec, space: AnchoredSpace, x0, cfg: SolverC
     seq, guard_name = _bound_model(cfg)
     ball = regime == "ball"
     x0 = as_vector(x0, space.dim).copy()
-    step = op.compile(space.dim)
+    f = _compile(op, space)
+    step = f.step
     dist = space.projection_kernel()
     # an iterate or a displacement may overflow, and a non-finite one makes
     # the kernel compute 0 * inf; either is refused at the step that made
@@ -338,10 +344,10 @@ def _solve(regime: str, op: OperatorSpec, space: AnchoredSpace, x0, cfg: SolverC
             # roundoff pad of the declared rate d (beta for Kannan; its guard takes it to r = beta / (1 - beta)):
             # ROUNDOFF * (|M|_F + d), M = |C|^T |L| |C| for a linear part L, else ROUNDOFF * d; none if it overflows
             declared = cfg.beta if cfg.regime == "kannan" else rate
-            lin, c = op.linear_part(space.dim), np.abs(space.complement_basis)
+            lin, c = f.lin, np.abs(space.complement_basis)
             pad = ROUNDOFF * (declared if lin is None else float(np.linalg.norm(c.T @ np.abs(lin) @ c)) + declared)
             pad = pad if pad < math.inf else 0.0
-            _crosscheck(op, space, cfg, x0, guard_name, declared, pad)
+            _crosscheck(f, space, cfg, x0, guard_name, declared, pad)
             guard = rate + (pad / (1.0 - cfg.beta) ** 2 if cfg.regime == "kannan" else pad)
             apost_factor = tail_sum(1)
         while k < max_iter:

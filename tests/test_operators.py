@@ -125,7 +125,7 @@ def test_builtin_params_must_be_finite_numbers(name, params):
 def test_linear_builtins_map_rows_bit_for_bit(d):
     # scale, rotation-scale and constant run as x @ L^T + c from their
     # affine form; on finite rows that must give exactly the direct
-    # formulas, for a batch and for compile's one-row step alike
+    # formulas, for a batch and for the compiled one-row step alike
     rng = np.random.default_rng([d, 61])
     pts = rng.standard_normal((8, d)) * 10.0 ** rng.integers(-3, 4, size=(8, 1))
     theta, factor = 0.9, 0.7
@@ -140,14 +140,14 @@ def test_linear_builtins_map_rows_bit_for_bit(d):
         (builtin_operator("constant", value=value), lambda p: np.tile(value, (p.shape[0], 1))),
     ):
         assert apply_batch(op, pts).tobytes() == direct(pts).tobytes()
-        step = op.compile(d)
+        step = operators._compile(op, canonical_space(d, 2)).step
         for x in pts:
             assert step(x).tobytes() == direct(x[None, :])[0].tobytes()
 
 
 @pytest.mark.parametrize("d", [3, 16, 64])
 def test_compiled_step_is_the_one_row_batch_bit_for_bit(d):
-    # compile's step is x @ L^T + c on the 1-D point for every affine form,
+    # _compile's step is x @ L^T + c on the 1-D point for every affine form,
     # and the nonlinear builtins' row map on it; apply_batch runs the same
     # product on a (1, d) row, and both must give the same bits
     rng = np.random.default_rng([d, 67])
@@ -157,7 +157,7 @@ def test_compiled_step_is_the_one_row_batch_bit_for_bit(d):
             builtin_operator("scale", factor=-0.7), builtin_operator("constant", value=rng.standard_normal(d)),
             builtin_operator("rotation-scale", axis1=0, axis2=d - 1, angle=0.3, factor=0.9)]
     for op in ops:
-        step = op.compile(d)
+        step = operators._compile(op, canonical_space(d, 2)).step
         for x in rng.standard_normal((8, d)) * 10.0 ** rng.integers(-5, 6, size=(8, 1)):
             got = step(x)
             assert got.shape == (d,)
@@ -566,13 +566,13 @@ def test_linear_part_of_the_builtins():
         (builtin_operator("rotation-scale", axis1=0, axis2=3, angle=0.8, factor=0.6), 0.6),
         (builtin_operator("rotation-scale", axis1=0, axis2=1, angle=0.8, factor=0.6), math.inf),
     ):
-        lin = op.linear_part(4)
+        lin = operators._compile(op, sp).lin
         assert np.allclose(apply_batch(op, xs) - apply_batch(op, ys), (xs - ys) @ lin.T, rtol=0, atol=1e-14)
         assert lipschitz_constant(op, sp) == pytest.approx(exact, rel=1e-15)
     # e1 is orthogonal to span(e2, e3) and e4 is a second complement
     # direction: saturating's slopes are at most 1, step's jump is unbounded
     for name, exact in (("saturating", 1.0), ("step", math.inf)):
-        assert builtin_operator(name).linear_part(4) is None
+        assert operators._compile(builtin_operator(name), sp).lin is None
         assert lipschitz_constant(builtin_operator(name), sp) == exact
 
 
@@ -1163,8 +1163,17 @@ _HALF = builtin_operator("scale", factor=0.5)
      "epsilon and candidate_delta must be positive"),
     (lambda: continuity_probe(_HALF, space_e23(), np.zeros(3), 0.1, -1.0, samples=8),
      "epsilon and candidate_delta must be positive"),
+    # a TypeError, a short center taken, and a NaN constant before these were refused
+    (lambda: lipschitz_constant(builtin_operator("saturating"), canonical_space(3, 2), radius=1.0),
+     "a radius needs a center"),
+    (lambda: lipschitz_constant(builtin_operator("saturating"), canonical_space(3, 2), [5.0], 1.0),
+     "dimension mismatch: expected length 3, got 1"),
+    (lambda: lipschitz_constant(builtin_operator("saturating"), canonical_space(3, 2), np.zeros(3), math.nan),
+     "radius must be > 0, got nan"),
+    (lambda: lipschitz_constant(_HALF, space_e23(), np.zeros(3), 0.0), "radius must be > 0, got 0.0"),
 ], ids=["non-square", "non-finite", "unknown-kind", "missing-params", "equal-axes", "negative-axis",
-        "compose-builtin", "compose-dims", "batch-1d", "budget-0", "samples-0", "epsilon-0", "delta-negative"])
+        "compose-builtin", "compose-dims", "batch-1d", "budget-0", "samples-0", "epsilon-0", "delta-negative",
+        "radius-without-center", "center-short", "radius-nan", "radius-0"])
 def test_operators_refuse_bad_input_with_their_own_message(call, message):
     with pytest.raises(ValueError) as excinfo:
         call()

@@ -9,6 +9,7 @@ import mpmath
 import numpy as np
 import pytest
 
+from nfix import operators
 from nfix.harness import canonical_space
 from nfix.nnorm import ROUNDOFF, AnchoredSpace
 from nfix.operators import (
@@ -823,12 +824,23 @@ def test_summable_validation():
     ({"tol": math.inf}, "tol must be a positive real"),
     ({"max_iter": 0}, "max_iter must be >= 1"),
     ({"crosscheck_pairs": -1}, "crosscheck_pairs must be >= 0"),
+    # 2.5 ran 3 steps and True 1 step, each reported as that max_iter exceeded
+    ({"max_iter": 2.5}, r"max_iter must be an integer, got 2\.5"),
+    ({"max_iter": True}, "max_iter must be an integer, got True"),
+    ({"crosscheck_pairs": 64.0}, r"crosscheck_pairs must be an integer, got 64\.0"),
+    ({"crosscheck_pairs": False}, "crosscheck_pairs must be an integer, got False"),
     ({"regime": "ball"}, "ball regime needs a positive radius"),
     ({"regime": "ball", "radius": 0.0}, "ball regime needs a positive radius"),
 ])
 def test_solver_config_refuses_each_bad_setting(fields, message):
     with pytest.raises(SolverInputError, match=message):
         SolverConfig(**{"regime": "picard", "alpha": 0.5, **fields}).validate()
+
+
+def test_solver_config_takes_numpy_integer_counts():
+    cfg = SolverConfig(regime="picard", alpha=0.5, max_iter=np.int64(3), crosscheck_pairs=np.uint8(0))
+    report = picard_solve(builtin_operator("scale", factor=0.5), space_e23(), [1.0, 0.0, 0.0], cfg)
+    assert report.iterations == 3 and report.message == "max_iter = 3 exceeded without certification"
 
 
 # ---------------------------------------------------------------------------
@@ -1166,3 +1178,38 @@ def test_each_regime_names_the_constant_it_refuses(regime, factor, given, names,
         solve(builtin_operator("scale", factor=factor), space, [1.0, 0.0, 2.0], cfg)
     assert excinfo.value.name == names[pairs == 0]
     assert str(excinfo.value).startswith(f"declared {names[pairs == 0]} = ")
+
+
+@pytest.mark.parametrize("regime, given", [
+    ("picard", dict(alpha=0.6)),
+    ("ball", dict(alpha=0.6, radius=100.0)),
+    ("summable", dict(a_seq=geometric_sequence(0.6))),
+    ("kannan", dict(beta=0.4)),
+    ("edelstein", {}),
+])
+def test_each_solve_builds_the_affine_form_once(regime, given, monkeypatch):
+    # the step, the roundoff pad and the exact cross-check all read one
+    # compiled record, so a solve builds the affine form once, whether the
+    # regime admits the map or refuses it
+    space = canonical_space(3, 2)  # e1 is orthogonal to the anchor e2
+    maps = {
+        "affine": affine_operator(0.25 * np.eye(3), offset=[1.0, 0.0, 1.0]),
+        "scale": builtin_operator("scale", factor=0.25),
+        "rotation-scale": builtin_operator("rotation-scale", axis1=0, axis2=2, angle=0.7, factor=0.25),
+        "constant": builtin_operator("constant", value=[1.0, 2.0, 3.0]),
+        "saturating": builtin_operator("saturating"),
+        "step": builtin_operator("step"),
+    }
+    build, builds, admitted = operators._affine_form, [], []
+    monkeypatch.setattr(operators, "_affine_form", lambda op, d: builds.append(op) or build(op, d))
+    for name, op in maps.items():
+        builds.clear()
+        try:
+            solve(op, space, [1.0, 0.0, 2.0], SolverConfig(regime=regime, max_iter=50, **given))
+            admitted.append(name)
+        except ConstantMismatchError:
+            pass
+        assert builds == [op], name
+    # saturating's slope reaches 1 and step's jump is unbounded, so only
+    # edelstein, which has no rate to check, admits them
+    assert admitted == (list(maps) if regime == "edelstein" else ["affine", "scale", "rotation-scale", "constant"])
