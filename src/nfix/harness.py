@@ -10,6 +10,7 @@ aggregation is a deterministic reduction in trial order.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, NamedTuple, Optional, Sequence
 
 import numpy as np
@@ -19,14 +20,14 @@ from .operators import (
     OperatorSpec,
     _affine_form,
     _bound_constants,
-    _compile,
     _kernel_gate,
     _quotient_map,
+    _row_map,
     _seed_key,
     affine_operator,
     apply_batch,
 )
-from .solvers import SolverConfig, edelstein_solve, explicit_sequence, summable_solve
+from .solvers import SolverConfig, TraceRow, edelstein_solve, explicit_sequence, summable_solve
 
 RATIO_FLAG_TOL = 1e-9  # a sampled ratio this close to 1 breaks strictness
 BOUNDED_SET_POINTS = 32  # ball points check_bounded_sets maps per operator
@@ -490,6 +491,24 @@ def _banach_reference(space: AnchoredSpace, step, alpha: np.ndarray, x0: np.ndar
     return _BanachReference(np.stack(iterates), np.stack(bounds), stop, cover)
 
 
+def _segments(counts: np.ndarray) -> tuple:
+    """(row, step) of every element when row i holds steps 0 ... counts[i] - 1
+    and the rows are laid end to end."""
+    rows = np.repeat(np.arange(len(counts)), counts)
+    return rows, np.arange(len(rows)) - (np.cumsum(counts) - counts)[rows]
+
+
+def _segment_max(values: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The largest of each row's ``counts[i]`` consecutive ``values`` (1-D), 0 for an empty row;
+    ``np.maximum.reduceat`` runs over the nonempty rows alone, since it gives an empty
+    segment the next element (and refuses one at the end)."""
+    out = np.zeros(len(counts))
+    full = counts > 0
+    if full.any():
+        out[full] = np.maximum.reduceat(values, (np.cumsum(counts) - counts)[full])
+    return out
+
+
 def _reduction_rows(space: AnchoredSpace, ops, step, alpha: np.ndarray, x0: np.ndarray,
                     xstar: Optional[np.ndarray]) -> list:
     """Banach's theorem as the summable one with a_k = alpha^k, for a stack
@@ -497,7 +516,13 @@ def _reduction_rows(space: AnchoredSpace, ops, step, alpha: np.ndarray, x0: np.n
     explicit list with the declared tail alpha^(N+1) / (1 - alpha), all
     checked at once against the lock-step reference and, where ``xstar``
     holds the exact fixed points, against those.  Returns one
-    (worst discrepancy, problems) pair per row."""
+    (worst discrepancy, problems) pair per row.
+
+    The check is flat: every row's compared iterates form one array, its
+    trace bounds another, each set against the reference's at the same
+    (step, row), and a row's discrepancy is the largest of its entries
+    (``_segment_max``): a maximum of the same values, so the bits a check
+    row by row gives."""
     ref = _banach_reference(space, step, alpha, x0)
     reports = []
     for i, op in enumerate(ops):
@@ -506,44 +531,52 @@ def _reduction_rows(space: AnchoredSpace, ops, step, alpha: np.ndarray, x0: np.n
         cfg = SolverConfig(regime="summable", a_seq=seq, tol=REDUCTION_TOL, keep_iterates=True)
         reports.append(summable_solve(op, space, x0[i], cfg))
 
-    # the certificate against the exact fixed point, for every row at once
+    k_got = np.array([r.iterations for r in reports])
+    k_ref = ref.stop
+    common = np.minimum(k_got, k_ref) + 1  # iterates compared a row, x0 included; one bound fewer
+    counts = common.tolist()
+    rows, steps = _segments(common)
+    got = np.concatenate(list(chain.from_iterable(r.iterates[:c] for r, c in zip(reports, counts))))
+    gap = _segment_max(np.abs(got - ref.iterates[steps, rows].ravel()), common * space.dim)
+    rows, steps = _segments(common - 1)
+    # every compared trace row's fields in one pass, then its three bounds
+    fields = len(TraceRow._fields)
+    got = np.fromiter(chain.from_iterable(chain.from_iterable(r.trace[:c - 1]) for r, c in zip(reports, counts)),
+                      float, count=fields * len(rows)).reshape(-1, fields)[:, 2:]
+    want = ref.bounds[steps, rows]
+    scale = np.maximum(np.abs(got), np.abs(want))
+    rel = _segment_max((np.abs(got - want) / np.where(scale > 0.0, scale, 1.0)).ravel(), (common - 1) * got.shape[1])
+    points = np.stack([r.fixed_point for r in reports])
+    end = np.abs(points - ref.iterates[k_ref, np.arange(len(reports))]).max(axis=1)
+    # the certificate against the exact fixed point
     if xstar is not None:
-        points = np.stack([r.fixed_point for r in reports])
         certified = np.array([r.certified_error for r in reports])
         errors = space.seminorm_batch(points - xstar)
         slack = space.roundoff_floor(_lengths(points) + _lengths(xstar))
         excess = errors - (certified + slack)
 
-    out = []
-    for i, r in enumerate(reports):
-        problems = []
-        k_ref = int(ref.stop[i])
-        worst = 0.0
-        if r.iterations != k_ref:
-            problems.append(f"iteration counts differ: {r.iterations} vs {k_ref} for the reference")
-            worst = float(abs(r.iterations - k_ref))
-        common = min(r.iterations, k_ref) + 1
-        gap = float(np.max(np.abs(np.asarray(r.iterates[:common]) - ref.iterates[:common, i])))
-        worst = max(worst, gap)
-        if gap > 1e-12:
-            problems.append(f"iterates diverge by {gap:.3e}")
-        if common > 1:
-            got = np.array([row[2:] for row in r.trace[:common - 1]])
-            want = ref.bounds[:common - 1, i]
-            scale = np.maximum(np.abs(got), np.abs(want))
-            rel = float(np.max(np.abs(got - want) / np.where(scale > 0.0, scale, 1.0)))
-            if rel > 1e-12:
-                problems.append(f"bounds differ by {rel:.3e} relative")
-                worst = max(worst, rel)
-        end = float(np.max(np.abs(r.fixed_point - ref.iterates[k_ref, i])))
-        if end > 1e-12:
-            problems.append(f"returned point is {end:.3e} from the reference's last iterate")
-            worst = max(worst, end)
+    counted = k_got != k_ref
+    worst = np.maximum(np.where(counted, np.abs(k_got - k_ref), 0.0), gap)
+    worst = np.maximum(worst, np.where(rel > 1e-12, rel, 0.0))
+    worst = np.maximum(worst, np.where(end > 1e-12, end, 0.0))
+    flagged = counted | (gap > 1e-12) | (rel > 1e-12) | (end > 1e-12)
+    if xstar is not None:
+        worst = np.maximum(worst, np.where(excess > 0.0, excess, 0.0))
+        flagged |= excess > 0.0
+    out = [(w, []) for w in worst.tolist()]
+    for i in np.flatnonzero(flagged).tolist():
+        problems = out[i][1]
+        if counted[i]:
+            problems.append(f"iteration counts differ: {k_got[i]} vs {k_ref[i]} for the reference")
+        if gap[i] > 1e-12:
+            problems.append(f"iterates diverge by {gap[i]:.3e}")
+        if rel[i] > 1e-12:
+            problems.append(f"bounds differ by {rel[i]:.3e} relative")
+        if end[i] > 1e-12:
+            problems.append(f"returned point is {end[i]:.3e} from the reference's last iterate")
         if xstar is not None and excess[i] > 0.0:
-            problems.append(f"certified error {r.certified_error:.3e} is below "
+            problems.append(f"certified error {reports[i].certified_error:.3e} is below "
                             f"the exact error {errors[i]:.3e}")
-            worst = max(worst, float(excess[i]))
-        out.append((worst, problems))
     return out
 
 
@@ -556,15 +589,16 @@ def check_banach_reduction(op, space: AnchoredSpace, x0, alpha: float, seed: int
     singular, so it is taken as C z with (I - C^T L C) z = C^T T(0)."""
     x0 = as_vector(x0, space.dim)[None, :]
     seed = _seed_key(seed)
-    f = _compile(op, space)
+    form = _affine_form(op, space.dim)
     xstar = None
-    if f.lin is not None:
-        c, lin, t0 = space.complement_basis, f.lin, f.offset
+    if form is not None:
+        c, (lin, t0) = space.complement_basis, form
         try:
             xstar = (c @ np.linalg.solve(np.eye(space.complement_dim) - _quotient_map(space, lin), c.T @ t0))[None, :]
         except np.linalg.LinAlgError:
             pass  # no unique fixed point modulo the span: the engine refuses alpha
-    [(worst, problems)] = _reduction_rows(space, [op], f.step, np.array([alpha], dtype=float), x0, xstar)
+    # the reference iterates a (1, d) stack, so it takes the operator's row map
+    [(worst, problems)] = _reduction_rows(space, [op], _row_map(op, form), np.array([alpha], dtype=float), x0, xstar)
     ce = {"alpha": alpha, "x0": x0[0].tolist(), "problems": problems} if problems else None
     return PropertyReport("banach_reduction", 1, 1 if problems else 0, worst, ce, seed)
 

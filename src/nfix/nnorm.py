@@ -50,7 +50,7 @@ def as_vector(x, dim: int | None = None) -> np.ndarray:
         raise ValueError(f"expected a 1-D vector, got shape {v.shape}")
     if v.size < 1:
         raise ValueError("vector must have length >= 1")
-    if not np.all(np.isfinite(v)):
+    if not np.isfinite(v).all():
         raise ValueError("vector has non-finite coordinates")
     if dim is not None and v.size != dim:
         raise ValueError(f"dimension mismatch: expected length {dim}, got {v.size}")
@@ -261,9 +261,14 @@ class AnchoredSpace:
         when a value counts as 0."""
         x = as_vector(x, self.dim)
         with np.errstate(over="ignore"):
-            return self.anchor_volume * _length(self._complement_rows @ x)
+            return self._seminorm(x)
 
     seminorm_raw = seminorm
+
+    def _seminorm(self, x: np.ndarray) -> float:
+        """``seminorm`` of a finite 1-D float64 array of length dim, unchecked;
+        numpy's overflow warning is the caller's to ignore."""
+        return self.anchor_volume * _length(self._complement_rows.dot(x))
 
     def projection_kernel(self) -> Callable[[np.ndarray], float]:
         """``seminorm`` without its input checks, for hot loops.
@@ -272,11 +277,15 @@ class AnchoredSpace:
         validates nothing.  A non-finite coordinate always yields a non-finite
         result, so a caller may test the result instead of the input.  Call
         it with numpy's overflow warning ignored, as the solver engine does.
+        It is ``_seminorm`` with ``_length``'s rule written out, bit for bit.
         """
-        rows, vol = self._complement_rows, self.anchor_volume
+        dot, vol = self._complement_rows.dot, self.anchor_volume
+        sqrt, inf = math.sqrt, math.inf
 
         def raw(x: np.ndarray) -> float:
-            return vol * _length(rows @ x)
+            p = dot(x)
+            r = sqrt(p.dot(p))
+            return vol * (r if _LENGTH_MIN <= r < inf else float(_lengths(p[None, :])[0]))
 
         return raw
 

@@ -68,7 +68,9 @@ class OperatorSpec:
                 raise ValueError(f"affine matrix must be square, got shape {a.shape}")
             if not np.all(np.isfinite(a)):
                 raise ValueError("affine matrix has non-finite entries")
-            self.matrix = a
+            # held C-contiguous, so one point's L.dot(x) and a batch's pts @ L^T
+            # give the same bits: on a strided matrix numpy's non-BLAS loop does not
+            self.matrix = np.ascontiguousarray(a)
             if self.offset is None:
                 self.offset = np.zeros(a.shape[0])
             self.offset = as_vector(self.offset, a.shape[0])
@@ -85,6 +87,11 @@ def _is_finite_number(v) -> bool:
     if isinstance(v, (float, np.floating)):
         return math.isfinite(v)
     return isinstance(v, (int, np.integer)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+
+
+def _is_real(v) -> bool:
+    """An int, a float or a numpy real, not a bool."""
+    return isinstance(v, (int, float, np.integer, np.floating)) and not isinstance(v, bool)
 
 
 def _validate_builtin_params(name, params):
@@ -150,9 +157,10 @@ def _rotation_matrix(op: OperatorSpec, d: int) -> np.ndarray:
 
 
 def _affine_form(op: OperatorSpec, d: int) -> Optional[tuple]:
-    """(L, c) with T(x) = L x + c on R^d, or None for "saturating" and
-    "step": affine maps give (matrix, offset), "scale" (factor * I, 0),
-    "rotation-scale" (its rotation matrix, 0) and "constant" (0, value)."""
+    """(L, c) with T(x) = L x + c on R^d, L C-contiguous, or None for
+    "saturating" and "step": affine maps give (matrix, offset), "scale"
+    (factor * I, 0), "rotation-scale" (its rotation matrix, 0) and
+    "constant" (0, value)."""
     if op.kind == "affine":
         if op.matrix.shape[0] != d:
             raise ValueError(f"dimension mismatch: operator is {op.matrix.shape[0]}-D, points are {d}-D")
@@ -191,8 +199,19 @@ def _row_map(op: OperatorSpec, form: Optional[tuple]) -> Callable[[np.ndarray], 
     return move_e1
 
 
+def _point_map(op: OperatorSpec, form: Optional[tuple]) -> Callable[[np.ndarray], np.ndarray]:
+    """The operator on one 1-D point from its ``_affine_form``: ``L.dot(x) + c``,
+    which for the C-contiguous L that ``_affine_form`` gives has the bits of
+    ``_row_map``'s product on the (1, d) row at a lower cost a call than numpy's
+    matmul, or ``_row_map``'s g of x_1."""
+    if form is None:
+        return _row_map(op, form)
+    dot, offset = form[0].dot, form[1]
+    return lambda x: dot(x) + offset
+
+
 class _Compiled(NamedTuple):
-    """An operator built for a space: ``step``, its unchecked ``_row_map``, whose every call returns a new
+    """An operator built for a space: ``step``, its unchecked ``_point_map``, whose every call returns a new
     array with ``apply_batch``'s bits, and the form T(x) = lin x + offset (None for "saturating", "step")."""
 
     op: OperatorSpec
@@ -204,13 +223,13 @@ class _Compiled(NamedTuple):
 def _compile(op: OperatorSpec, space: AnchoredSpace) -> _Compiled:
     """``op`` built for ``space`` from one ``_affine_form`` call, which checks its dimension."""
     form = _affine_form(op, space.dim)
-    return _Compiled(op, _row_map(op, form), *(form or (None, None)))
+    return _Compiled(op, _point_map(op, form), *(form or (None, None)))
 
 
 def apply(op: OperatorSpec, x) -> np.ndarray:
     """Evaluate the operator at one point."""
     x = as_vector(x)
-    return _row_map(op, _affine_form(op, x.size))(x)
+    return _point_map(op, _affine_form(op, x.size))(x)
 
 
 def apply_batch(op: OperatorSpec, points: np.ndarray) -> np.ndarray:
@@ -334,6 +353,8 @@ def lipschitz_constant(op: OperatorSpec, space: AnchoredSpace, center=None, radi
         raise ValueError("a radius needs a center")
     if center is not None:
         center = as_vector(center, space.dim)
+    if radius is not None and not _is_real(radius):
+        raise ValueError(f"radius must be a real number, got {radius!r}")
     if radius is not None and not radius > 0:
         raise ValueError(f"radius must be > 0, got {radius!r}")
     return _lipschitz(_compile(op, space), space, center, radius)

@@ -51,7 +51,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .nnorm import ROUNDOFF, AnchoredSpace, _length, as_vector
-from .operators import OperatorSpec, _compile, _kannan, _lipschitz
+from .operators import OperatorSpec, _compile, _is_real, _kannan, _lipschitz
 
 REGIMES = ("picard", "ball", "summable", "kannan", "edelstein")
 
@@ -138,7 +138,7 @@ class ASeq:
             if not self.terms:
                 raise SolverInputError("explicit a_seq needs at least one term")
             terms = np.asarray(self.terms, dtype=float)
-            if terms.ndim != 1 or not np.all((terms >= 0.0) & (terms < math.inf)):
+            if terms.ndim != 1 or not ((terms >= 0.0) & (terms < math.inf)).all():
                 raise SolverInputError("explicit a_seq terms must be finite and nonnegative")
             if not (math.isfinite(self.tail) and self.tail >= 0):
                 raise SolverInputError("explicit a_seq needs a finite nonnegative declared tail bound")
@@ -187,6 +187,12 @@ class SolverConfig:
     def validate(self):
         if self.regime not in REGIMES:
             raise SolverInputError(f"regime must be one of {REGIMES}, got {self.regime!r}")
+        # a bool or a string would pass or fail the range tests below by accident;
+        # a float, the common case, is let through by its type alone
+        for name in ("tol", "alpha", "beta", "radius"):
+            value = getattr(self, name)
+            if type(value) is not float and not (value is None and name != "tol" or _is_real(value)):
+                raise SolverInputError(f"{name} must be a real number, got {value!r}")
         if not (self.tol > 0 and math.isfinite(self.tol)):
             raise SolverInputError("tol must be a positive real")
         for name, least in (("max_iter", 1), ("crosscheck_pairs", 0)):
@@ -252,9 +258,9 @@ def _check_finite(x: np.ndarray, step: int):
 def _independence(space: AnchoredSpace, point: np.ndarray, certified: float):
     """Is every point within ``certified`` of ``point`` off the kernel?  The
     semi-norm must exceed the certificate plus the space's roundoff floor
-    at |point|, so a large kernel component hides no small gap."""
-    with np.errstate(over="ignore"):
-        ok = space.seminorm_raw(point) > certified + space.roundoff_floor(_length(point))
+    at |point|, so a large kernel component hides no small gap.  ``point``
+    is the engine's own finite iterate, measured under its ``np.errstate``."""
+    ok = space._seminorm(point) > certified + space.roundoff_floor(_length(point))
     return ok, (UNIQUE_MOD_KERNEL if ok else INDEPENDENCE_FAILED)
 
 
@@ -292,6 +298,10 @@ def _bound_model(cfg: SolverConfig):
     return None, None
 
 
+# an iterate, a displacement or the pad may overflow, and a non-finite iterate
+# makes the kernel compute 0 * inf; each is refused at the step that made it,
+# so numpy's warnings would only be noise: one errstate spans the whole solve
+@np.errstate(invalid="ignore", over="ignore")
 def _solve(regime: str, op: OperatorSpec, space: AnchoredSpace, x0, cfg: SolverConfig) -> SolverReport:
     """The iteration engine behind every regime."""
     cfg.validate()
@@ -303,13 +313,9 @@ def _solve(regime: str, op: OperatorSpec, space: AnchoredSpace, x0, cfg: SolverC
     f = _compile(op, space)
     step = f.step
     dist = space.projection_kernel()
-    # an iterate or a displacement may overflow, and a non-finite one makes
-    # the kernel compute 0 * inf; either is refused at the step that made
-    # it, so numpy's warnings would only be noise
-    with np.errstate(invalid="ignore", over="ignore"):
-        x1 = step(x0)
-        diff = x0 - x1
-        res0 = dist(diff)
+    x1 = step(x0)
+    diff = x0 - x1
+    res0 = dist(diff)
     if not math.isfinite(res0):
         _check_finite(diff, 1)
     if ball:
@@ -337,70 +343,69 @@ def _solve(regime: str, op: OperatorSpec, space: AnchoredSpace, x0, cfg: SolverC
     res_k = res0  # step 1's residual, taken and checked above
     disp = res0  # and step 1's displacement from x0: x1 - x0 negates x0 - x1, exactly
     k = 0
-    with np.errstate(invalid="ignore", over="ignore"):  # the pad may overflow too
-        if seq is not None:
-            tail_sum = seq.tail_sum
-            rate = seq.term(1)
-            # roundoff pad of the declared rate d (beta for Kannan; its guard takes it to r = beta / (1 - beta)):
-            # ROUNDOFF * (|M|_F + d), M = |C|^T |L| |C| for a linear part L, else ROUNDOFF * d; none if it overflows
-            declared = cfg.beta if cfg.regime == "kannan" else rate
-            lin, c = f.lin, np.abs(space.complement_basis)
-            pad = ROUNDOFF * (declared if lin is None else float(np.linalg.norm(c.T @ np.abs(lin) @ c)) + declared)
-            pad = pad if pad < math.inf else 0.0
-            _crosscheck(f, space, cfg, x0, guard_name, declared, pad)
-            guard = rate + (pad / (1.0 - cfg.beta) ** 2 if cfg.regime == "kannan" else pad)
-            apost_factor = tail_sum(1)
-        while k < max_iter:
-            k += 1
-            if k > 1:
-                x_next = step(x_prev)
-                diff = x_next - x_prev
-                res_k = dist(diff)
-                if not isfinite(res_k):
-                    # x_next has a NaN/inf coordinate, or x_next - x_prev
-                    # overflowed; either leaves a non-finite diff
-                    _check_finite(diff, k)
-                if ball:
-                    diff = x_next - x0
-                    disp = dist(diff)
-                    if not isfinite(disp):
-                        _check_finite(diff, k)
+    if seq is not None:
+        tail_sum = seq.tail_sum
+        rate = seq.term(1)
+        # roundoff pad of the declared rate d (beta for Kannan; its guard takes it to r = beta / (1 - beta)):
+        # ROUNDOFF * (|M|_F + d), M = |C|^T |L| |C| for a linear part L, else ROUNDOFF * d; none if it overflows
+        declared = cfg.beta if cfg.regime == "kannan" else rate
+        lin, c = f.lin, np.abs(space.complement_basis)
+        pad = ROUNDOFF * (declared if lin is None else float(np.linalg.norm(c.T @ np.abs(lin) @ c)) + declared)
+        pad = pad if pad < math.inf else 0.0
+        _crosscheck(f, space, cfg, x0, guard_name, declared, pad)
+        guard = rate + (pad / (1.0 - cfg.beta) ** 2 if cfg.regime == "kannan" else pad)
+        apost_factor = tail_sum(1)
+    while k < max_iter:
+        k += 1
+        if k > 1:
+            x_next = step(x_prev)
+            diff = x_next - x_prev
+            res_k = dist(diff)
+            if not isfinite(res_k):
+                # x_next has a NaN/inf coordinate, or x_next - x_prev
+                # overflowed; either leaves a non-finite diff
+                _check_finite(diff, k)
             if ball:
-                # the ball theorem's own diagnostic comes first: an escaping
-                # iterate names the violated induction bound directly
-                bound = (1.0 - cfg.alpha ** k) * cfg.radius
-                ball_trace.append((k, disp, bound))
-                if disp > bound and disp > bound + floor(_length(x0) + _length(x_next)):
-                    raise ContainmentError(k, disp, bound)
-            if seq is None:
-                # no envelope: the certificate is the smallest residual
-                # ||x - Tx|| seen, attained at x = x_prev
-                append(row(k, res_k, math.inf, math.inf, math.inf))
-                if res_k < certified:
-                    certified = res_k
-                    best = x_prev
-            else:
-                # the orbit is the sharpest sample of the constant: a
-                # residual breaking the padded recursion by more than its
-                # roundoff floor at max(|x_prev|, |x_next|) proves the
-                # constant false (each length taken only if still needed)
-                limit = guard * prev_res
-                if (res_k > limit and res_k > limit + floor(_length(x_prev))
-                        and res_k > limit + floor(_length(x_next))):
-                    raise ConstantMismatchError(guard_name, rate, res_k / prev_res, step=k)
-                prev_res = res_k
-                # the step's certificate: the smaller of the two envelopes
-                apriori = tail_sum(k) * res0
-                apost = apost_factor * res_k
-                certified = apriori if apriori <= apost else apost
-                append(row(k, res_k, apriori, apost, certified))
-                best = x_next
-            if iterates is not None:
-                # every step returns a fresh array, so nothing is copied
-                iterates.append(x_next)
-            if certified <= tol:
-                break
-            x_prev = x_next
+                diff = x_next - x0
+                disp = dist(diff)
+                if not isfinite(disp):
+                    _check_finite(diff, k)
+        if ball:
+            # the ball theorem's own diagnostic comes first: an escaping
+            # iterate names the violated induction bound directly
+            bound = (1.0 - cfg.alpha ** k) * cfg.radius
+            ball_trace.append((k, disp, bound))
+            if disp > bound and disp > bound + floor(_length(x0) + _length(x_next)):
+                raise ContainmentError(k, disp, bound)
+        if seq is None:
+            # no envelope: the certificate is the smallest residual
+            # ||x - Tx|| seen, attained at x = x_prev
+            append(row(k, res_k, math.inf, math.inf, math.inf))
+            if res_k < certified:
+                certified = res_k
+                best = x_prev
+        else:
+            # the orbit is the sharpest sample of the constant: a
+            # residual breaking the padded recursion by more than its
+            # roundoff floor at max(|x_prev|, |x_next|) proves the
+            # constant false (each length taken only if still needed)
+            limit = guard * prev_res
+            if (res_k > limit and res_k > limit + floor(_length(x_prev))
+                    and res_k > limit + floor(_length(x_next))):
+                raise ConstantMismatchError(guard_name, rate, res_k / prev_res, step=k)
+            prev_res = res_k
+            # the step's certificate: the smaller of the two envelopes
+            apriori = tail_sum(k) * res0
+            apost = apost_factor * res_k
+            certified = apriori if apriori <= apost else apost
+            append(row(k, res_k, apriori, apost, certified))
+            best = x_next
+        if iterates is not None:
+            # every step returns a fresh array, so nothing is copied
+            iterates.append(x_next)
+        if certified <= tol:
+            break
+        x_prev = x_next
     return _report(regime, space, cfg, best, k, trace, certified, res0, iterates, ball_trace)
 
 

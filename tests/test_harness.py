@@ -570,6 +570,90 @@ def test_reduction_rows_name_iterates_that_leave_the_reference():
     assert 1e-6 <= gap <= 2e-6 and worst >= gap
 
 
+def _reduction_rows_one_at_a_time(space, ref, reports, xstar):
+    """The reduction check row by row, ~10 numpy calls a row, as
+    ``_reduction_rows`` made it before its flat pass."""
+    points = np.stack([r.fixed_point for r in reports])
+    certified = np.array([r.certified_error for r in reports])
+    errors = space.seminorm_batch(points - xstar)
+    excess = errors - (certified + space.roundoff_floor(harness._lengths(points) + harness._lengths(xstar)))
+    out = []
+    for i, r in enumerate(reports):
+        problems = []
+        k_ref = int(ref.stop[i])
+        worst = 0.0
+        if r.iterations != k_ref:
+            problems.append(f"iteration counts differ: {r.iterations} vs {k_ref} for the reference")
+            worst = float(abs(r.iterations - k_ref))
+        common = min(r.iterations, k_ref) + 1
+        gap = float(np.max(np.abs(np.asarray(r.iterates[:common]) - ref.iterates[:common, i])))
+        worst = max(worst, gap)
+        if gap > 1e-12:
+            problems.append(f"iterates diverge by {gap:.3e}")
+        if common > 1:
+            got = np.array([row[2:] for row in r.trace[:common - 1]])
+            want = ref.bounds[:common - 1, i]
+            scale = np.maximum(np.abs(got), np.abs(want))
+            rel = float(np.max(np.abs(got - want) / np.where(scale > 0.0, scale, 1.0)))
+            if rel > 1e-12:
+                problems.append(f"bounds differ by {rel:.3e} relative")
+                worst = max(worst, rel)
+        end = float(np.max(np.abs(r.fixed_point - ref.iterates[k_ref, i])))
+        if end > 1e-12:
+            problems.append(f"returned point is {end:.3e} from the reference's last iterate")
+            worst = max(worst, end)
+        if excess[i] > 0.0:
+            problems.append(f"certified error {r.certified_error:.3e} is below the exact error {errors[i]:.3e}")
+            worst = max(worst, float(excess[i]))
+        out.append((worst, problems))
+    return out
+
+
+@pytest.mark.parametrize("fixed", [2, 6], ids=["fixed-mid-block", "fixed-last"])
+def test_flat_reduction_check_equals_the_row_by_row_check(monkeypatch, fixed):
+    # uneven rows, one whose x0 is fixed modulo the span (0 iterations and no
+    # trace rows: an empty segment of the flat pass, amid the others or at
+    # the end), and one planted defect in each of three rows: a stop one
+    # step late, one a-posteriori bound moved mid-trace, and one iterate
+    # moved in the last row (its x0 when that row is the fixed one)
+    sp = canonical_space(3, 2)
+    alpha = np.array([0.15, 0.85, 0.5, 0.7, 0.3, 0.6, 0.45])
+    rng = np.random.default_rng(59)
+    offset, x0 = rng.standard_normal((7, 3)), rng.standard_normal((7, 3))
+    late, moved, last = 1, 3, 6
+    alpha[fixed] = 0.5
+    x0[fixed] = 2.0 * offset[fixed] + [0.0, 5.0, 0.0]  # T x0 - x0 = -2.5 e2, in the span
+    xstar = offset / (1.0 - alpha)[:, None]
+    ops = [affine_operator(a * np.eye(3), offset=c) for a, c in zip(alpha, offset)]
+    step = lambda x: x * alpha[:, None] + offset  # noqa: E731
+    solve, reports = harness.summable_solve, []
+
+    def planted(op, space, x, cfg):
+        report = solve(op, space, x, cfg)
+        i = len(reports)
+        if i == late:
+            cfg.tol, cfg.max_iter = 1e-300, report.iterations + 1
+            report = solve(op, space, x, cfg)
+        elif i == moved:
+            j = report.iterations // 2
+            report.trace[j] = report.trace[j]._replace(aposteriori=report.trace[j].aposteriori * (1.0 + 1e-9))
+        elif i == last:
+            j = report.iterations // 2
+            report.iterates[j] = report.iterates[j] + [1e-9, 0.0, 0.0]
+        reports.append(report)
+        return report
+    monkeypatch.setattr(harness, "summable_solve", planted)
+    got = harness._reduction_rows(sp, ops, step, alpha, x0, xstar)
+    want = _reduction_rows_one_at_a_time(sp, harness._banach_reference(sp, step, alpha, x0), reports, xstar)
+    assert got == want
+    assert reports[fixed].iterations == 0 and reports[fixed].trace == []
+    assert len({r.iterations for r in reports}) >= 5
+    assert [i for i, (_, problems) in enumerate(got) if problems] == [late, moved, last]
+    assert got[late][1][0].startswith("iteration counts differ: ") and got[late][0] >= 1.0
+    assert got[moved][1] == [f"bounds differ by {1e-9 / (1.0 + 1e-9):.3e} relative"]
+    assert got[last][1] == ["iterates diverge by 1.000e-09"]
+
+
 def test_banach_reference_of_many_rows_equals_its_sub_blocks():
     # the reduction suite iterates all of d = 3 in one lock-step block; each
     # row is iterated on its own, so the block gives every row the iterates,

@@ -813,6 +813,23 @@ def test_length_rule_at_extreme_scales_is_the_rescaled_length(width, s):
     assert np.all(np.isfinite(got) & (got > 0.0))
 
 
+@pytest.mark.parametrize("dim, order", [(3, 2), (3, 3), (16, 2), (16, 9), (64, 2), (64, 40)])
+def test_projection_kernel_is_the_seminorm_bit_for_bit(dim, order):
+    # the kernel writes out seminorm's product (a .dot) and _length's rule;
+    # at lengths 1e-200 and 1e200 the squares underflow or overflow and the
+    # rule's rescaled form must come out the same way
+    rng = np.random.default_rng([47, dim, order])
+    sp = _random_space(rng, dim, order)
+    kernel = sp.projection_kernel()
+    scales = np.concatenate([10.0 ** rng.uniform(-5, 5, 200), [1e-200, 1e200, 1e-300, 1e300, 1e-310]])
+    for s in scales:
+        x = rng.standard_normal(dim) * s
+        with np.errstate(over="ignore"):  # as the engine calls the kernel
+            got = kernel(x)
+        assert type(got) is float and got == sp.seminorm(x), s
+    assert kernel(np.zeros(dim)) == sp.seminorm(np.zeros(dim)) == 0.0
+
+
 def _ball_points_written_out(sp, dirs, radii, coeffs, center=None):
     """``ball_points`` as a plain numpy expression, for directions whose
     lengths are in range: every broadcast runs along the last axis."""

@@ -124,8 +124,9 @@ def test_builtin_params_must_be_finite_numbers(name, params):
 @pytest.mark.parametrize("d", [3, 16, 64])
 def test_linear_builtins_map_rows_bit_for_bit(d):
     # scale, rotation-scale and constant run as x @ L^T + c from their
-    # affine form; on finite rows that must give exactly the direct
-    # formulas, for a batch and for the compiled one-row step alike
+    # affine form, and one point as L.dot(x) + c; on finite rows that must
+    # give exactly the direct formulas, for a batch and for the compiled
+    # one-point step alike
     rng = np.random.default_rng([d, 61])
     pts = rng.standard_normal((8, d)) * 10.0 ** rng.integers(-3, 4, size=(8, 1))
     theta, factor = 0.9, 0.7
@@ -147,12 +148,18 @@ def test_linear_builtins_map_rows_bit_for_bit(d):
 
 @pytest.mark.parametrize("d", [3, 16, 64])
 def test_compiled_step_is_the_one_row_batch_bit_for_bit(d):
-    # _compile's step is x @ L^T + c on the 1-D point for every affine form,
-    # and the nonlinear builtins' row map on it; apply_batch runs the same
-    # product on a (1, d) row, and both must give the same bits
+    # _compile's step is L.dot(x) + c on the 1-D point for every affine form,
+    # and the nonlinear builtins' row map on it; apply_batch runs x @ L^T + c
+    # on a (1, d) row, and both must give the same bits.  They do on BLAS
+    # layouts only, so the operator holds a C-contiguous copy of a Fortran
+    # or strided matrix: on a strided one numpy's own loop rounds otherwise
     rng = np.random.default_rng([d, 67])
-    ops = [affine_operator(rng.standard_normal((d, d)) * 10.0 ** rng.integers(-3, 4),
-                           offset=rng.standard_normal(d)) for _ in range(30)]
+    scaled = lambda m: m * 10.0 ** rng.integers(-3, 4)  # noqa: E731
+    matrices = [scaled(rng.standard_normal((d, d))) for _ in range(10)]
+    matrices += [np.asfortranarray(scaled(rng.standard_normal((d, d)))) for _ in range(10)]
+    matrices += [scaled(rng.standard_normal((2 * d, 2 * d)))[::2, ::2] for _ in range(10)]
+    ops = [affine_operator(m, offset=rng.standard_normal(d)) for m in matrices]
+    assert all(op.matrix.flags.c_contiguous and np.array_equal(op.matrix, m) for op, m in zip(ops, matrices))
     ops += [builtin_operator("saturating"), builtin_operator("step", threshold=0.1, height=0.5),
             builtin_operator("scale", factor=-0.7), builtin_operator("constant", value=rng.standard_normal(d)),
             builtin_operator("rotation-scale", axis1=0, axis2=d - 1, angle=0.3, factor=0.9)]
@@ -161,7 +168,7 @@ def test_compiled_step_is_the_one_row_batch_bit_for_bit(d):
         for x in rng.standard_normal((8, d)) * 10.0 ** rng.integers(-5, 6, size=(8, 1)):
             got = step(x)
             assert got.shape == (d,)
-            assert got.tobytes() == apply_batch(op, x[None])[0].tobytes()
+            assert got.tobytes() == apply_batch(op, x[None])[0].tobytes() == apply(op, x).tobytes()
 
 
 def test_apply_batch_matches_scalar():
@@ -1171,9 +1178,12 @@ _HALF = builtin_operator("scale", factor=0.5)
     (lambda: lipschitz_constant(builtin_operator("saturating"), canonical_space(3, 2), np.zeros(3), math.nan),
      "radius must be > 0, got nan"),
     (lambda: lipschitz_constant(_HALF, space_e23(), np.zeros(3), 0.0), "radius must be > 0, got 0.0"),
+    # True was taken as radius 1 (0.5 returned) and a string raised a TypeError
+    (lambda: lipschitz_constant(_HALF, space_e23(), np.zeros(3), True), "radius must be a real number, got True"),
+    (lambda: lipschitz_constant(_HALF, space_e23(), np.zeros(3), "1"), "radius must be a real number, got '1'"),
 ], ids=["non-square", "non-finite", "unknown-kind", "missing-params", "equal-axes", "negative-axis",
         "compose-builtin", "compose-dims", "batch-1d", "budget-0", "samples-0", "epsilon-0", "delta-negative",
-        "radius-without-center", "center-short", "radius-nan", "radius-0"])
+        "radius-without-center", "center-short", "radius-nan", "radius-0", "radius-bool", "radius-str"])
 def test_operators_refuse_bad_input_with_their_own_message(call, message):
     with pytest.raises(ValueError) as excinfo:
         call()

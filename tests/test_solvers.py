@@ -831,10 +831,28 @@ def test_summable_validation():
     ({"crosscheck_pairs": False}, "crosscheck_pairs must be an integer, got False"),
     ({"regime": "ball"}, "ball regime needs a positive radius"),
     ({"regime": "ball", "radius": 0.0}, "ball regime needs a positive radius"),
+    # tol True ran as 1.0 and radius True was taken; a string raised a bare TypeError
+    ({"tol": True}, "tol must be a real number, got True"),
+    ({"tol": None}, "tol must be a real number, got None"),
+    ({"tol": "1e-3"}, "tol must be a real number, got '1e-3'"),
+    ({"alpha": "0.5"}, "alpha must be a real number, got '0.5'"),
+    ({"alpha": np.True_}, "alpha must be a real number, got np.True_"),
+    ({"regime": "kannan", "beta": False}, "beta must be a real number, got False"),
+    ({"radius": True}, "radius must be a real number, got True"),
+    ({"regime": "ball", "radius": "2"}, "radius must be a real number, got '2'"),
 ])
 def test_solver_config_refuses_each_bad_setting(fields, message):
     with pytest.raises(SolverInputError, match=message):
         SolverConfig(**{"regime": "picard", "alpha": 0.5, **fields}).validate()
+
+
+def test_solver_config_takes_integer_and_numpy_reals():
+    op, x0 = builtin_operator("scale", factor=0.5), [1.0, 0.0, 2.0]
+    ball = SolverConfig(regime="ball", alpha=np.float32(0.5), radius=np.int64(100), tol=np.float64(1e-10))
+    assert ball_solve(op, space_e23(), x0, ball).converged
+    kannan = SolverConfig(regime="kannan", beta=np.float16(0.45), tol=1)
+    report = kannan_solve(builtin_operator("scale", factor=0.3), space_e23(), x0, kannan)
+    assert report.converged and 0.0 < report.certified_error <= 1.0
 
 
 def test_solver_config_takes_numpy_integer_counts():
